@@ -3,7 +3,7 @@ probabilities converge to 0 or 1, then remove the dead units."""
 
 from .compaction import absorb_retention, count_weights, prune_units, svd_compact
 from .data import Dataset, load_idx, load_mnist_dir, split_train_dev, synth_blobs
-from .network import MlpParams, backward, forward_expected, forward_stochastic, init_mlp
+from .network import MlpParams, backward_batch, forward_batch, init_mlp
 from .retention import PriorHyper, RetentionParams, retention_update, sample_maskset
 from .trainer import TrainConfig, evaluate, run_training
 
@@ -16,11 +16,10 @@ __all__ = [
     "RetentionParams",
     "TrainConfig",
     "absorb_retention",
-    "backward",
+    "backward_batch",
     "count_weights",
     "evaluate",
-    "forward_expected",
-    "forward_stochastic",
+    "forward_batch",
     "init_mlp",
     "load_idx",
     "load_mnist_dir",

@@ -1,11 +1,10 @@
 """Inference-latency microbenchmark.
 
-Times the deterministic forward pass of random-weight models over fixed
-random inputs, with all layer buffers preallocated so nothing is allocated
-inside the timed region. The analytic multiply-accumulate count per
-example is reported next to the measured latency; shape pairs can then be
-compared as FLOP ratio vs measured speedup. Both kernel backends can be
-timed for side-by-side comparison.
+Times ``network.forward_batch``, the forward pass that ``eval`` runs, on a
+Glorot-initialized model over fixed random inputs, with the all-ones gates
+that a compacted checkpoint carries. The analytic multiply-accumulate count
+per example is reported next to the measured latency; shape pairs can then
+be compared as FLOP ratio vs measured speedup.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .kernels import ACT_IDS, ACT_LINEAR
-from .linalg import glorot_uniform, rng_stream
+from . import kernels, network
+from .linalg import rng_stream
 
 MIN_REPS = 30
 WARMUP_PASSES = 10
@@ -49,46 +47,12 @@ def flop_count(shape) -> int:
     return int(sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1)))
 
 
-def _build_model(shape, activation: str, seed: int):
-    dims = tuple(int(d) for d in shape)
-    weights = [
-        np.ascontiguousarray(glorot_uniform(dims[i], dims[i + 1], rng_stream(seed, "bench-w", i)))
-        for i in range(len(dims) - 1)
-    ]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    act_ids = np.array(
-        [ACT_IDS[activation]] * (len(dims) - 2) + [ACT_LINEAR], dtype=np.int64
-    )
-    return dims, weights, biases, act_ids
-
-
-def _make_runner(weights, biases, act_ids, batch: int, x: np.ndarray, backend: str):
-    """Closure running one full forward pass into preallocated buffers."""
-    if backend == "numba":
-        if not kernels.HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        if batch == 1:
-            bufs = kernels.make_numba_list([np.empty(w.shape[0]) for w in weights])
-            ws = kernels.make_numba_list(weights)
-            bs = kernels.make_numba_list(biases)
-            vec = np.ascontiguousarray(x[0] if x.ndim == 2 else x)
-            return lambda: kernels._infer_vec_nb(vec, ws, bs, act_ids, bufs)
-        bufs = kernels.make_numba_list([np.empty((batch, w.shape[0])) for w in weights])
-        wts = kernels.make_numba_list([np.ascontiguousarray(w.T) for w in weights])
-        bs = kernels.make_numba_list(biases)
-        xb = np.ascontiguousarray(x)
-        return lambda: kernels._infer_batch_nb(xb, wts, bs, act_ids, bufs)
-
-    if backend != "numpy":
-        raise ValueError(f"unknown backend {backend!r}")
-    if batch == 1:
-        bufs = [np.empty(w.shape[0]) for w in weights]
-        vec = np.ascontiguousarray(x[0] if x.ndim == 2 else x)
-        return lambda: kernels.infer_prealloc_numpy(vec, weights, biases, act_ids, bufs)
-    bufs = [np.empty((batch, w.shape[0])) for w in weights]
-    wts = [np.ascontiguousarray(w.T) for w in weights]
-    xb = np.ascontiguousarray(x)
-    return lambda: kernels.infer_prealloc_numpy(xb, wts, biases, act_ids, bufs)
+def _make_runner(params: network.MlpParams, x: np.ndarray):
+    """Closure running the eval forward pass once on ``x``."""
+    # a compacted checkpoint stores all-ones retention, which eval passes as gates
+    gates = [np.ones(d) for d in params.layer_dims[:-1]]
+    forward = network.forward_batch
+    return lambda: forward(params, x, gates)
 
 
 def time_forward(
@@ -96,7 +60,6 @@ def time_forward(
     batch: int = 1,
     reps: int = 100,
     seed: int = 0,
-    backend: str | None = None,
     activation: str = "relu",
     warmup: int = WARMUP_PASSES,
 ) -> BenchResult:
@@ -105,10 +68,9 @@ def time_forward(
         raise ValueError(f"reps must be >= {MIN_REPS}")
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    backend = backend or kernels.backend_name()
-    dims, weights, biases, act_ids = _build_model(shape, activation, seed)
-    x = rng_stream(seed, "bench-x").random((batch, dims[0]))
-    run = _make_runner(weights, biases, act_ids, batch, x, backend)
+    params = network.init_mlp(shape, activation, seed)
+    dims = params.layer_dims
+    run = _make_runner(params, rng_stream(seed, "bench-x").random((batch, dims[0])))
 
     for _ in range(warmup):
         run()
@@ -122,7 +84,7 @@ def time_forward(
         shape=dims,
         batch=batch,
         reps=reps,
-        backend=backend,
+        backend=kernels.backend_name(),
         min_s=float(times.min()),
         median_s=median,
         p95_s=float(np.percentile(times, 95)),
@@ -137,21 +99,20 @@ def multi_worker_throughput(
     reps: int = 100,
     workers: int = 2,
     seed: int = 0,
-    backend: str | None = None,
     activation: str = "relu",
 ) -> float:
-    """Aggregate examples/sec with `workers` threads running independent
-    preallocated forward chains; reported separately from latency stats."""
+    """Aggregate examples/sec with `workers` threads each running the eval
+    forward pass on its own inputs; reported separately from latency stats."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    backend = backend or kernels.backend_name()
-    dims, weights, biases, act_ids = _build_model(shape, activation, seed)
-    runners = []
-    for w in range(workers):
-        x = rng_stream(seed, "bench-x", w).random((batch, dims[0]))
-        runners.append(_make_runner(weights, biases, act_ids, batch, x, backend))
+    params = network.init_mlp(shape, activation, seed)
+    dims = params.layer_dims
+    runners = [
+        _make_runner(params, rng_stream(seed, "bench-x", w).random((batch, dims[0])))
+        for w in range(workers)
+    ]
     for run in runners:
-        run()  # warm caches and JIT before timing
+        run()  # warm caches before timing
 
     def work(run):
         for _ in range(reps):

@@ -11,6 +11,8 @@ exists for debugging.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -25,6 +27,19 @@ FORMAT_VERSION = 1
 
 class CheckpointError(ValueError):
     """Container is malformed or has an unsupported version."""
+
+
+# header fields and their JSON types; the last two default to empty when absent
+_HEADER_FIELDS = {
+    "layer_dims": list,
+    "hidden_activations": list,
+    "config": dict,
+    "seed": int,
+    "epoch": int,
+    "arrays": list,
+    "best_metrics": dict,
+    "compaction_history": list,
+}
 
 
 @dataclass
@@ -70,45 +85,81 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _parse_header(blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]:
+    """Decode and type-check the JSON header; returns it and the array manifest."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"corrupt checkpoint header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    header.setdefault("best_metrics", {})
+    header.setdefault("compaction_history", [])
+    for key, kind in _HEADER_FIELDS.items():
+        if not isinstance(header.get(key), kind):
+            raise CheckpointError(
+                f"checkpoint header field {key!r} missing or not a {kind.__name__}"
+            )
+    manifest = []
+    for entry in header["arrays"]:
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (
+            isinstance(shape, list)
+            and all(isinstance(d, int) and d >= 0 for d in shape)
+            and isinstance(entry.get("name"), str)
+        ):
+            raise CheckpointError(f"bad array entry {entry!r} in checkpoint header")
+        manifest.append((entry["name"], tuple(shape)))
+    return header, manifest
+
+
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; malformed content of any kind raises CheckpointError."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def take(n: int, what: str) -> bytes:
+            # checked before reading so a corrupt length never sizes a buffer
+            if n > size - f.tell():
+                raise CheckpointError(f"truncated {what}")
+            return f.read(n)
+
         magic = f.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        version, hlen = struct.unpack("<II", f.read(8))
+        version, hlen = struct.unpack("<II", take(8, "container header"))
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {version} unsupported (expected {FORMAT_VERSION})"
             )
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        header, manifest = _parse_header(take(hlen, "checkpoint header"))
         arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise CheckpointError(f"truncated payload for array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        for name, shape in manifest:
+            buf = take(8 * math.prod(shape), f"payload for array {name}")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
 
-    n_layers = len(header["layer_dims"]) - 1
-    params = MlpParams(
-        [arrays[f"weight_{i}"] for i in range(n_layers)],
-        [arrays[f"bias_{i}"] for i in range(n_layers)],
-        tuple(header["hidden_activations"]),
-    )
-    params.validate()
-    pi = RetentionParams([arrays[f"retention_{layer}"] for layer in range(n_layers)])
-    pi.validate(params)
+    try:
+        n_layers = len(header["layer_dims"]) - 1
+        params = MlpParams(
+            [arrays[f"weight_{i}"] for i in range(n_layers)],
+            [arrays[f"bias_{i}"] for i in range(n_layers)],
+            tuple(header["hidden_activations"]),
+        )
+        params.validate()
+        pi = RetentionParams([arrays[f"retention_{layer}"] for layer in range(n_layers)])
+        pi.validate(params)
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"inconsistent checkpoint contents: {e}") from e
     return Checkpoint(
         params=params,
         pi=pi,
         config=header["config"],
         seed=header["seed"],
         epoch=header["epoch"],
-        best_metrics=header.get("best_metrics", {}),
-        compaction_history=header.get("compaction_history", []),
+        best_metrics=header["best_metrics"],
+        compaction_history=header["compaction_history"],
     )
 
 

@@ -62,6 +62,21 @@ METRICS_FIXED = (
 )
 
 
+BENCH_CSV_HEADER = (
+    "shape",
+    "batch",
+    "reps",
+    "backend",
+    "min_s",
+    "median_s",
+    "p95_s",
+    "throughput_eps",
+    "flops_per_example",
+    "flop_ratio_vs_ref",
+    "speedup_vs_ref",
+)
+
+
 class ConfigError(ValueError):
     pass
 
@@ -142,6 +157,11 @@ def _file_digest(path: str) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _data_digests(dataset: Dataset) -> dict[str, str]:
+    """Manifest entries naming the digest of every source data file."""
+    return {f"data_{name}": digest for name, digest in dataset.source_digests.items()}
 
 
 def _load_dataset(data_dir: str | None, cfg: TrainConfig) -> Dataset:
@@ -235,8 +255,7 @@ def cmd_train(args) -> int:
     }
     if resumed_from:
         manifest["resumed_from"] = _file_digest(resumed_from)
-    for name, digest in sorted(dataset.source_digests.items()):
-        manifest[f"data_{name}"] = digest
+    manifest.update(_data_digests(dataset))
     write_manifest(os.path.join(out, "manifest.txt"), manifest)
 
     if result.reports:
@@ -286,9 +305,8 @@ def cmd_eval(args) -> int:
             "checkpoint": _file_digest(args.checkpoint),
             "split": args.split,
             "backend": kernels.backend_name(),
+            **_data_digests(dataset),
         }
-        for name, digest in sorted(dataset.source_digests.items()):
-            manifest[f"data_{name}"] = digest
         write_manifest(os.path.join(args.out, "eval_manifest.txt"), manifest)
     return EXIT_OK
 
@@ -391,13 +409,6 @@ def cmd_bench(args) -> int:
         raise ConfigError("bench needs --shape or --checkpoint")
     ref_shape = _parse_shape(args.ref_shape) if args.ref_shape else None
 
-    if args.backend == "both":
-        backends = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
-    elif args.backend == "auto":
-        backends = [kernels.backend_name()]
-    else:
-        backends = [args.backend]
-
     try:
         batches = [int(b) for b in str(args.batch).split(",") if b.strip()]
     except ValueError as e:
@@ -406,51 +417,27 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"bad --batch {args.batch!r}")
 
     rows: list[dict] = []
-    for backend in backends:
-        for batch in batches:
-            res = time_forward(
-                shape, batch=batch, reps=args.reps, seed=args.seed, backend=backend
+    for batch in batches:
+        res = time_forward(shape, batch=batch, reps=args.reps, seed=args.seed)
+        row = {"result": res, "flop_ratio": "", "speedup": ""}
+        if ref_shape:
+            ref = time_forward(ref_shape, batch=batch, reps=args.reps, seed=args.seed)
+            row["flop_ratio"] = _fmt(ref.flops / res.flops)
+            row["speedup"] = _fmt(res.speedup_vs(ref))
+            rows.append({"result": ref, "flop_ratio": _fmt(1.0), "speedup": _fmt(1.0)})
+        rows.append(row)
+        if args.workers > 1:
+            eps = multi_worker_throughput(
+                shape, batch=batch, reps=args.reps, workers=args.workers, seed=args.seed
             )
-            row = {"result": res, "flop_ratio": "", "speedup": ""}
-            if ref_shape:
-                ref = time_forward(
-                    ref_shape, batch=batch, reps=args.reps, seed=args.seed, backend=backend
-                )
-                row["flop_ratio"] = _fmt(ref.flops / res.flops)
-                row["speedup"] = _fmt(res.speedup_vs(ref))
-                rows.append({"result": ref, "flop_ratio": _fmt(1.0), "speedup": _fmt(1.0)})
-            rows.append(row)
-            if args.workers > 1:
-                eps = multi_worker_throughput(
-                    shape,
-                    batch=batch,
-                    reps=args.reps,
-                    workers=args.workers,
-                    seed=args.seed,
-                    backend=backend,
-                )
-                print(
-                    f"# workers={args.workers} backend={backend} batch={batch}"
-                    f" aggregate_throughput={eps:.1f} examples/s",
-                    file=sys.stderr,
-                )
+            print(
+                f"# workers={args.workers} backend={res.backend} batch={batch}"
+                f" aggregate_throughput={eps:.1f} examples/s",
+                file=sys.stderr,
+            )
 
     writer = csv.writer(sys.stdout)
-    writer.writerow(
-        [
-            "shape",
-            "batch",
-            "reps",
-            "backend",
-            "min_s",
-            "median_s",
-            "p95_s",
-            "throughput_eps",
-            "flops_per_example",
-            "flop_ratio_vs_ref",
-            "speedup_vs_ref",
-        ]
-    )
+    writer.writerow(BENCH_CSV_HEADER)
     out_rows = []
     for row in rows:
         r: BenchResult = row["result"]
@@ -483,21 +470,7 @@ def cmd_bench(args) -> int:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(
-                [
-                    "shape",
-                    "batch",
-                    "reps",
-                    "backend",
-                    "min_s",
-                    "median_s",
-                    "p95_s",
-                    "throughput_eps",
-                    "flops_per_example",
-                    "flop_ratio_vs_ref",
-                    "speedup_vs_ref",
-                ]
-            )
+            w.writerow(BENCH_CSV_HEADER)
             w.writerows(out_rows)
         write_manifest(
             args.out + ".manifest.txt",
@@ -508,7 +481,7 @@ def cmd_bench(args) -> int:
                 "batch": "+".join(map(str, batches)),
                 "reps": args.reps,
                 "seed": args.seed,
-                "backends": "+".join(backends),
+                "backends": kernels.backend_name(),
             },
         )
     return EXIT_OK
@@ -649,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--batch", default="1", help="batch size, or comma list like 1,128")
     b.add_argument("--reps", type=int, default=100)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--backend", choices=("auto", "numpy", "numba", "both"), default="auto")
     b.add_argument("--workers", type=int, default=1)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)

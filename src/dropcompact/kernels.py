@@ -1,23 +1,11 @@
-"""Hot numeric kernels with two interchangeable implementations.
+"""Elementwise kernels around the matrix products.
 
-Matrix products go through BLAS (``np.dot``) on both paths; the elementwise
-activation/gating/derivative loops around them are JIT-compiled with numba
-when available and fall back to vectorized numpy otherwise.
-
-Backend selection, checked once at import time:
-
-    DROPCOMPACT_BACKEND=auto    numba if importable, else numpy (default)
-    DROPCOMPACT_BACKEND=numba   require numba, fail if missing
-    DROPCOMPACT_BACKEND=numpy   force the pure-numpy path
-
-Both paths are always importable through the ``*_numpy`` / ``*_numba``
-names so the benchmark can compare them side by side regardless of the
-active default.
+Matrix products go through BLAS (``np.dot``); the activation, gating,
+derivative and mask-score loops around them are vectorized numpy writing
+into caller-provided output buffers.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -27,31 +15,8 @@ ACT_SIGMOID = 2
 
 ACT_IDS = {"linear": ACT_LINEAR, "relu": ACT_RELU, "sigmoid": ACT_SIGMOID}
 
-_env = os.environ.get("DROPCOMPACT_BACKEND", "auto").strip().lower()
-if _env not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"DROPCOMPACT_BACKEND={_env!r} not understood (use auto, numba or numpy)"
-    )
 
-try:
-    from numba import njit
-    from numba.typed import List as NumbaList
-
-    HAS_NUMBA = True
-except ImportError:
-    if _env == "numba":
-        raise
-    HAS_NUMBA = False
-# HAS_NUMBA is availability; the env flag only picks the active path, so the
-# benchmark can still compare both implementations under a forced fallback.
-USE_NUMBA = HAS_NUMBA and _env != "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy path
-# ---------------------------------------------------------------------------
-
-def gate_act_numpy(z, gate, act_id, out):
+def gate_act(z, gate, act_id, out):
     """out = gate * activation(z), elementwise over a (B, D) block.
 
     gate may be None (no masking), a (D,) vector or a (B, D) matrix.
@@ -72,7 +37,7 @@ def gate_act_numpy(z, gate, act_id, out):
     return out
 
 
-def act_grad_numpy(h, gate, act_id, out):
+def act_grad(h, gate, act_id, out):
     """Derivative of (gate * activation) w.r.t. the pre-activation.
 
     Valid for binary gates only: ``h`` is the already-gated output, so
@@ -91,7 +56,7 @@ def act_grad_numpy(h, gate, act_id, out):
     return out
 
 
-def mask_score_numpy(masks, pi, active, out):
+def mask_score_kernel(masks, pi, active, out):
     """Bernoulli log-prob gradient m/p - (1-m)/(1-p); 0 on inactive units."""
     np.divide(masks, pi, out=out)
     tmp = (1.0 - masks) / (1.0 - pi)
@@ -100,168 +65,6 @@ def mask_score_numpy(masks, pi, active, out):
     return out
 
 
-# ---------------------------------------------------------------------------
-# numba path: same contracts, fused loops
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _gate_act_nb(z, gate, act_id, out):
-        b, d = z.shape
-        for i in range(b):
-            for j in range(d):
-                v = z[i, j]
-                if act_id == ACT_RELU:
-                    v = v if v > 0.0 else 0.0
-                elif act_id == ACT_SIGMOID:
-                    v = 1.0 / (1.0 + np.exp(-v))
-                out[i, j] = v * gate[i, j]
-        return out
-
-    @njit(cache=True)
-    def _gate_act_nb_nogate(z, act_id, out):
-        b, d = z.shape
-        for i in range(b):
-            for j in range(d):
-                v = z[i, j]
-                if act_id == ACT_RELU:
-                    v = v if v > 0.0 else 0.0
-                elif act_id == ACT_SIGMOID:
-                    v = 1.0 / (1.0 + np.exp(-v))
-                out[i, j] = v
-        return out
-
-    @njit(cache=True)
-    def _act_grad_nb(h, gate, act_id, out):
-        b, d = h.shape
-        for i in range(b):
-            for j in range(d):
-                if act_id == ACT_RELU:
-                    out[i, j] = 1.0 if h[i, j] > 0.0 else 0.0
-                elif act_id == ACT_SIGMOID:
-                    out[i, j] = h[i, j] * (1.0 - h[i, j])
-                else:
-                    out[i, j] = gate[i, j]
-        return out
-
-    @njit(cache=True)
-    def _mask_score_nb(masks, pi, active, out):
-        b, d = masks.shape
-        for i in range(b):
-            for j in range(d):
-                if active[j]:
-                    out[i, j] = masks[i, j] / pi[j] - (1.0 - masks[i, j]) / (
-                        1.0 - pi[j]
-                    )
-                else:
-                    out[i, j] = 0.0
-        return out
-
-    def gate_act_numba(z, gate, act_id, out):
-        if gate is None:
-            return _gate_act_nb_nogate(z, act_id, out)
-        gate2 = np.broadcast_to(gate, z.shape)
-        return _gate_act_nb(np.ascontiguousarray(z), np.ascontiguousarray(gate2), act_id, out)
-
-    def act_grad_numba(h, gate, act_id, out):
-        if act_id == ACT_LINEAR and gate is None:
-            out[...] = 1.0
-            return out
-        gate2 = h if gate is None else np.ascontiguousarray(np.broadcast_to(gate, h.shape))
-        return _act_grad_nb(h, gate2, act_id, out)
-
-    def mask_score_numba(masks, pi, active, out):
-        return _mask_score_nb(masks, pi, active, out)
-
-
-if USE_NUMBA:
-    gate_act = gate_act_numba
-    act_grad = act_grad_numba
-    mask_score_kernel = mask_score_numba
-else:
-    gate_act = gate_act_numpy
-    act_grad = act_grad_numpy
-    mask_score_kernel = mask_score_numpy
-
-
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# preallocated inference chains (benchmark path, no allocation when timed)
-# ---------------------------------------------------------------------------
-
-def infer_prealloc_numpy(x, weights, biases, act_ids, bufs):
-    """Full forward pass writing layer outputs into preallocated ``bufs``.
-
-    x: (D0,) or (B, D0); weights[i]: (D_out, D_in) for batch-1 gemv, or the
-    pretransposed (D_in, D_out) copies for batched gemm (caller prepares).
-    Returns the final logits buffer.
-    """
-    h = x
-    for i in range(len(weights)):
-        z = bufs[i]
-        if h.ndim == 2:
-            np.dot(h, weights[i], out=z)
-        else:
-            np.dot(weights[i], h, out=z)
-        z += biases[i]
-        aid = act_ids[i]
-        if aid == ACT_RELU:
-            np.maximum(z, 0.0, out=z)
-        elif aid == ACT_SIGMOID:
-            np.negative(z, out=z)
-            with np.errstate(over="ignore"):
-                np.exp(z, out=z)
-            z += 1.0
-            np.divide(1.0, z, out=z)
-        h = z
-    return h
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _infer_vec_nb(x, weights, biases, act_ids, bufs):
-        h = x
-        for i in range(len(weights)):
-            z = bufs[i]
-            np.dot(weights[i], h, z)
-            b = biases[i]
-            aid = act_ids[i]
-            for j in range(z.shape[0]):
-                v = z[j] + b[j]
-                if aid == ACT_RELU:
-                    v = v if v > 0.0 else 0.0
-                elif aid == ACT_SIGMOID:
-                    v = 1.0 / (1.0 + np.exp(-v))
-                z[j] = v
-            h = z
-        return h
-
-    @njit(cache=True, nogil=True)
-    def _infer_batch_nb(x, weights_t, biases, act_ids, bufs):
-        h = x
-        for i in range(len(weights_t)):
-            z = bufs[i]
-            np.dot(h, weights_t[i], z)
-            b = biases[i]
-            aid = act_ids[i]
-            for r in range(z.shape[0]):
-                for j in range(z.shape[1]):
-                    v = z[r, j] + b[j]
-                    if aid == ACT_RELU:
-                        v = v if v > 0.0 else 0.0
-                    elif aid == ACT_SIGMOID:
-                        v = 1.0 / (1.0 + np.exp(-v))
-                    z[r, j] = v
-            h = z
-        return h
-
-    def make_numba_list(arrays):
-        lst = NumbaList()
-        for a in arrays:
-            lst.append(a)
-        return lst
+    """Name of the numeric backend, recorded in manifests and bench output."""
+    return "numpy"

@@ -1,5 +1,5 @@
-"""Dense numeric substrate: seeded RNG streams, matmul, Glorot init,
-Bernoulli sampling and truncated SVD.
+"""Dense numeric substrate: seeded RNG streams, Glorot init, Bernoulli
+sampling and truncated SVD.
 
 Matrices are plain float64 numpy arrays, row-major, weights shaped
 (fan_out, fan_in). All randomness flows through ``rng_stream`` so that any
@@ -13,8 +13,6 @@ import hashlib
 import numpy as np
 
 Rng = np.random.Generator
-
-_EPS = 1e-6  # retention guard band, shared with the retention module
 
 
 def _stream_key(part) -> int:
@@ -33,17 +31,6 @@ def rng_stream(seed: int, *path) -> Rng:
     """
     keys = tuple(_stream_key(p) for p in path)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=keys)))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:

@@ -92,18 +92,10 @@ class Gradients:
 
 
 @dataclass
-class ForwardTrace:
-    """Single-example trace: gated activations per layer, hidden
-    pre-activations, output logits and class probabilities."""
-
-    activations: list[np.ndarray]
-    pre_activations: list[np.ndarray]
-    logits: np.ndarray
-    probs: np.ndarray
-
-
-@dataclass
 class BatchTrace:
+    """Per-row trace: gated activations per layer, hidden pre-activations,
+    output logits and class probabilities, each with a leading batch axis."""
+
     activations: list[np.ndarray]
     pre_activations: list[np.ndarray]
     logits: np.ndarray
@@ -203,52 +195,3 @@ def backward_batch(params: MlpParams, x, ks, gates) -> tuple[np.ndarray, Gradien
         )
         delta = e * dfac
     return losses, grads
-
-
-def _as_single_gates(params: MlpParams, vectors) -> list:
-    vecs = list(vectors)
-    if len(vecs) != params.n_layers:
-        raise ValueError(f"need {params.n_layers} per-layer vectors, got {len(vecs)}")
-    return [np.asarray(v, dtype=np.float64) for v in vecs]
-
-
-def _single_trace(batch: BatchTrace) -> ForwardTrace:
-    return ForwardTrace(
-        [a[0] for a in batch.activations],
-        [z[0] for z in batch.pre_activations],
-        batch.logits[0],
-        batch.probs[0],
-    )
-
-
-def forward_stochastic(params: MlpParams, x: np.ndarray, masks) -> ForwardTrace:
-    """Forward pass under one sampled mask set (binary gate per layer)."""
-    gates = _as_single_gates(params, masks)
-    for layer, m in enumerate(gates):
-        if m.size and not np.isin(m, (0.0, 1.0)).all():
-            raise ValueError(f"mask {layer} is not binary")
-    x = np.asarray(x, dtype=np.float64)
-    return _single_trace(forward_batch(params, x[None, :], gates))
-
-
-def forward_expected(params: MlpParams, x: np.ndarray, pi) -> ForwardTrace:
-    """Deterministic pass with every mask replaced by its expectation."""
-    gates = _as_single_gates(params, pi)
-    x = np.asarray(x, dtype=np.float64)
-    return _single_trace(forward_batch(params, x[None, :], gates))
-
-
-def xent_loss(trace: ForwardTrace, k: int) -> float:
-    """-log p(k) from the trace logits, log-sum-exp stabilized."""
-    logits = trace.logits
-    if not 0 <= k < logits.shape[0]:
-        raise ValueError(f"class index {k} out of range")
-    return float(-log_softmax_pick(logits[None, :], np.array([k]))[0])
-
-
-def backward(params: MlpParams, x, k: int, masks) -> tuple[float, Gradients]:
-    """Loss and exact parameter gradients for one example and mask draw."""
-    gates = _as_single_gates(params, masks)
-    x = np.asarray(x, dtype=np.float64)
-    losses, grads = backward_batch(params, x[None, :], np.array([int(k)]), gates)
-    return float(losses[0]), grads

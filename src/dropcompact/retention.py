@@ -102,7 +102,6 @@ class RetentionUpdateConfig:
     learning_rate: float
     control_variate: float = 1.0
     importance_clamp: float = 100.0
-    update_input: bool = False
 
     def validate(self) -> None:
         if self.learning_rate < 0.0:
@@ -211,6 +210,7 @@ def retention_update(
     adds (w - C) times the mask log-prob gradient under its own sampled
     mask, where w compares the masked forward pass against the
     expectation-scaled one. The result is clipped back into [0, 1].
+    Hidden layers 1..L-1 are updated; input retention stays fixed.
     """
     x, ks = batch
     x = np.asarray(x, dtype=np.float64)
@@ -221,9 +221,7 @@ def retention_update(
     hyper.validate()
 
     n_layers = params.n_layers
-    update_layers = [
-        layer for layer in range(n_layers) if layer > 0 or cfg.update_input
-    ]
+    update_layers = range(1, n_layers)
     active = {layer: pi.active(layer) for layer in update_layers}
 
     # masks for every gated layer; frozen units draw deterministically

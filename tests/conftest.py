@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles.
 
-The oracles here are deliberately dumb: pure-python per-neuron loops,
-triple-loop matrix products, finite differences. They never call into the
-package's fast paths, so agreement is meaningful.
+The oracles here are deliberately dumb: pure-python per-neuron loops and
+finite differences. They never call into the package's fast paths, so
+agreement is meaningful.
 """
 
 import math
@@ -18,21 +18,6 @@ from dropcompact.network import MlpParams, forward_batch, init_mlp
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
-
-def matmul_oracle(a, b):
-    """Triple-loop product, fixed left-to-right summation."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
 
 def _act_scalar(name, z):
     if name == "relu":

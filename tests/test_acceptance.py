@@ -22,7 +22,7 @@ from dropcompact.bench import flop_count, time_forward
 from dropcompact.compaction import absorb_retention, count_weights, prune_units, svd_compact
 from dropcompact.data import load_mnist_dir, split_train_dev
 from dropcompact.linalg import rng_stream
-from dropcompact.network import forward_batch, forward_expected, init_mlp, xent_loss, forward_stochastic, backward
+from dropcompact.network import backward_batch, forward_batch, init_mlp, log_softmax_pick
 from dropcompact.retention import RetentionParams, mask_score, sample_mask_block
 from dropcompact.trainer import TrainConfig, evaluate, run_training
 
@@ -188,10 +188,11 @@ class TestCriterion3GradientCorrectness:
                 (rng.random(d) < 0.75).astype(float) for d in dims[1:-1]
             ]
             k = int(rng.integers(dims[-1]))
-            _, grads = backward(params, x, k, masks)
+            _, grads = backward_batch(params, x[None], np.array([k]), masks)
 
             def loss_fn():
-                return xent_loss(forward_stochastic(params, x, masks), k)
+                logits = forward_batch(params, x[None], masks).logits
+                return float(-log_softmax_pick(logits, np.array([k]))[0])
 
             num_w, num_b = finite_diff_grads(loss_fn, params)
             ok = all(
@@ -223,8 +224,8 @@ class TestCriterion4EstimatorOracle:
             for layer in (1, 2):
                 m = masks[layer]
                 prob *= float(np.prod(np.where(m == 1.0, pi[layer], 1.0 - pi[layer])))
-            num = forward_expected(params, x, masks).probs[k]
-            den = forward_expected(params, x, list(pi)).probs[k]
+            num = forward_batch(params, x[None], masks).probs[0, k]
+            den = forward_batch(params, x[None], list(pi)).probs[0, k]
             w = min(max(num, 1e-30) / max(den, 1e-30), 100.0)
             scores = mask_score(masks, pi)
             acc += prob * (w - control) * np.concatenate([scores[1], scores[2]])

@@ -11,6 +11,7 @@ from dropcompact.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from dropcompact.cli import main
 from dropcompact.network import init_mlp
 from dropcompact.retention import RetentionParams
 from dropcompact.trainer import TrainConfig
@@ -74,6 +75,64 @@ class TestRoundTrip:
         path.write_bytes(blob[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
+
+
+def _edit_header(blob: bytes, edit) -> bytes:
+    """Rewrite the JSON header of a saved container through edit(header)."""
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12 : 12 + hlen])
+    edit(header)
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen :]
+
+
+class TestMalformed:
+    @pytest.fixture
+    def blob(self, ckpt, tmp_path):
+        path = tmp_path / "good.dckp"
+        save_checkpoint(str(path), ckpt)
+        return path.read_bytes()
+
+    def test_every_truncation_rejected(self, blob, tmp_path):
+        path = tmp_path / "c.dckp"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("offset", [12, 13, -1])
+    def test_corrupt_header_byte_rejected(self, blob, tmp_path, offset):
+        hlen = struct.unpack("<I", blob[8:12])[0]
+        bad = bytearray(blob)
+        bad[offset % (12 + hlen)] ^= 0xFF
+        path = tmp_path / "c.dckp"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key", ["layer_dims", "arrays", "config", "hidden_activations"])
+    def test_missing_header_field_rejected(self, blob, tmp_path, key):
+        path = tmp_path / "c.dckp"
+        path.write_bytes(_edit_header(blob, lambda h: h.pop(key)))
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(str(path))
+
+    def test_inconsistent_layer_dims_rejected(self, blob, tmp_path):
+        path = tmp_path / "c.dckp"
+        path.write_bytes(_edit_header(blob, lambda h: h["layer_dims"].append(4)))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_compact_exits_2(self, blob, tmp_path, damage, capsys):
+        path = tmp_path / "c.dckp"
+        if damage == "truncate":
+            path.write_bytes(blob[:6])
+        else:
+            path.write_bytes(blob[:12] + b"\xff" + blob[13:])
+        out = str(tmp_path / "o")
+        assert main(["compact", "--checkpoint", str(path), "--mode", "prune", "--out", out]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestTextExport:

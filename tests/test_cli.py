@@ -1,14 +1,10 @@
 import csv
-import os
 import struct
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from conftest import make_teacher_dataset
-from dropcompact import kernels
 from dropcompact.checkpoint import load_checkpoint, save_checkpoint
 from dropcompact.cli import main
 from dropcompact.data import quantize_pixels, write_idx_images, write_idx_labels
@@ -235,26 +231,6 @@ class TestBench:
 
     def test_bad_shape_exit_2(self):
         assert main(["bench", "--shape", "16", "--reps", "30"]) == 2
-
-
-class TestBackendFlag:
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-    def test_relu_training_identical_across_backends(self, data_dir, tmp_path):
-        # relu fuses to the same IEEE ops on both paths and the matmuls share
-        # BLAS, so whole training runs must agree bit-for-bit
-        cfg = write_config(tmp_path / "c.ini", regime="dropout", epochs=2)
-        outs = {}
-        for backend in ("numpy", "numba"):
-            out = tmp_path / backend
-            env = dict(os.environ, DROPCOMPACT_BACKEND=backend)
-            proc = subprocess.run(
-                [sys.executable, "-m", "dropcompact.cli", "train", "--config", cfg,
-                 "--data-dir", data_dir, "--out", str(out)],
-                env=env, capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs[backend] = (out / "checkpoint_final.dckp").read_bytes()
-        assert outs["numpy"] == outs["numba"]
 
 
 class TestReport:

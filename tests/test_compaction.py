@@ -9,7 +9,7 @@ from dropcompact.compaction import (
     svd_compact,
 )
 from dropcompact.linalg import rng_stream
-from dropcompact.network import backward, forward_expected, init_mlp
+from dropcompact.network import backward_batch, forward_batch, init_mlp
 from dropcompact.retention import RetentionParams
 
 
@@ -18,7 +18,7 @@ def ones_pi(params):
 
 
 def batch_expected_logits(params, pi, xs):
-    return np.stack([forward_expected(params, x, pi).logits for x in xs])
+    return forward_batch(params, xs, list(pi)).logits
 
 
 class TestPrune:
@@ -196,8 +196,8 @@ class TestSvdCompact:
         compacted = svd_compact(params, 3)
         x = rng_stream(22, "t").normal(size=5)
         masks = [np.ones(d) for d in compacted.layer_dims[:-1]]
-        loss, grads = backward(compacted, x, 1, masks)
-        assert np.isfinite(loss)
+        losses, grads = backward_batch(compacted, x[None], np.array([1]), masks)
+        assert np.isfinite(losses[0])
         assert any(np.abs(g).max() > 0 for g in grads.weights)
 
 

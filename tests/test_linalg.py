@@ -1,50 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import matmul_oracle
 from dropcompact.linalg import (
     bernoulli_vector,
     glorot_uniform,
-    matmul,
     rng_stream,
     truncated_svd,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = rng_stream(0, "t")
-        a = rng.normal(size=(3, 3))
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-        assert np.array_equal(out, np.array([[17.0], [39.0]]))
-
-    def test_against_triple_loop(self):
-        rng = rng_stream(1, "t")
-        a = rng.uniform(-10, 10, size=(7, 5))
-        b = rng.uniform(-10, 10, size=(5, 3))
-        assert np.abs(matmul(a, b) - matmul_oracle(a, b)).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        m=st.integers(1, 32),
-        k=st.integers(1, 32),
-        n=st.integers(1, 32),
-        seed=st.integers(0, 10_000),
-    )
-    def test_matches_oracle_property(self, m, k, n, seed):
-        rng = rng_stream(seed, "prop")
-        a = rng.uniform(-10, 10, size=(m, k))
-        b = rng.uniform(-10, 10, size=(k, n))
-        assert np.abs(matmul(a, b) - matmul_oracle(a, b)).max() < 1e-12
 
 
 class TestGlorot:

@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff_grads, grad_close, scalar_forward_oracle
-from dropcompact import kernels
 from dropcompact.linalg import rng_stream
 from dropcompact.network import (
-    ForwardTrace,
     MlpParams,
-    backward,
-    forward_expected,
-    forward_stochastic,
+    backward_batch,
+    forward_batch,
     init_mlp,
+    log_softmax_pick,
     softmax,
-    xent_loss,
 )
 
 
@@ -23,11 +20,16 @@ def ones_gates(params):
     return [np.ones(d) for d in params.layer_dims[:-1]]
 
 
+def xent(logits, k):
+    """-log p(k) for one row of logits."""
+    return float(-log_softmax_pick(np.asarray(logits)[None], np.array([k]))[0])
+
+
 class TestForward:
     def test_all_ones_masks_equal_expected_ones(self, fixture_net_232):
         x = rng_stream(0, "x").normal(size=2)
-        a = forward_stochastic(fixture_net_232, x, ones_gates(fixture_net_232))
-        b = forward_expected(fixture_net_232, x, ones_gates(fixture_net_232))
+        a = forward_batch(fixture_net_232, x[None], ones_gates(fixture_net_232))
+        b = forward_batch(fixture_net_232, x[None], [None] * fixture_net_232.n_layers)
         assert np.array_equal(a.logits, b.logits)
         assert np.array_equal(a.probs, b.probs)
 
@@ -37,10 +39,10 @@ class TestForward:
             biases=[np.zeros(2), np.zeros(2)],
             hidden_activations=("relu",),
         )
-        trace = forward_stochastic(
-            params, np.array([2.0, -3.0]), [np.ones(2), np.array([1.0, 0.0])]
+        trace = forward_batch(
+            params, np.array([[2.0, -3.0]]), [np.ones(2), np.array([1.0, 0.0])]
         )
-        assert np.array_equal(trace.activations[1], [2.0, 0.0])
+        assert np.array_equal(trace.activations[1][0], [2.0, 0.0])
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
     def test_matches_scalar_oracle_stochastic(self, activation):
@@ -48,27 +50,27 @@ class TestForward:
         rng = rng_stream(1, "o")
         x = rng.normal(size=2)
         masks = [np.array([1.0, 1.0]), (rng.random(3) < 0.6).astype(float)]
-        trace = forward_stochastic(params, x, masks)
+        trace = forward_batch(params, x[None], masks)
         hs, logits, probs = scalar_forward_oracle(params, x, masks)
-        assert np.abs(trace.logits - logits).max() < 1e-12
-        assert np.abs(trace.probs - probs).max() < 1e-12
+        assert np.abs(trace.logits[0] - logits).max() < 1e-12
+        assert np.abs(trace.probs[0] - probs).max() < 1e-12
         for got, want in zip(trace.activations, hs):
-            assert np.abs(got - np.asarray(want)).max() < 1e-12
+            assert np.abs(got[0] - np.asarray(want)).max() < 1e-12
 
     def test_matches_scalar_oracle_expected(self, fixture_net_232):
         x = rng_stream(2, "o").normal(size=2)
         pi = [np.full(2, 0.5), np.full(3, 0.5)]
-        trace = forward_expected(fixture_net_232, x, pi)
+        trace = forward_batch(fixture_net_232, x[None], pi)
         _, logits, probs = scalar_forward_oracle(fixture_net_232, x, pi)
-        assert np.abs(trace.logits - logits).max() < 1e-12
-        assert np.abs(trace.probs - probs).max() < 1e-12
+        assert np.abs(trace.logits[0] - logits).max() < 1e-12
+        assert np.abs(trace.probs[0] - probs).max() < 1e-12
 
     def test_zero_input_retention_leaves_bias(self):
         params = init_mlp((3, 4, 2), "relu", seed=9)
         params.biases[0][:] = [0.5, -0.2, 0.1, 0.3]
         x = rng_stream(3, "o").normal(size=3)
-        trace = forward_expected(params, x, [np.zeros(3), np.ones(4)])
-        assert np.array_equal(trace.pre_activations[0], params.biases[0])
+        trace = forward_batch(params, x[None], [np.zeros(3), np.ones(4)])
+        assert np.array_equal(trace.pre_activations[0][0], params.biases[0])
 
     def test_probs_sum_to_one(self):
         rng = rng_stream(4, "p")
@@ -78,25 +80,19 @@ class TestForward:
 
     def test_shape_mismatch_rejected(self, fixture_net_232):
         with pytest.raises(ValueError):
-            forward_stochastic(fixture_net_232, np.ones(3), ones_gates(fixture_net_232))
+            forward_batch(fixture_net_232, np.ones((1, 3)), ones_gates(fixture_net_232))
         with pytest.raises(ValueError):
-            forward_stochastic(fixture_net_232, np.ones(2), [np.ones(2), np.ones(4)])
-
-    def test_nonbinary_mask_rejected(self, fixture_net_232):
-        with pytest.raises(ValueError, match="binary"):
-            forward_stochastic(fixture_net_232, np.ones(2), [np.ones(2), np.full(3, 0.5)])
+            forward_batch(fixture_net_232, np.ones((1, 2)), [np.ones(2), np.ones(4)])
 
 
 class TestXentLoss:
     def test_uniform_logits(self):
-        trace = ForwardTrace([], [], np.zeros(10), softmax(np.zeros(10)))
-        assert xent_loss(trace, 3) == pytest.approx(math.log(10), abs=1e-12)
+        assert xent(np.zeros(10), 3) == pytest.approx(math.log(10), abs=1e-12)
 
     def test_huge_logit_stable(self):
         logits = np.zeros(5)
         logits[2] = 1000.0
-        trace = ForwardTrace([], [], logits, softmax(logits))
-        loss = xent_loss(trace, 2)
+        loss = xent(logits, 2)
         assert 0.0 <= loss < 1e-12
         assert np.isfinite(loss)
 
@@ -109,13 +105,12 @@ class TestXentLoss:
                 exact = -mpmath.log(
                     mpmath.exp(logits[k]) / mpmath.fsum(mpmath.exp(v) for v in logits)
                 )
-                trace = ForwardTrace([], [], logits, softmax(logits))
-                assert abs(xent_loss(trace, k) - float(exact)) < 1e-12
+                assert abs(xent(logits, k) - float(exact)) < 1e-12
 
     def test_class_out_of_range(self):
-        trace = ForwardTrace([], [], np.zeros(4), softmax(np.zeros(4)))
-        with pytest.raises(ValueError):
-            xent_loss(trace, 4)
+        params = init_mlp((2, 3, 4), "relu", seed=1)
+        with pytest.raises(ValueError, match="out of range"):
+            backward_batch(params, np.ones((1, 2)), np.array([4]), ones_gates(params))
 
 
 class TestBackward:
@@ -126,12 +121,12 @@ class TestBackward:
         x = rng.normal(size=4)
         masks = [np.ones(4), (rng.random(5) < 0.7).astype(float)]
         k = 1
-        loss, grads = backward(params, x, k, masks)
+        losses, grads = backward_batch(params, x[None], np.array([k]), masks)
 
         def loss_fn():
-            return xent_loss(forward_stochastic(params, x, masks), k)
+            return xent(forward_batch(params, x[None], masks).logits[0], k)
 
-        assert loss == pytest.approx(loss_fn(), abs=1e-12)
+        assert losses[0] == pytest.approx(loss_fn(), abs=1e-12)
         num_w, num_b = finite_diff_grads(loss_fn, params)
         for a, n in zip(grads.weights + grads.biases, num_w + num_b):
             assert grad_close(a, n)
@@ -139,18 +134,19 @@ class TestBackward:
     def test_masked_unit_gets_zero_incoming_grads(self):
         params = init_mlp((3, 4, 2), "relu", seed=17)
         masks = [np.ones(3), np.array([1.0, 0.0, 1.0, 1.0])]
-        _, grads = backward(params, rng_stream(7, "m").normal(size=3), 0, masks)
+        x = rng_stream(7, "m").normal(size=3)
+        _, grads = backward_batch(params, x[None], np.array([0]), masks)
         assert np.array_equal(grads.weights[0][1], np.zeros(3))
         assert grads.biases[0][1] == 0.0
 
     def test_output_bias_gradient_closed_form(self, fixture_net_232):
         x = rng_stream(8, "b").normal(size=2)
         masks = ones_gates(fixture_net_232)
-        trace = forward_stochastic(fixture_net_232, x, masks)
-        _, grads = backward(fixture_net_232, x, 1, masks)
+        trace = forward_batch(fixture_net_232, x[None], masks)
+        _, grads = backward_batch(fixture_net_232, x[None], np.array([1]), masks)
         onehot = np.zeros(2)
         onehot[1] = 1.0
-        assert np.abs(grads.biases[-1] - (trace.probs - onehot)).max() < 1e-12
+        assert np.abs(grads.biases[-1] - (trace.probs[0] - onehot)).max() < 1e-12
 
     def test_linear_hidden_layer_gradient(self):
         params = MlpParams(
@@ -161,39 +157,11 @@ class TestBackward:
         rng = rng_stream(9, "l")
         x = rng.normal(size=3)
         masks = [np.ones(3), np.ones(4), (rng.random(4) < 0.8).astype(float)]
-        _, grads = backward(params, x, 0, masks)
+        _, grads = backward_batch(params, x[None], np.array([0]), masks)
 
         def loss_fn():
-            return xent_loss(forward_stochastic(params, x, masks), 0)
+            return xent(forward_batch(params, x[None], masks).logits[0], 0)
 
         num_w, num_b = finite_diff_grads(loss_fn, params)
         for a, n in zip(grads.weights + grads.biases, num_w + num_b):
             assert grad_close(a, n)
-
-
-class TestKernelBackends:
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-    @pytest.mark.parametrize("act_id", [0, 1, 2])
-    def test_gate_act_paths_agree(self, act_id):
-        rng = rng_stream(10, "k")
-        z = rng.normal(size=(5, 7)) * 10
-        gate = (rng.random((5, 7)) < 0.5).astype(float)
-        a = np.empty_like(z)
-        b = np.empty_like(z)
-        kernels.gate_act_numpy(z, gate, act_id, a)
-        kernels.gate_act_numba(z, gate, act_id, b)
-        assert np.abs(a - b).max() < 1e-15
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-    @pytest.mark.parametrize("act_id", [0, 1, 2])
-    def test_act_grad_paths_agree(self, act_id):
-        rng = rng_stream(11, "k")
-        gate = (rng.random((4, 6)) < 0.5).astype(float)
-        z = rng.normal(size=(4, 6))
-        h = np.empty_like(z)
-        kernels.gate_act_numpy(z, gate, act_id, h)
-        a = np.empty_like(z)
-        b = np.empty_like(z)
-        kernels.act_grad_numpy(h, gate, act_id, a)
-        kernels.act_grad_numba(h, gate, act_id, b)
-        assert np.abs(a - b).max() < 1e-15
