@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,23 @@ _HEADER_FIELDS = {
     "best_metrics": dict,
     "compaction_history": list,
 }
+
+
+@contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """open(path, mode) for writing, where path changes only if the block
+    completes: the data goes to a temporary file in the same directory,
+    which replaces path on success and is removed on any error."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -77,7 +95,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         f.write(blob)

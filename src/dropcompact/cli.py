@@ -28,6 +28,7 @@ from .bench import MIN_REPS, BenchResult, multi_worker_throughput, time_forward
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
+    atomic_open,
     load_checkpoint,
     save_checkpoint,
 )
@@ -122,7 +123,7 @@ def _metrics_header(n_hidden: int) -> list[str]:
 
 def write_metrics_csv(path: str, run_id: str, regime: str, reports: list[EpochReport]) -> None:
     n_hidden = len(reports[0].unit_counts) if reports else 0
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(_metrics_header(n_hidden))
         for r in reports:
@@ -135,7 +136,7 @@ def write_metrics_csv(path: str, run_id: str, regime: str, reports: list[EpochRe
 
 
 def write_histogram_csv(path: str, reports: list[EpochReport]) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["epoch", "bin_lo", "bin_hi", "count"])
         for r in reports:
@@ -146,7 +147,7 @@ def write_histogram_csv(path: str, reports: list[EpochReport]) -> None:
 
 
 def write_manifest(path: str, entries: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, "w", encoding="utf-8") as f:
         for key in sorted(entries):
             f.write(f"{key}={entries[key]}\n")
 

@@ -10,7 +10,9 @@ variance.
 
 Units whose probability reaches the guard band around 0 or 1 are frozen:
 their mask is deterministic and they take no further updates (the score is
-singular at the boundary).
+singular at the boundary). A layer whose retention is exactly 1 draws no
+mask at all: its RNG stream is advanced past the draws instead, so every
+later draw is the one it would have been.
 """
 
 from __future__ import annotations
@@ -20,15 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .kernels import ACT_IDS
 from .linalg import Rng, bernoulli_matrix, bernoulli_vector
 from .network import MlpParams, forward_batch
 
 GUARD_EPS = 1e-6
 PROB_FLOOR = 1e-30
-
-
-class FrozenUnitError(ValueError):
-    """Raised when a scalar score is requested inside the guard band."""
 
 
 @dataclass
@@ -129,36 +128,34 @@ def sample_maskset(pi: RetentionParams, rng: Rng) -> list[np.ndarray]:
     return [bernoulli_vector(v, rng) for v in pi]
 
 
-def sample_mask_block(pi: RetentionParams, n_rows: int, rng: Rng) -> list[np.ndarray]:
-    """n_rows independent mask sets as one (n_rows, D_l) block per layer."""
-    return [bernoulli_matrix(v, n_rows, rng) for v in pi]
+def _mask_block(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray | None:
+    """bernoulli_matrix(p, n_rows, rng), or None (an all-ones gate) when every
+    probability is exactly 1.
+
+    For an all-ones layer a PCG64 stream is advanced by the n_rows * D
+    doubles the draw would have used (one 64-bit output each), so it ends
+    where the draw would have left it, buffered 32-bit half-word included.
+    """
+    if not (p == 1.0).all():
+        return bernoulli_matrix(p, n_rows, rng)
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        rng.random((n_rows, p.size))
+        return None
+    before = bits.state
+    bits.advance(n_rows * p.size)
+    if before["has_uint32"] or before["uinteger"]:
+        # advance() clears the buffered half-word; put it back
+        after = bits.state
+        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+        bits.state = after
+    return None
 
 
-def mask_score(masks, pi: RetentionParams) -> list[np.ndarray]:
-    """Gradient of the mask log-probability w.r.t. each retention entry:
-    m/p - (1-m)/(1-p). Frozen units report 0."""
-    out = []
-    for layer, m in enumerate(masks):
-        m = np.asarray(m, dtype=np.float64)
-        p = pi[layer]
-        active = pi.active(layer).astype(np.float64)
-        p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
-        score = np.empty(np.broadcast_shapes(m.shape, p.shape))
-        if m.ndim == 2:
-            kernels.mask_score_kernel(np.ascontiguousarray(m), p_safe, active, score)
-        else:
-            score[...] = (m / p_safe - (1.0 - m) / (1.0 - p_safe)) * active
-        out.append(score)
-    return out
-
-
-def prior_score(pi_value: float, hyper: PriorHyper) -> float:
-    """Derivative of the unnormalized log-prior at one probability value."""
-    if not GUARD_EPS < pi_value < 1.0 - GUARD_EPS:
-        raise FrozenUnitError(f"retention value {pi_value} is inside the guard band")
-    return hyper.gamma * (
-        (hyper.alpha - 1.0) / pi_value - (hyper.beta - 1.0) / (1.0 - pi_value)
-    )
+def sample_mask_block(pi: RetentionParams, n_rows: int, rng: Rng) -> list[np.ndarray | None]:
+    """n_rows independent mask sets as one (n_rows, D_l) block per layer;
+    None for a layer whose retention is exactly 1."""
+    return [_mask_block(v, n_rows, rng) for v in pi]
 
 
 def prior_score_vector(p: np.ndarray, hyper: PriorHyper, active: np.ndarray) -> np.ndarray:
@@ -170,29 +167,9 @@ def prior_score_vector(p: np.ndarray, hyper: PriorHyper, active: np.ndarray) -> 
     return np.where(active, score, 0.0)
 
 
-def _label_probs(params, pi_or_masks, x, ks) -> np.ndarray:
-    trace = forward_batch(params, x, list(pi_or_masks))
+def _label_probs(params, gates, x, ks) -> np.ndarray:
+    trace = forward_batch(params, x, list(gates))
     return trace.probs[np.arange(x.shape[0]), ks]
-
-
-def importance_weight(
-    params: MlpParams,
-    pi: RetentionParams,
-    x: np.ndarray,
-    k: int,
-    masks,
-    clamp: float = 100.0,
-) -> float:
-    """Ratio of the masked to the expectation-scaled label probability.
-
-    Both probabilities are floored before dividing and the ratio is clamped
-    to [0, clamp] so that rare masks cannot blow up an update.
-    """
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    ks = np.array([int(k)])
-    num = max(_label_probs(params, masks, x, ks)[0], PROB_FLOOR)
-    den = max(_label_probs(params, pi, x, ks)[0], PROB_FLOOR)
-    return float(min(num / den, clamp))
 
 
 def retention_update(
@@ -226,13 +203,24 @@ def retention_update(
 
     # masks for every gated layer; frozen units draw deterministically
     mask_blocks = []
-    for layer in range(n_layers):
-        p = pi[layer]
+    for p in pi:
         p_eff = np.where(p <= GUARD_EPS, 0.0, np.where(p >= 1.0 - GUARD_EPS, 1.0, p))
-        mask_blocks.append(bernoulli_matrix(p_eff, x.shape[0], rng))
+        mask_blocks.append(_mask_block(p_eff, x.shape[0], rng))
+    scaled_gates = [None if (p == 1.0).all() else p for p in pi]
 
-    p_masked = _label_probs(params, mask_blocks, x, ks)
-    p_scaled = _label_probs(params, list(pi), x, ks)
+    if n_layers > 1 and mask_blocks[0] is None and scaled_gates[0] is None:
+        # Both passes start from the same ungated input, so layer 0 runs
+        # once; the tail nets then do the same operations as full passes.
+        z = x @ params.weights[0].T
+        z += params.biases[0]
+        h = np.empty_like(z)
+        kernels.gate_act(z, None, ACT_IDS[params.hidden_activations[0]], h)
+        tail = MlpParams(params.weights[1:], params.biases[1:], params.hidden_activations[1:])
+        p_masked = _label_probs(tail, mask_blocks[1:], h, ks)
+        p_scaled = _label_probs(tail, scaled_gates[1:], h, ks)
+    else:
+        p_masked = _label_probs(params, mask_blocks, x, ks)
+        p_scaled = _label_probs(params, scaled_gates, x, ks)
     floored = int((p_masked < PROB_FLOOR).sum() + (p_scaled < PROB_FLOOR).sum())
     w = np.maximum(p_masked, PROB_FLOOR) / np.maximum(p_scaled, PROB_FLOOR)
     clamped = int((w > cfg.importance_clamp).sum())
@@ -245,6 +233,8 @@ def retention_update(
     for layer in update_layers:
         p = pi[layer]
         act = active[layer]
+        if not act.any():
+            continue  # every term is 0: p + lr * 0 == p
         delta = prior_score_vector(p, hyper, act)
         p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
         score = np.empty_like(mask_blocks[layer])

@@ -191,22 +191,34 @@ def sgd_step(
     lr: float,
     momentum: float,
     l2: float,
+    scratch: Gradients | None = None,
 ) -> tuple[MlpParams, Gradients]:
-    """v <- momentum*v - lr*(g + l2*W); W <- W + v. Biases skip L2."""
-    for w, g, v in zip(params.weights, grads.weights, velocity.weights):
+    """v <- momentum*v - lr*(g + l2*W); W <- W + v. Biases skip L2.
+
+    The products go in place through ``scratch`` (parameter-shaped buffers,
+    allocated here when not given), in the operation order of the formula,
+    so the result is bit-identical to it.
+    """
+    if scratch is None:
+        scratch = Gradients.zeros_like(params)
+    for w, g, v, t in zip(params.weights, grads.weights, velocity.weights, scratch.weights):
         if w.shape != g.shape or w.shape != v.shape:
             raise ValueError("gradient/velocity shape mismatch")
         v *= momentum
         if l2 != 0.0:
-            v -= lr * (g + l2 * w)
+            np.multiply(w, l2, out=t)
+            t += g
+            t *= lr
         else:
-            v -= lr * g
+            np.multiply(g, lr, out=t)
+        v -= t
         w += v
-    for b, g, v in zip(params.biases, grads.biases, velocity.biases):
+    for b, g, v, t in zip(params.biases, grads.biases, velocity.biases, scratch.biases):
         if b.shape != g.shape or b.shape != v.shape:
             raise ValueError("gradient/velocity shape mismatch")
         v *= momentum
-        v -= lr * g
+        np.multiply(g, lr, out=t)
+        v -= t
         b += v
     return params, velocity
 
@@ -251,6 +263,7 @@ def train_weights_epoch(
     if velocity is None:
         velocity = Gradients.zeros_like(params)
     step_lr = cfg.lr if lr is None else lr
+    scratch = Gradients.zeros_like(params)
     order = rng.permutation(t)
     total = 0.0
     for start in range(0, t, cfg.batch_size):
@@ -267,7 +280,7 @@ def train_weights_epoch(
                 for acc, new in zip(grads.weights + grads.biases, g.weights + g.biases):
                     acc += new
         grads.scale(1.0 / (idx.size * cfg.samples_per_example))
-        sgd_step(params, grads, velocity, step_lr, cfg.momentum, cfg.l2)
+        sgd_step(params, grads, velocity, step_lr, cfg.momentum, cfg.l2, scratch)
     return params, total / (t * cfg.samples_per_example)
 
 
@@ -392,18 +405,21 @@ def run_training(
         )
 
         if cfg.regime == "compaction":
-            stats = RetentionStats()
-            rng_r = rng_stream(cfg.seed, "retention", epoch)
-            order = rng_r.permutation(y_train.shape[0])
-            rb = cfg.retention_batch_size or cfg.batch_size
-            for start in range(0, order.size, rb):
-                idx = order[start : start + rb]
-                pi = retention_update(
-                    pi, params, (x_train[idx], y_train[idx]), hyper, rcfg, rng_r, stats
-                )
-            stats_total.merge(stats)
-            if stats.clamped:
-                log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
+            # With every hidden unit frozen each update is p + lr * 0 == p,
+            # and the sweep's stream feeds nothing else: skip the sweep.
+            if any(pi.active(layer).any() for layer in range(1, len(pi))):
+                stats = RetentionStats()
+                rng_r = rng_stream(cfg.seed, "retention", epoch)
+                order = rng_r.permutation(y_train.shape[0])
+                rb = cfg.retention_batch_size or cfg.batch_size
+                for start in range(0, order.size, rb):
+                    idx = order[start : start + rb]
+                    pi = retention_update(
+                        pi, params, (x_train[idx], y_train[idx]), hyper, rcfg, rng_r, stats
+                    )
+                stats_total.merge(stats)
+                if stats.clamped:
+                    log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
 
             prunable = any(
                 (pi[layer] < cfg.prune_threshold).any() for layer in range(1, len(pi))

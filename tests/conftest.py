@@ -2,7 +2,9 @@
 
 The oracles here are deliberately dumb: pure-python per-neuron loops and
 finite differences. They never call into the package's fast paths, so
-agreement is meaningful.
+agreement is meaningful. The one exception is retention_update_oracle, a
+frozen copy of an older, simpler retention update that the package's
+version must match bit for bit.
 """
 
 import math
@@ -10,9 +12,17 @@ import math
 import numpy as np
 import pytest
 
+from dropcompact import kernels
 from dropcompact.data import Dataset, split_train_dev
-from dropcompact.linalg import rng_stream
+from dropcompact.linalg import bernoulli_matrix, rng_stream
 from dropcompact.network import MlpParams, forward_batch, init_mlp
+from dropcompact.retention import (
+    GUARD_EPS,
+    PROB_FLOOR,
+    RetentionParams,
+    RetentionStats,
+    prior_score_vector,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +99,84 @@ def grad_close(analytic, numeric, rel=1e-4, abs_tol=1e-7):
     denom = np.maximum(np.abs(numeric), np.abs(analytic))
     gap = np.abs(analytic - numeric)
     return bool(np.all((gap <= abs_tol) | (gap <= rel * denom)))
+
+
+# ---------------------------------------------------------------------------
+# retention estimator oracles: scalar and list forms of the quantities the
+# package computes batched, and the update as it was before frozen layers
+# stopped drawing masks
+# ---------------------------------------------------------------------------
+
+class FrozenUnitError(ValueError):
+    """Raised when a scalar score is requested inside the guard band."""
+
+
+def mask_score(masks, pi: RetentionParams) -> list[np.ndarray]:
+    """Gradient of the mask log-probability w.r.t. each retention entry:
+    m/p - (1-m)/(1-p), per layer, for (D,) or (B, D) masks. Frozen units
+    report 0."""
+    out = []
+    for layer, m in enumerate(masks):
+        m = np.asarray(m, dtype=np.float64)
+        active = pi.active(layer).astype(np.float64)
+        p_safe = np.clip(pi[layer], GUARD_EPS, 1.0 - GUARD_EPS)
+        out.append((m / p_safe - (1.0 - m) / (1.0 - p_safe)) * active)
+    return out
+
+
+def prior_score(pi_value: float, hyper) -> float:
+    """Derivative of the unnormalized log-prior at one probability value."""
+    if not GUARD_EPS < pi_value < 1.0 - GUARD_EPS:
+        raise FrozenUnitError(f"retention value {pi_value} is inside the guard band")
+    return hyper.gamma * (
+        (hyper.alpha - 1.0) / pi_value - (hyper.beta - 1.0) / (1.0 - pi_value)
+    )
+
+
+def _label_prob(params, gates, x, k) -> float:
+    return float(forward_batch(params, x[None, :], list(gates)).probs[0, k])
+
+
+def importance_weight(params, pi, x, k, masks, clamp=100.0) -> float:
+    """Ratio of the masked to the expectation-scaled label probability,
+    both floored before dividing, clamped to [0, clamp]."""
+    x = np.asarray(x, dtype=np.float64)
+    num = max(_label_prob(params, masks, x, k), PROB_FLOOR)
+    den = max(_label_prob(params, pi, x, k), PROB_FLOOR)
+    return float(min(num / den, clamp))
+
+
+def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats=None):
+    """retention_update with a Bernoulli draw for every layer and two full
+    forward passes; the package's version must match it bit for bit."""
+    x, ks = batch
+    x = np.asarray(x, dtype=np.float64)
+    ks = np.asarray(ks)
+    rows = np.arange(x.shape[0])
+    mask_blocks = []
+    for p in pi:
+        p_eff = np.where(p <= GUARD_EPS, 0.0, np.where(p >= 1.0 - GUARD_EPS, 1.0, p))
+        mask_blocks.append(bernoulli_matrix(p_eff, x.shape[0], rng))
+    p_masked = forward_batch(params, x, mask_blocks).probs[rows, ks]
+    p_scaled = forward_batch(params, x, list(pi)).probs[rows, ks]
+    floored = int((p_masked < PROB_FLOOR).sum() + (p_scaled < PROB_FLOOR).sum())
+    w = np.maximum(p_masked, PROB_FLOOR) / np.maximum(p_scaled, PROB_FLOOR)
+    clamped = int((w > cfg.importance_clamp).sum())
+    np.clip(w, 0.0, cfg.importance_clamp, out=w)
+    if stats is not None:
+        stats.merge(RetentionStats(examples=x.shape[0], clamped=clamped, floored=floored))
+    payoff = w - cfg.control_variate
+    new_layers = [v.copy() for v in pi.layers]
+    for layer in range(1, params.n_layers):
+        p = pi[layer]
+        act = pi.active(layer)
+        delta = prior_score_vector(p, hyper, act)
+        p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
+        score = np.empty_like(mask_blocks[layer])
+        kernels.mask_score_kernel(mask_blocks[layer], p_safe, act.astype(np.float64), score)
+        delta = delta + payoff @ score
+        new_layers[layer] = np.clip(p + cfg.learning_rate * delta, 0.0, 1.0)
+    return RetentionParams(new_layers)
 
 
 # ---------------------------------------------------------------------------

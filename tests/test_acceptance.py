@@ -16,14 +16,14 @@ import os
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grads, grad_close, make_teacher_dataset
+from conftest import finite_diff_grads, grad_close, make_teacher_dataset, mask_score
 from dropcompact import kernels
 from dropcompact.bench import flop_count, time_forward
 from dropcompact.compaction import absorb_retention, count_weights, prune_units, svd_compact
 from dropcompact.data import load_mnist_dir, split_train_dev
 from dropcompact.linalg import rng_stream
 from dropcompact.network import backward_batch, forward_batch, init_mlp, log_softmax_pick
-from dropcompact.retention import RetentionParams, mask_score, sample_mask_block
+from dropcompact.retention import RetentionParams, sample_mask_block
 from dropcompact.trainer import TrainConfig, evaluate, run_training
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -1,9 +1,11 @@
+import builtins
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from dropcompact import checkpoint
 from dropcompact.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -11,10 +13,10 @@ from dropcompact.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from dropcompact.cli import main
+from dropcompact.cli import main, write_histogram_csv, write_manifest, write_metrics_csv
 from dropcompact.network import init_mlp
 from dropcompact.retention import RetentionParams
-from dropcompact.trainer import TrainConfig
+from dropcompact.trainer import EpochReport, TrainConfig
 
 
 @pytest.fixture
@@ -142,3 +144,53 @@ class TestTextExport:
         values = np.array([float.fromhex(v) for v in arr["values"]]).reshape(arr["shape"])
         assert np.array_equal(values, ckpt.params.weights[0])
         assert doc["config"] == ckpt.config
+
+
+class _FailingFile:
+    """File whose second write raises, as a full disk or a kill would."""
+
+    def __init__(self, f):
+        self._f, self._writes = f, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("disk full")
+        return self._f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+class TestAtomicWrites:
+    REPORT = EpochReport(0, 0.5, 0.4, 3.0, 0.45, 3.5, (5,), 45, (0,) * 19 + (5,), 0.01)
+    WRITERS = {
+        "checkpoint": lambda path, ck: save_checkpoint(path, ck),
+        "metrics": lambda path, ck: write_metrics_csv(path, "r", "plain", [TestAtomicWrites.REPORT]),
+        "histogram": lambda path, ck: write_histogram_csv(path, [TestAtomicWrites.REPORT]),
+        "manifest": lambda path, ck: write_manifest(path, {"a": 1, "b": 2}),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_previous_file(self, writer, ckpt, tmp_path, monkeypatch):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous contents")
+        monkeypatch.setattr(
+            checkpoint, "open", lambda *a, **k: _FailingFile(builtins.open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="disk full"):
+            self.WRITERS[writer](str(path), ckpt)
+        assert path.read_bytes() == b"previous contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_success_replaces_file(self, writer, ckpt, tmp_path):
+        path, fresh = tmp_path / "out", tmp_path / "fresh"
+        path.write_bytes(b"previous contents")
+        self.WRITERS[writer](str(path), ckpt)
+        self.WRITERS[writer](str(fresh), ckpt)
+        assert path.read_bytes() == fresh.read_bytes() != b"previous contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]

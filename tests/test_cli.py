@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import struct
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from conftest import make_teacher_dataset
 from dropcompact.checkpoint import load_checkpoint, save_checkpoint
-from dropcompact.cli import main
+from dropcompact.cli import config_hash, main, write_metrics_csv
 from dropcompact.data import quantize_pixels, write_idx_images, write_idx_labels
+from dropcompact.trainer import TrainConfig, run_training
 
 
 @pytest.fixture(scope="session")
@@ -278,3 +280,39 @@ class TestReport:
         with open(bad, "w", newline="") as f:
             csv.writer(f).writerow(["run", "loss"])
         assert main(["report", str(bad)]) == 3
+
+
+class TestGoldenMetricsBytes:
+    """Pins the metrics.csv bytes of two small runs, so a speed-up of the
+    training loop that drifts a single bit fails here.
+
+    The compaction run has active units in epochs 0-1, prunes in both and
+    has no active hidden unit in epochs 2-3; the dropout run gates the
+    input with retention exactly 1. The digests were taken with numpy 2.4
+    and its bundled OpenBLAS on x86-64; another BLAS may round differently.
+    """
+
+    BASE = dict(
+        layer_dims=(64, 20, 20, 10), epochs=4, batch_size=64, lr=0.01,
+        momentum=0.9, l2=1e-4, seed=5, dev_size=0, patience=50,
+    )
+    GOLDEN = {
+        "compaction": "12236d4517a393080fa765ce8e8c120fbb1690f567724dc5bca40d1c91dec52c",
+        "dropout": "957e74b223e1eae802d603e7033bd560ae52859aaad660c2e0df497a7011a926",
+    }
+
+    @pytest.mark.parametrize(
+        "regime, extra",
+        [
+            ("compaction", dict(retention_lr=1e-4)),
+            ("dropout", dict(dropout_retention=0.5, input_retention=1.0)),
+        ],
+    )
+    def test_metrics_sha256(self, small_teacher_ds, tmp_path, regime, extra):
+        cfg = TrainConfig(regime=regime, **extra, **self.BASE)
+        result = run_training(small_teacher_ds, cfg)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(
+            str(path), f"{regime}-s{cfg.seed}-{config_hash(cfg)[:8]}", regime, result.reports
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[regime]

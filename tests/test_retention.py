@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropcompact.linalg import rng_stream
-from dropcompact.network import init_mlp
+from conftest import (
+    FrozenUnitError,
+    importance_weight,
+    mask_score,
+    prior_score,
+    retention_update_oracle,
+)
+from dropcompact import retention
+from dropcompact.linalg import bernoulli_matrix, rng_stream
+from dropcompact.network import forward_batch, init_mlp
 from dropcompact.retention import (
     GUARD_EPS,
-    FrozenUnitError,
     PriorHyper,
     RetentionParams,
     RetentionStats,
     RetentionUpdateConfig,
-    importance_weight,
-    mask_score,
-    prior_score,
     retention_update,
     sample_mask_block,
     sample_maskset,
@@ -65,6 +69,103 @@ class TestSampling:
         pi = RetentionParams([np.full(6, 0.5)])
         block = sample_mask_block(pi, 100_000, rng_stream(1, "s"))[0]
         assert np.abs(block.mean(axis=0) - 0.5).max() < 0.01
+
+
+class TestFrozenLayerDraws:
+    """A layer with retention exactly 1 draws nothing and returns None, but
+    leaves the generator exactly where drawing it would have."""
+
+    PI = RetentionParams(
+        [np.ones(5), np.array([0.3, 0.9, 0.5]), np.ones(4), np.array([0.2, 1.0, 0.0, 0.7])]
+    )
+
+    @pytest.mark.parametrize("prefix", ["fresh", "integers", "permutation"])
+    def test_matches_drawing_every_layer(self, prefix):
+        rng, ref = rng_stream(3, "mb"), rng_stream(3, "mb")
+        for g in (rng, ref):
+            if prefix == "integers":
+                g.integers(0, 10)  # leaves a buffered 32-bit half-word
+            elif prefix == "permutation":
+                g.permutation(1001)
+        got = sample_mask_block(self.PI, 7, rng)
+        want = [bernoulli_matrix(v, 7, ref) for v in self.PI]
+        assert got[0] is None and got[2] is None
+        for layer in (1, 3):
+            assert np.array_equal(got[layer], want[layer])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.integers(0, 1 << 20) == ref.integers(0, 1 << 20)
+        assert np.array_equal(rng.random(9), ref.random(9))
+
+    def test_other_bit_generators_draw(self):
+        rng = np.random.Generator(np.random.MT19937(4))
+        ref = np.random.Generator(np.random.MT19937(4))
+        got = sample_mask_block(self.PI, 6, rng)
+        want = [bernoulli_matrix(v, 6, ref) for v in self.PI]
+        assert got[0] is None and np.array_equal(got[3], want[3])
+        state, ref_state = rng.bit_generator.state["state"], ref.bit_generator.state["state"]
+        assert np.array_equal(state["key"], ref_state["key"]) and state["pos"] == ref_state["pos"]
+
+    def test_no_bernoulli_call_for_all_ones_layers(self, monkeypatch):
+        calls = []
+
+        def counting(p, n_rows, rng):
+            calls.append(p.size)
+            return bernoulli_matrix(p, n_rows, rng)
+
+        monkeypatch.setattr(retention, "bernoulli_matrix", counting)
+        sample_mask_block(self.PI, 5, rng_stream(0, "mb"))
+        assert calls == [3, 4]
+
+
+class TestRetentionUpdateMatchesOracle:
+    """retention_update skips frozen layers' draws, frozen layers' score
+    kernel and, with input retention 1, the second layer-0 GEMM. Each must
+    leave the update, the stats and the generator bit-identical."""
+
+    HIDDEN = {
+        "fractional": ([0.3, 0.6, 0.5, 0.8, 0.45], [0.5, 0.35, 0.7, 0.6]),
+        "frozen_high": ([1.0, 0.6, 1.0, 1.0 - GUARD_EPS / 2, 0.45], [1.0, 0.35, 0.7, 1.0]),
+        "frozen_low": ([0.0, 0.6, 0.5, GUARD_EPS / 2, 0.45], [0.5, 0.0, 0.7, 0.6]),
+        "layer1_all_ones": ([1.0] * 5, [0.5, 0.35, 0.7, 0.6]),
+        "layer2_zeros_ones": ([0.3, 0.6, 0.5, 0.8, 0.45], [1.0, 0.0, 1.0, 0.0]),
+        "all_frozen": ([1.0, 0.0, 1.0, 1.0, 0.0], [1.0] * 4),
+    }
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("input_retention", [1.0, 0.8])
+    @pytest.mark.parametrize("hidden", sorted(HIDDEN))
+    def test_bit_equal(self, activation, input_retention, hidden):
+        params = init_mlp((6, 5, 4, 3), activation, seed=31)
+        for b in params.biases:
+            b[:] = rng_stream(32, "bias", b.size).normal(size=b.shape)
+        h1, h2 = self.HIDDEN[hidden]
+        pi = RetentionParams([np.full(6, input_retention), np.array(h1), np.array(h2)])
+        ref_pi = pi.copy()
+        data = rng_stream(33, "data")
+        cfg = RetentionUpdateConfig(learning_rate=0.02, control_variate=1.0, importance_clamp=3.0)
+        hyper = PriorHyper(0.9, 0.9, 2.0)
+        rng, ref_rng = rng_stream(34, "ru"), rng_stream(34, "ru")
+        stats, ref_stats = RetentionStats(), RetentionStats()
+        for _ in range(4):
+            x = data.normal(size=(9, 6))
+            ks = data.integers(0, 3, size=9)
+            pi = retention_update(pi, params, (x, ks), hyper, cfg, rng, stats)
+            ref_pi = retention_update_oracle(ref_pi, params, (x, ks), hyper, cfg, ref_rng, ref_stats)
+            for got, want in zip(pi, ref_pi):
+                assert np.array_equal(got, want)
+        assert stats == ref_stats
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_no_hidden_layer(self):
+        params = init_mlp((6, 3), "relu", seed=35)
+        pi = RetentionParams([np.ones(6)])
+        x, ks = rng_stream(36, "x").normal(size=(5, 6)), np.arange(5) % 3
+        cfg, hyper = RetentionUpdateConfig(learning_rate=0.1), PriorHyper(0.9, 0.9, 1.0)
+        rng, ref_rng = rng_stream(37, "ru"), rng_stream(37, "ru")
+        got = retention_update(pi, params, (x, ks), hyper, cfg, rng)
+        want = retention_update_oracle(pi, params, (x, ks), hyper, cfg, ref_rng)
+        assert np.array_equal(got[0], want[0])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMaskScore:
@@ -204,8 +305,6 @@ class TestRetentionUpdate:
         xs = np.tile(x, (n, 1))
         ks = np.full(n, k)
         # one-draw-per-example estimate via block sampling, mirroring the update
-        from dropcompact.network import forward_batch
-
         masks = sample_mask_block(pi, n, rng)
         p_m = forward_batch(params, xs, masks).probs[np.arange(n), ks]
         p_e = forward_batch(params, xs, list(pi)).probs[np.arange(n), ks]
@@ -268,8 +367,6 @@ class TestControlVariate:
 
     def test_variance_reduction(self, estimator_fixture):
         params, pi, x, k = estimator_fixture
-        from dropcompact.network import forward_batch
-
         n = 20_000
         rng = rng_stream(13, "var")
         xs = np.tile(x, (n, 1))

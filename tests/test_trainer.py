@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dropcompact import trainer
 from dropcompact.data import synth_blobs
 from dropcompact.linalg import rng_stream
 from dropcompact.network import Gradients, MlpParams, init_mlp
@@ -54,6 +55,32 @@ class TestSgdStep:
         sgd_step(params, Gradients.zeros_like(params), vel, 0.1, 0.0, l2=0.5)
         assert params.weights[0][0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
         assert params.biases[0][0] == 3.0
+
+    @pytest.mark.parametrize("l2", [0.0, 3e-4])
+    def test_bit_equal_to_formula(self, l2):
+        """The in-place step keeps the operation order of the formula."""
+        params = init_mlp((7, 5, 3), "relu", seed=12)
+        ref = params.copy()
+        vel, ref_vel = Gradients.zeros_like(params), Gradients.zeros_like(params)
+        rng = rng_stream(13, "sgd")
+        for step in range(3):
+            g = Gradients(
+                [rng.normal(size=w.shape) for w in params.weights],
+                [rng.normal(size=b.shape) for b in params.biases],
+            )
+            scratch = Gradients.zeros_like(params) if step else None
+            sgd_step(params, g, vel, 0.03, 0.9, l2, scratch)
+            for w, gw, v in zip(ref.weights, g.weights, ref_vel.weights):
+                v *= 0.9
+                v -= 0.03 * (gw + l2 * w) if l2 != 0.0 else 0.03 * gw
+                w += v
+            for b, gb, v in zip(ref.biases, g.biases, ref_vel.biases):
+                v *= 0.9
+                v -= 0.03 * gb
+                b += v
+        for a, b in zip(params.weights + params.biases + vel.weights + vel.biases,
+                        ref.weights + ref.biases + ref_vel.weights + ref_vel.biases):
+            assert np.array_equal(a, b)
 
     def test_shape_mismatch_rejected(self):
         params = scalar_net(1.0)
@@ -229,6 +256,62 @@ class TestRunTraining:
         # by the final epoch retention is 1.0: histogram mass in the top bin
         assert res.reports[-1].histogram[-1] == 10
         assert res.final_pi[1].min() == 1.0
+
+
+class TestFrozenSweepSkip:
+    """With every hidden unit frozen the retention sweep is skipped; the
+    prune check after it still runs."""
+
+    BASE = dict(
+        regime="compaction", layer_dims=(64, 12, 10, 10), batch_size=64, lr=0.01,
+        momentum=0.9, seed=14, dev_size=0, patience=50,
+    )
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        epoch, calls, pruned = [-1], {}, {}
+        real_epoch, real_update, real_prune = (
+            trainer.train_weights_epoch, trainer.retention_update, trainer.prune_units
+        )
+
+        def weights_epoch(*args, **kwargs):
+            epoch[0] += 1
+            return real_epoch(*args, **kwargs)
+
+        def update(*args, **kwargs):
+            calls[epoch[0]] = calls.get(epoch[0], 0) + 1
+            return real_update(*args, **kwargs)
+
+        def prune(*args, **kwargs):
+            pruned[epoch[0]] = True
+            return real_prune(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_weights_epoch", weights_epoch)
+        monkeypatch.setattr(trainer, "retention_update", update)
+        monkeypatch.setattr(trainer, "prune_units", prune)
+        return calls, pruned
+
+    def test_all_frozen_epoch_prunes_without_sweep(self, small_teacher_ds, monkeypatch):
+        calls, pruned = self._count_calls(monkeypatch)
+        cfg = TrainConfig(epochs=2, **self.BASE)
+        params = init_mlp(cfg.layer_dims, "relu", cfg.seed)
+        pi = RetentionParams(
+            [np.ones(64), np.array([0.0, 1.0] * 6), np.array([1.0] * 7 + [0.0] * 3)]
+        )
+        res = run_training(small_teacher_ds, cfg, init_params=params, init_pi=pi)
+        assert calls == {}
+        assert pruned == {0: True}
+        assert res.final_params.layer_dims == (64, 6, 7, 10)
+        assert res.retention_stats.examples == 0
+
+    def test_sweeps_stop_once_frozen(self, small_teacher_ds, monkeypatch):
+        calls, pruned = self._count_calls(monkeypatch)
+        res = run_training(small_teacher_ds, TrainConfig(epochs=4, retention_lr=1e-4, **self.BASE))
+        batches = -(-3000 // 64)
+        assert len(res.reports) == 4 and calls == {0: batches}
+        assert 0 in pruned
+        assert res.retention_stats.examples == 3000
+        assert not any(res.final_pi.active(layer).any() for layer in (1, 2))
 
 
 class TestRegimeDegeneracy:
