@@ -2,9 +2,9 @@
 probabilities converge to 0 or 1, then remove the dead units."""
 
 from .compaction import absorb_retention, count_weights, prune_units, svd_compact
-from .data import Dataset, load_idx, load_mnist_dir, split_train_dev, synth_blobs
+from .data import Dataset, load_idx, load_mnist_dir, split_train_dev
 from .network import MlpParams, backward_batch, forward_batch, init_mlp
-from .retention import PriorHyper, RetentionParams, retention_update, sample_maskset
+from .retention import PriorHyper, RetentionParams, retention_update
 from .trainer import TrainConfig, evaluate, run_training
 
 __version__ = "0.1.0"
@@ -26,8 +26,6 @@ __all__ = [
     "prune_units",
     "retention_update",
     "run_training",
-    "sample_maskset",
     "split_train_dev",
     "svd_compact",
-    "synth_blobs",
 ]

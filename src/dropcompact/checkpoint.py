@@ -4,8 +4,7 @@ Layout: 4-byte magic, little-endian uint32 version and header length, a
 canonical JSON header (sorted keys, no whitespace) describing config,
 bookkeeping and the array manifest, then each array as raw little-endian
 float64 bytes in manifest order. Canonical encoding makes
-save -> load -> save byte-identical. A lossless hex-float text export
-exists for debugging.
+save -> load -> save byte-identical.
 """
 
 from __future__ import annotations
@@ -179,26 +178,3 @@ def load_checkpoint(path: str) -> Checkpoint:
         best_metrics=header["best_metrics"],
         compaction_history=header["compaction_history"],
     )
-
-
-def export_text(ckpt: Checkpoint) -> str:
-    """Lossless JSON export: every float64 rendered as a hex literal."""
-    arrays = {
-        name: {
-            "shape": list(a.shape),
-            "values": [float(v).hex() for v in np.asarray(a).ravel()],
-        }
-        for name, a in _manifest(ckpt)
-    }
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "layer_dims": list(ckpt.params.layer_dims),
-        "hidden_activations": list(ckpt.params.hidden_activations),
-        "config": ckpt.config,
-        "seed": ckpt.seed,
-        "epoch": ckpt.epoch,
-        "best_metrics": ckpt.best_metrics,
-        "compaction_history": ckpt.compaction_history,
-        "arrays": arrays,
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)

@@ -4,9 +4,11 @@ Subcommands: train, eval, compact, bench, report. Configuration is a flat
 key=value text file with a fixed key set (unknown keys fail fast). Every
 training run writes checkpoints, a per-epoch metrics CSV, a retention
 histogram CSV and a manifest recording the config hash, seed and data
-digests, so identical manifests imply identical metrics bytes.
+digests, so identical manifests imply identical metrics bytes. Every
+output file is written through ``checkpoint.atomic_open``.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 structural error.
+Exit codes: 0 success, 2 config error, 3 data error, 4 structural error;
+``main`` is the one place that maps exceptions to them.
 """
 
 from __future__ import annotations
@@ -19,19 +21,14 @@ import logging
 import math
 import os
 import sys
+import zlib
 from dataclasses import replace
 
 import numpy as np
 
 from . import kernels
-from .bench import MIN_REPS, BenchResult, multi_worker_throughput, time_forward
-from .checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    atomic_open,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .bench import multi_worker_throughput, time_forward
+from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .compaction import (
     EmptyLayerError,
     absorb_retention,
@@ -39,11 +36,16 @@ from .compaction import (
     prune_units,
     svd_compact,
 )
-from .data import Dataset, IdxParseError, load_mnist_dir, split_train_dev
+from .data import Dataset, IdxParseError, file_digest, load_mnist_dir, split_train_dev
 from .retention import RetentionParams
-from .trainer import EpochReport, HISTOGRAM_BINS, TrainConfig, evaluate, run_training
-
-log = logging.getLogger("dropcompact")
+from .trainer import (
+    EpochReport,
+    HISTOGRAM_BINS,
+    TrainConfig,
+    check_data_fits,
+    evaluate,
+    run_training,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,6 +64,17 @@ METRICS_FIXED = (
     "n_weights",
 )
 
+# the METRICS_FIXED columns report reads as numbers, with their types
+REPORT_NUMERIC = {
+    "epoch": int,
+    "dev_err": float,
+    "dev_loss": float,
+    "test_err": float,
+    "test_loss": float,
+    "n_weights": float,
+}
+
+EVAL_CSV_HEADER = ("checkpoint", "split", "error_pct", "avg_loss", "n_weights")
 
 BENCH_CSV_HEADER = (
     "shape",
@@ -75,6 +88,16 @@ BENCH_CSV_HEADER = (
     "flops_per_example",
     "flop_ratio_vs_ref",
     "speedup_vs_ref",
+)
+
+PLOT_CSV_HEADER = (
+    "regime",
+    "n_runs",
+    "mean_weights",
+    "mean_test_err",
+    "std_test_err",
+    "mean_test_loss",
+    "std_test_loss",
 )
 
 
@@ -117,33 +140,38 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _metrics_header(n_hidden: int) -> list[str]:
-    return list(METRICS_FIXED) + [f"units_l{i + 1}" for i in range(n_hidden)]
+def _write_csv(path: str, header, rows, append: bool = False) -> None:
+    """Write header and rows to path through atomic_open. With append, a
+    file that already has content keeps its bytes and gains only the rows."""
+    old = ""
+    if append and os.path.exists(path):
+        with open(path, newline="") as f:
+            old = f.read()
+    with atomic_open(path, "w", newline="") as f:
+        f.write(old)
+        csv.writer(f).writerows(rows if old else [header, *rows])
 
 
 def write_metrics_csv(path: str, run_id: str, regime: str, reports: list[EpochReport]) -> None:
     n_hidden = len(reports[0].unit_counts) if reports else 0
-    with atomic_open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_metrics_header(n_hidden))
-        for r in reports:
-            w.writerow(
-                [run_id, regime, r.epoch]
-                + [_fmt(v) for v in (r.train_loss, r.dev_loss, r.dev_err, r.test_loss, r.test_err)]
-                + [r.n_weights]
-                + list(r.unit_counts)
-            )
+    header = list(METRICS_FIXED) + [f"units_l{i + 1}" for i in range(n_hidden)]
+    rows = [
+        [run_id, regime, r.epoch]
+        + [_fmt(v) for v in (r.train_loss, r.dev_loss, r.dev_err, r.test_loss, r.test_err)]
+        + [r.n_weights]
+        + list(r.unit_counts)
+        for r in reports
+    ]
+    _write_csv(path, header, rows)
 
 
 def write_histogram_csv(path: str, reports: list[EpochReport]) -> None:
-    with atomic_open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "bin_lo", "bin_hi", "count"])
-        for r in reports:
-            for b, count in enumerate(r.histogram):
-                w.writerow(
-                    [r.epoch, _fmt(b / HISTOGRAM_BINS), _fmt((b + 1) / HISTOGRAM_BINS), count]
-                )
+    rows = [
+        [r.epoch, _fmt(b / HISTOGRAM_BINS), _fmt((b + 1) / HISTOGRAM_BINS), count]
+        for r in reports
+        for b, count in enumerate(r.histogram)
+    ]
+    _write_csv(path, ["epoch", "bin_lo", "bin_hi", "count"], rows)
 
 
 def write_manifest(path: str, entries: dict) -> None:
@@ -152,32 +180,25 @@ def write_manifest(path: str, entries: dict) -> None:
             f.write(f"{key}={entries[key]}\n")
 
 
-def _file_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _data_digests(dataset: Dataset) -> dict[str, str]:
     """Manifest entries naming the digest of every source data file."""
     return {f"data_{name}": digest for name, digest in dataset.source_digests.items()}
 
 
-def _load_dataset(data_dir: str | None, cfg: TrainConfig) -> Dataset:
-    if not data_dir:
-        raise DataError("--data-dir is required for this command")
+def _load_dataset(data_dir: str, cfg: TrainConfig) -> Dataset:
     try:
         ds = load_mnist_dir(data_dir)
-    except (IdxParseError, FileNotFoundError, OSError) as e:
+    except (OSError, EOFError, zlib.error) as e:  # the last two from a damaged .gz
         raise DataError(str(e)) from e
-    if cfg.dev_size > 0:
-        try:
-            ds = split_train_dev(ds, cfg.dev_size, cfg.seed)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    return ds
+    return split_train_dev(ds, cfg.dev_size, cfg.seed) if cfg.dev_size > 0 else ds
+
+
+def _load_checkpoint_arg(path: str) -> Checkpoint:
+    """load_checkpoint for a path given on the command line."""
+    try:
+        return load_checkpoint(path)
+    except OSError as e:
+        raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
 
 
 def _checkpoint_from_result(cfg: TrainConfig, result, epoch: int, best: bool) -> Checkpoint:
@@ -203,35 +224,21 @@ def _checkpoint_from_result(cfg: TrainConfig, result, epoch: int, best: bool) ->
 
 
 def cmd_train(args) -> int:
-    raw = parse_config_file(args.config)
-    try:
-        cfg = TrainConfig.from_dict(raw)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.regime is not None:
-            cfg = replace(cfg, regime=args.regime)
-        cfg.validate()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    cfg = TrainConfig.from_dict(parse_config_file(args.config))
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.regime is not None:
+        cfg = replace(cfg, regime=args.regime)
+    cfg.validate()
 
     init_params = init_pi = None
-    resumed_from = None
     if args.resume:
-        try:
-            ck = load_checkpoint(args.resume)
-        except (CheckpointError, OSError) as e:
-            raise ConfigError(f"cannot resume from {args.resume}: {e}") from e
+        ck = _load_checkpoint_arg(args.resume)
         init_params, init_pi = ck.params, ck.pi
         cfg = replace(cfg, layer_dims=ck.params.layer_dims)
-        resumed_from = args.resume
 
     dataset = _load_dataset(args.data_dir, cfg)
-    try:
-        result = run_training(dataset, cfg, init_params=init_params, init_pi=init_pi)
-    except EmptyLayerError:
-        raise
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    result = run_training(dataset, cfg, init_params=init_params, init_pi=init_pi)
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -254,8 +261,8 @@ def cmd_train(args) -> int:
         "backend": kernels.backend_name(),
         "regime": cfg.regime,
     }
-    if resumed_from:
-        manifest["resumed_from"] = _file_digest(resumed_from)
+    if args.resume:
+        manifest["resumed_from"] = file_digest(args.resume)
     manifest.update(_data_digests(dataset))
     write_manifest(os.path.join(out, "manifest.txt"), manifest)
 
@@ -272,18 +279,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        ck = load_checkpoint(args.checkpoint)
-    except (CheckpointError, OSError) as e:
-        raise ConfigError(str(e)) from e
-    try:
-        cfg = TrainConfig.from_dict({k: v for k, v in ck.config.items()})
-    except ValueError as e:
-        raise ConfigError(f"checkpoint config invalid: {e}") from e
-    cfg = replace(cfg, layer_dims=ck.params.layer_dims)
-    dataset = _load_dataset(args.data_dir, cfg)
+    ck = _load_checkpoint_arg(args.checkpoint)
+    dataset = _load_dataset(args.data_dir, TrainConfig.from_dict(ck.config))
     if dataset.count(args.split) == 0:
         raise DataError(f"split {args.split!r} is empty or missing")
+    check_data_fits(dataset, ck.params.layer_dims)
     err, loss = evaluate(ck.params, ck.pi, dataset.arrays(args.split))
     n_weights = count_weights(ck.params)
     print(
@@ -292,18 +292,11 @@ def cmd_eval(args) -> int:
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "eval.csv")
-        new = not os.path.exists(path)
-        with open(path, "a", newline="") as f:
-            w = csv.writer(f)
-            if new:
-                w.writerow(["checkpoint", "split", "error_pct", "avg_loss", "n_weights"])
-            w.writerow(
-                [os.path.basename(args.checkpoint), args.split, _fmt(err), _fmt(loss), n_weights]
-            )
+        row = [os.path.basename(args.checkpoint), args.split, _fmt(err), _fmt(loss), n_weights]
+        _write_csv(os.path.join(args.out, "eval.csv"), EVAL_CSV_HEADER, [row], append=True)
         manifest = {
             "command": "eval",
-            "checkpoint": _file_digest(args.checkpoint),
+            "checkpoint": file_digest(args.checkpoint),
             "split": args.split,
             "backend": kernels.backend_name(),
             **_data_digests(dataset),
@@ -313,10 +306,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compact(args) -> int:
-    try:
-        ck = load_checkpoint(args.checkpoint)
-    except (CheckpointError, OSError) as e:
-        raise ConfigError(str(e)) from e
+    ck = _load_checkpoint_arg(args.checkpoint)
 
     before = count_weights(ck.params)
     if args.mode == "prune":
@@ -369,14 +359,14 @@ def cmd_compact(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "checkpoint_compacted.dckp")
     save_checkpoint(path, out_ck)
-    with open(os.path.join(args.out, "compaction_report.json"), "w") as f:
+    with atomic_open(os.path.join(args.out, "compaction_report.json"), "w") as f:
         json.dump(history_entry, f, sort_keys=True, indent=1)
     write_manifest(
         os.path.join(args.out, "compact_manifest.txt"),
         {
             "command": "compact",
             "mode": args.mode,
-            "checkpoint": _file_digest(args.checkpoint),
+            "checkpoint": file_digest(args.checkpoint),
             "threshold": args.threshold,
             "rank": args.rank if args.rank is not None else "auto",
         },
@@ -386,47 +376,30 @@ def cmd_compact(args) -> int:
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(p) for p in text.replace("x", ",").split(",") if p.strip())
-    except ValueError as e:
-        raise ConfigError(f"bad shape {text!r}") from e
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ConfigError(f"bad shape {text!r}")
-    return dims
+    return tuple(int(p) for p in text.replace("x", ",").split(",") if p.strip())
 
 
 def cmd_bench(args) -> int:
-    if args.reps < MIN_REPS:
-        raise ConfigError(f"reps must be >= {MIN_REPS}")
     if args.checkpoint:
-        try:
-            ck = load_checkpoint(args.checkpoint)
-        except (CheckpointError, OSError) as e:
-            raise ConfigError(str(e)) from e
-        shape = ck.params.layer_dims
+        shape = _load_checkpoint_arg(args.checkpoint).params.layer_dims
     elif args.shape:
         shape = _parse_shape(args.shape)
     else:
         raise ConfigError("bench needs --shape or --checkpoint")
     ref_shape = _parse_shape(args.ref_shape) if args.ref_shape else None
-
-    try:
-        batches = [int(b) for b in str(args.batch).split(",") if b.strip()]
-    except ValueError as e:
-        raise ConfigError(f"bad --batch {args.batch!r}") from e
-    if not batches or any(b < 1 for b in batches):
+    batches = [int(b) for b in args.batch.split(",") if b.strip()]
+    if not batches:
         raise ConfigError(f"bad --batch {args.batch!r}")
 
-    rows: list[dict] = []
+    results = []  # (BenchResult, flop_ratio_vs_ref, speedup_vs_ref)
     for batch in batches:
         res = time_forward(shape, batch=batch, reps=args.reps, seed=args.seed)
-        row = {"result": res, "flop_ratio": "", "speedup": ""}
         if ref_shape:
             ref = time_forward(ref_shape, batch=batch, reps=args.reps, seed=args.seed)
-            row["flop_ratio"] = _fmt(ref.flops / res.flops)
-            row["speedup"] = _fmt(res.speedup_vs(ref))
-            rows.append({"result": ref, "flop_ratio": _fmt(1.0), "speedup": _fmt(1.0)})
-        rows.append(row)
+            results.append((ref, _fmt(1.0), _fmt(1.0)))
+            results.append((res, _fmt(ref.flops / res.flops), _fmt(res.speedup_vs(ref))))
+        else:
+            results.append((res, "", ""))
         if args.workers > 1:
             eps = multi_worker_throughput(
                 shape, batch=batch, reps=args.reps, workers=args.workers, seed=args.seed
@@ -437,30 +410,14 @@ def cmd_bench(args) -> int:
                 file=sys.stderr,
             )
 
-    writer = csv.writer(sys.stdout)
-    writer.writerow(BENCH_CSV_HEADER)
-    out_rows = []
-    for row in rows:
-        r: BenchResult = row["result"]
-        out_rows.append(
-            [
-                "x".join(map(str, r.shape)),
-                r.batch,
-                r.reps,
-                r.backend,
-                _fmt(r.min_s),
-                _fmt(r.median_s),
-                _fmt(r.p95_s),
-                _fmt(r.throughput),
-                r.flops,
-                row["flop_ratio"],
-                row["speedup"],
-            ]
-        )
-        writer.writerow(out_rows[-1])
-    for row in rows:
-        r = row["result"]
-        note = f" speedup_vs_ref={row['speedup']}" if row["speedup"] else ""
+    rows = [
+        ["x".join(map(str, r.shape)), r.batch, r.reps, r.backend, _fmt(r.min_s),
+         _fmt(r.median_s), _fmt(r.p95_s), _fmt(r.throughput), r.flops, ratio, speedup]
+        for r, ratio, speedup in results
+    ]
+    csv.writer(sys.stdout).writerows([BENCH_CSV_HEADER, *rows])
+    for r, _, speedup in results:
+        note = f" speedup_vs_ref={speedup}" if speedup else ""
         print(
             f"# {'x'.join(map(str, r.shape))} batch={r.batch} [{r.backend}]"
             f" median={r.median_s * 1e3:.3f}ms throughput={r.throughput:.1f}/s"
@@ -469,10 +426,7 @@ def cmd_bench(args) -> int:
         )
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(BENCH_CSV_HEADER)
-            w.writerows(out_rows)
+        _write_csv(args.out, BENCH_CSV_HEADER, rows)
         write_manifest(
             args.out + ".manifest.txt",
             {
@@ -490,12 +444,10 @@ def cmd_bench(args) -> int:
 
 def _best_row(rows: list[dict]) -> dict:
     def key(r):
-        dev = float(r["dev_err"])
-        loss = float(r["dev_loss"])
         return (
-            dev if not math.isnan(dev) else float("inf"),
-            loss if not math.isnan(loss) else float("inf"),
-            int(r["epoch"]),
+            r["dev_err"] if not math.isnan(r["dev_err"]) else float("inf"),
+            r["dev_loss"] if not math.isnan(r["dev_loss"]) else float("inf"),
+            r["epoch"],
         )
 
     return min(rows, key=key)
@@ -503,7 +455,6 @@ def _best_row(rows: list[dict]) -> dict:
 
 def cmd_report(args) -> int:
     runs: dict[str, list[dict]] = {}
-    header_prefix: tuple[str, ...] | None = None
     for path in args.metrics:
         try:
             with open(path, newline="") as f:
@@ -511,17 +462,19 @@ def cmd_report(args) -> int:
                 names = tuple(reader.fieldnames or ())
                 if names[: len(METRICS_FIXED)] != METRICS_FIXED:
                     raise DataError(f"{path}: inconsistent metrics header {names[:9]}")
-                if header_prefix is None:
-                    header_prefix = METRICS_FIXED
                 for row in reader:
+                    try:
+                        row.update({k: conv(row[k]) for k, conv in REPORT_NUMERIC.items()})
+                    except (TypeError, ValueError) as e:
+                        raise DataError(f"{path}:{reader.line_num}: bad metrics row: {e}") from e
                     runs.setdefault(row["run_id"], []).append(row)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError, csv.Error) as e:
             raise DataError(f"cannot read {path}: {e}") from e
     if not runs:
         raise DataError("no metrics rows found")
 
     groups: dict[str, list[dict]] = {}
-    for run_id, rows in runs.items():
+    for rows in runs.values():
         best = _best_row(rows)
         groups.setdefault(best["regime"], []).append(best)
 
@@ -529,25 +482,16 @@ def cmd_report(args) -> int:
     print(f"{'regime':<12} {'runs':>4} {'#weights':>12} {'test err% ':>16} {'test loss':>18}")
     for regime in sorted(groups):
         rows = groups[regime]
-        weights = np.array([float(r["n_weights"]) for r in rows])
-        err = np.array([float(r["test_err"]) for r in rows])
-        loss = np.array([float(r["test_loss"]) for r in rows])
+        weights = np.array([r["n_weights"] for r in rows])
+        err = np.array([r["test_err"] for r in rows])
+        loss = np.array([r["test_loss"] for r in rows])
         ddof = 1 if len(rows) > 1 else 0
-        out_rows.append(
-            {
-                "regime": regime,
-                "n_runs": len(rows),
-                "mean_weights": weights.mean(),
-                "mean_test_err": err.mean(),
-                "std_test_err": err.std(ddof=ddof),
-                "mean_test_loss": loss.mean(),
-                "std_test_loss": loss.std(ddof=ddof),
-            }
-        )
+        stats = (weights.mean(), err.mean(), err.std(ddof=ddof), loss.mean(), loss.std(ddof=ddof))
+        out_rows.append([regime, len(rows)] + [_fmt(v) for v in stats])
+        mean_w, mean_e, std_e, mean_l, std_l = stats
         print(
-            f"{regime:<12} {len(rows):>4} {weights.mean():>12.1f}"
-            f" {err.mean():>8.3f} ± {err.std(ddof=ddof):<6.3f}"
-            f" {loss.mean():>9.4f} ± {loss.std(ddof=ddof):<7.4f}"
+            f"{regime:<12} {len(rows):>4} {mean_w:>12.1f} {mean_e:>8.3f} ± {std_e:<6.3f}"
+            f" {mean_l:>9.4f} ± {std_l:<7.4f}"
         )
 
     if args.out:
@@ -556,35 +500,10 @@ def cmd_report(args) -> int:
             os.path.join(args.out, "report_manifest.txt"),
             {
                 "command": "report",
-                **{f"input_{os.path.basename(p)}": _file_digest(p) for p in args.metrics},
+                **{f"input_{os.path.basename(p)}": file_digest(p) for p in args.metrics},
             },
         )
-        path = os.path.join(args.out, "plot_data.csv")
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                [
-                    "regime",
-                    "n_runs",
-                    "mean_weights",
-                    "mean_test_err",
-                    "std_test_err",
-                    "mean_test_loss",
-                    "std_test_loss",
-                ]
-            )
-            for r in out_rows:
-                w.writerow(
-                    [
-                        r["regime"],
-                        r["n_runs"],
-                        _fmt(r["mean_weights"]),
-                        _fmt(r["mean_test_err"]),
-                        _fmt(r["std_test_err"]),
-                        _fmt(r["mean_test_loss"]),
-                        _fmt(r["std_test_loss"]),
-                    ]
-                )
+        _write_csv(os.path.join(args.out, "plot_data.csv"), PLOT_CSV_HEADER, out_rows)
     return EXIT_OK
 
 
@@ -639,20 +558,19 @@ def main(argv=None) -> int:
         level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s"
     )
     args = build_parser().parse_args(argv)
+    # ConfigError, CheckpointError and the library's range checks are all
+    # ValueErrors, so anything not classified as data or structure is config
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except IdxParseError as e:
+    except (DataError, IdxParseError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except EmptyLayerError as e:
         print(f"structural error: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Dataset ingestion and synthetic fixtures.
+"""Dataset ingestion.
 
 IDX files (the MNIST container format) are parsed strictly: big-endian
 magics, declared counts and payload sizes are all validated, and parse
@@ -105,7 +105,8 @@ def load_idx_labels(path: str) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
-def _digest(path: str) -> str:
+def file_digest(path: str) -> str:
+    """sha256 hex digest of a file's bytes."""
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -129,8 +130,8 @@ def load_idx(images_path: str, labels_path: str, tag: str = "train") -> Dataset:
         num_classes,
         splits={tag: np.arange(inputs.shape[0])},
         source_digests={
-            os.path.basename(images_path): _digest(images_path),
-            os.path.basename(labels_path): _digest(labels_path),
+            os.path.basename(images_path): file_digest(images_path),
+            os.path.basename(labels_path): file_digest(labels_path),
         },
     )
 
@@ -216,24 +217,3 @@ def split_train_dev(dataset: Dataset, dev_size: int, seed: int) -> Dataset:
     return Dataset(
         dataset.inputs, dataset.labels, dataset.num_classes, splits, dataset.source_digests
     )
-
-
-def synth_blobs(
-    n_per_class: int, classes: int, dim: int, separation: float, seed: int
-) -> Dataset:
-    """Gaussian clusters (unit variance) at random direction centers scaled
-    to the given separation; labels are the cluster ids."""
-    if classes < 2:
-        raise ValueError("need at least two classes")
-    rng = rng_stream(seed, "blobs")
-    centers = rng.normal(size=(classes, dim))
-    norms = np.linalg.norm(centers, axis=1, keepdims=True)
-    centers = np.where(norms > 0, centers / norms, centers) * separation
-    inputs = np.empty((classes * n_per_class, dim))
-    labels = np.empty(classes * n_per_class, dtype=np.int64)
-    for c in range(classes):
-        block = slice(c * n_per_class, (c + 1) * n_per_class)
-        inputs[block] = centers[c] + rng.normal(size=(n_per_class, dim))
-        labels[block] = c
-    order = rng.permutation(inputs.shape[0])
-    return Dataset(inputs[order], labels[order], classes)

@@ -9,21 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-ACT_LINEAR = 0
-ACT_RELU = 1
-ACT_SIGMOID = 2
-
-ACT_IDS = {"linear": ACT_LINEAR, "relu": ACT_RELU, "sigmoid": ACT_SIGMOID}
-
-
-def gate_act(z, gate, act_id, out):
-    """out = gate * activation(z), elementwise over a (B, D) block.
+def gate_act(z, gate, act, out):
+    """out = gate * act(z), elementwise over a (B, D) block, for act
+    "relu", "sigmoid" or "linear".
 
     gate may be None (no masking), a (D,) vector or a (B, D) matrix.
     """
-    if act_id == ACT_RELU:
+    if act == "relu":
         np.maximum(z, 0.0, out=out)
-    elif act_id == ACT_SIGMOID:
+    elif act == "sigmoid":
         np.negative(z, out=out)
         with np.errstate(over="ignore"):
             np.exp(out, out=out)
@@ -37,15 +31,15 @@ def gate_act(z, gate, act_id, out):
     return out
 
 
-def act_grad(h, gate, act_id, out):
+def act_grad(h, gate, act, out):
     """Derivative of (gate * activation) w.r.t. the pre-activation.
 
     Valid for binary gates only: ``h`` is the already-gated output, so
     relu and sigmoid derivatives can be recovered from it directly.
     """
-    if act_id == ACT_RELU:
+    if act == "relu":
         out[...] = h > 0.0
-    elif act_id == ACT_SIGMOID:
+    elif act == "sigmoid":
         np.subtract(1.0, h, out=out)
         out *= h
     else:

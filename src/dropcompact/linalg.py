@@ -44,16 +44,9 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-def bernoulli_vector(p: np.ndarray, rng: Rng) -> np.ndarray:
-    """Independent Bernoulli draws, returned as a float64 0/1 vector."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValueError("bernoulli_vector probabilities must lie in [0, 1]")
-    return (rng.random(p.shape) < p).astype(np.float64)
-
-
 def bernoulli_matrix(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray:
-    """n_rows independent draws of bernoulli_vector(p), as an (n_rows, D) block."""
+    """n_rows independent Bernoulli draws of the probability vector p, as a
+    float64 0/1 (n_rows, D) block."""
     p = np.asarray(p, dtype=np.float64)
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("bernoulli probabilities must lie in [0, 1]")

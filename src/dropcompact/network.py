@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import ACT_IDS
 from .linalg import glorot_uniform, rng_stream
 
 HIDDEN_ACTIVATIONS = ("relu", "sigmoid", "linear")
@@ -93,13 +92,16 @@ class Gradients:
 
 @dataclass
 class BatchTrace:
-    """Per-row trace: gated activations per layer, hidden pre-activations,
-    output logits and class probabilities, each with a leading batch axis."""
+    """Per-row trace: gated activations per layer and output logits, each
+    with a leading batch axis."""
 
     activations: list[np.ndarray]
-    pre_activations: list[np.ndarray]
     logits: np.ndarray
-    probs: np.ndarray
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Class probabilities, computed afresh on each access."""
+        return softmax(self.logits)
 
 
 def init_mlp(layer_dims, hidden_activation: str, seed: int) -> MlpParams:
@@ -152,18 +154,16 @@ def forward_batch(params: MlpParams, x: np.ndarray, gates) -> BatchTrace:
 
     h = x if gates[0] is None else x * gates[0]
     activations = [h]
-    pre_activations = []
     n = params.n_layers
     for i in range(n - 1):
         z = h @ params.weights[i].T
         z += params.biases[i]
-        pre_activations.append(z)
         h = np.empty_like(z)
-        kernels.gate_act(z, gates[i + 1], ACT_IDS[params.hidden_activations[i]], h)
+        kernels.gate_act(z, gates[i + 1], params.hidden_activations[i], h)
         activations.append(h)
     logits = h @ params.weights[n - 1].T
     logits += params.biases[n - 1]
-    return BatchTrace(activations, pre_activations, logits, softmax(logits))
+    return BatchTrace(activations, logits)
 
 
 def backward_batch(params: MlpParams, x, ks, gates) -> tuple[np.ndarray, Gradients]:
@@ -180,7 +180,7 @@ def backward_batch(params: MlpParams, x, ks, gates) -> tuple[np.ndarray, Gradien
     losses = -log_softmax_pick(trace.logits, ks)
 
     grads = Gradients.zeros_like(params)
-    delta = trace.probs.copy()
+    delta = trace.probs
     delta[np.arange(b), ks] -= 1.0
     n = params.n_layers
     for i in range(n - 1, -1, -1):
@@ -190,8 +190,6 @@ def backward_batch(params: MlpParams, x, ks, gates) -> tuple[np.ndarray, Gradien
             break
         e = delta @ params.weights[i]
         dfac = np.empty_like(e)
-        kernels.act_grad(
-            trace.activations[i], gates[i], ACT_IDS[params.hidden_activations[i - 1]], dfac
-        )
+        kernels.act_grad(trace.activations[i], gates[i], params.hidden_activations[i - 1], dfac)
         delta = e * dfac
     return losses, grads

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import ACT_IDS
-from .linalg import Rng, bernoulli_matrix, bernoulli_vector
+from .linalg import Rng, bernoulli_matrix
 from .network import MlpParams, forward_batch
 
 GUARD_EPS = 1e-6
@@ -123,11 +122,6 @@ class RetentionStats:
         self.floored += other.floored
 
 
-def sample_maskset(pi: RetentionParams, rng: Rng) -> list[np.ndarray]:
-    """One independent Bernoulli mask vector per layer, in layer order."""
-    return [bernoulli_vector(v, rng) for v in pi]
-
-
 def _mask_block(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray | None:
     """bernoulli_matrix(p, n_rows, rng), or None (an all-ones gate) when every
     probability is exactly 1.
@@ -214,7 +208,7 @@ def retention_update(
         z = x @ params.weights[0].T
         z += params.biases[0]
         h = np.empty_like(z)
-        kernels.gate_act(z, None, ACT_IDS[params.hidden_activations[0]], h)
+        kernels.gate_act(z, None, params.hidden_activations[0], h)
         tail = MlpParams(params.weights[1:], params.biases[1:], params.hidden_activations[1:])
         p_masked = _label_probs(tail, mask_blocks[1:], h, ks)
         p_scaled = _label_probs(tail, scaled_gates[1:], h, ks)

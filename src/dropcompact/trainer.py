@@ -14,7 +14,9 @@ should coincide do so bit-for-bit under a shared seed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -77,6 +79,10 @@ class TrainConfig:
     dev_size: int = 10000
 
     def validate(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
@@ -105,17 +111,21 @@ class TrainConfig:
             raise ValueError("prune_threshold must lie in [0, 1)")
         if self.samples_per_example < 1 or self.patience < 1:
             raise ValueError("samples_per_example and patience must be >= 1")
+        if self.importance_clamp <= 0:
+            raise ValueError("importance_clamp must be positive")
+        if self.retention_batch_size < 0 or self.dev_size < 0:
+            raise ValueError("retention_batch_size and dev_size must be >= 0")
         PriorHyper(self.prior_alpha, self.prior_beta, max(self.gamma, 0.0)).validate()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
         """Build from string-keyed values (config file); unknown keys are errors."""
-        known = {f.name: f.type for f in fields(cls)}
+        known = get_type_hints(cls)
         kwargs = {}
         for key, value in raw.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(key, value)
+            kwargs[key] = _coerce(key, value, known[key])
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -128,33 +138,21 @@ class TrainConfig:
         return out
 
 
-def _coerce(key: str, value):
+def _coerce(key: str, value, kind):
+    """A config-file string as the type of field ``key``; other values as given."""
     if not isinstance(value, str):
         return value
     text = value.strip()
-    if key == "layer_dims":
-        return tuple(int(p) for p in text.replace(",", " ").split())
-    if key in ("regime", "hidden_activation", "gamma_mode"):
-        return text
-    if key == "plateau_halving":
+    if kind is bool:
         low = text.lower()
         if low in ("on", "true", "1", "yes"):
             return True
         if low in ("off", "false", "0", "no"):
             return False
         raise ValueError(f"bad boolean for {key!r}: {value!r}")
-    if key in (
-        "epochs",
-        "batch_size",
-        "annealing_epochs",
-        "retention_batch_size",
-        "samples_per_example",
-        "patience",
-        "seed",
-        "dev_size",
-    ):
-        return int(text)
-    return float(text)
+    if kind in (int, float, str):
+        return kind(text)
+    return tuple(int(p) for p in text.replace(",", " ").split())  # layer_dims
 
 
 @dataclass
@@ -340,6 +338,18 @@ def _slice_velocity(velocity: Gradients, kept: list[np.ndarray]) -> Gradients:
     return Gradients(weights, biases)
 
 
+def check_data_fits(dataset: Dataset, layer_dims) -> None:
+    """Raise ValueError unless the data's width and classes fit layer_dims."""
+    if dataset.dim != layer_dims[0]:
+        raise ValueError(
+            f"input width {dataset.dim} does not match layer_dims[0]={layer_dims[0]}"
+        )
+    if dataset.num_classes > layer_dims[-1]:
+        raise ValueError(
+            f"{dataset.num_classes} classes exceed output width {layer_dims[-1]}"
+        )
+
+
 def run_training(
     dataset: Dataset,
     cfg: TrainConfig,
@@ -354,14 +364,7 @@ def run_training(
     has_dev = dataset.count("dev") > 0
     if cfg.regime == "compaction" and not has_dev:
         raise ValueError("compaction regime requires a non-empty dev split")
-    if dataset.dim != cfg.layer_dims[0]:
-        raise ValueError(
-            f"input width {dataset.dim} does not match layer_dims[0]={cfg.layer_dims[0]}"
-        )
-    if dataset.num_classes > cfg.layer_dims[-1]:
-        raise ValueError(
-            f"{dataset.num_classes} classes exceed output width {cfg.layer_dims[-1]}"
-        )
+    check_data_fits(dataset, cfg.layer_dims)
 
     params = init_params.copy() if init_params else init_mlp(
         cfg.layer_dims, cfg.hidden_activation, cfg.seed

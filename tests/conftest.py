@@ -180,7 +180,7 @@ def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats=None):
 
 
 # ---------------------------------------------------------------------------
-# synthetic data with genuine structure (labels from a frozen teacher net)
+# synthetic data: inputs labelled by a frozen teacher net, and Gaussian blobs
 # ---------------------------------------------------------------------------
 
 def make_teacher_dataset(n, dim=784, classes=10, seed=0, quantize=True):
@@ -195,6 +195,25 @@ def make_teacher_dataset(n, dim=784, classes=10, seed=0, quantize=True):
     logits = forward_batch(teacher, x, [None] * 3).logits
     z = (logits - logits.mean(axis=0)) / logits.std(axis=0)
     return Dataset(x, z.argmax(axis=1).astype(np.int64), classes)
+
+
+def synth_blobs(n_per_class, classes, dim, separation, seed) -> Dataset:
+    """Gaussian clusters (unit variance) at random direction centers scaled
+    to the given separation; labels are the cluster ids."""
+    if classes < 2:
+        raise ValueError("need at least two classes")
+    rng = rng_stream(seed, "blobs")
+    centers = rng.normal(size=(classes, dim))
+    norms = np.linalg.norm(centers, axis=1, keepdims=True)
+    centers = np.where(norms > 0, centers / norms, centers) * separation
+    inputs = np.empty((classes * n_per_class, dim))
+    labels = np.empty(classes * n_per_class, dtype=np.int64)
+    for c in range(classes):
+        block = slice(c * n_per_class, (c + 1) * n_per_class)
+        inputs[block] = centers[c] + rng.normal(size=(n_per_class, dim))
+        labels[block] = c
+    order = rng.permutation(inputs.shape[0])
+    return Dataset(inputs[order], labels[order], classes)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 import builtins
 import json
+import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ from dropcompact import checkpoint
 from dropcompact.checkpoint import (
     Checkpoint,
     CheckpointError,
-    export_text,
     load_checkpoint,
     save_checkpoint,
 )
 from dropcompact.cli import main, write_histogram_csv, write_manifest, write_metrics_csv
+from dropcompact.data import write_idx_images, write_idx_labels
 from dropcompact.network import init_mlp
 from dropcompact.retention import RetentionParams
 from dropcompact.trainer import EpochReport, TrainConfig
@@ -137,15 +139,6 @@ class TestMalformed:
         assert "config error" in capsys.readouterr().err
 
 
-class TestTextExport:
-    def test_hex_floats_roundtrip(self, ckpt):
-        doc = json.loads(export_text(ckpt))
-        arr = doc["arrays"]["weight_0"]
-        values = np.array([float.fromhex(v) for v in arr["values"]]).reshape(arr["shape"])
-        assert np.array_equal(values, ckpt.params.weights[0])
-        assert doc["config"] == ckpt.config
-
-
 class _FailingFile:
     """File whose second write raises, as a full disk or a kill would."""
 
@@ -165,32 +158,73 @@ class _FailingFile:
         self._f.close()
 
 
+@pytest.fixture
+def eval_inputs(ckpt, tmp_path):
+    """ckpt saved to disk, a 2x3-pixel IDX data dir it can evaluate, and a
+    metrics.csv for report, outside the directory the writers write to."""
+    src = tmp_path / "inputs"
+    src.mkdir()
+    save_checkpoint(str(src / "c.dckp"), replace(ckpt, config={**ckpt.config, "dev_size": 0}))
+    rng = np.random.default_rng(0)
+    for stem in ("train", "t10k"):
+        write_idx_images(str(src / f"{stem}-images-idx3-ubyte"),
+                         rng.integers(0, 256, size=(8, 2, 3), dtype=np.uint8))
+        write_idx_labels(str(src / f"{stem}-labels-idx1-ubyte"), np.arange(8) % 3)
+    write_metrics_csv(str(src / "metrics.csv"), "r", "plain", [TestAtomicWrites.REPORT])
+    return src
+
+
 class TestAtomicWrites:
     REPORT = EpochReport(0, 0.5, 0.4, 3.0, 0.45, 3.5, (5,), 45, (0,) * 19 + (5,), 0.01)
+    # name -> (file written, call writing it into directory d from the inputs in s)
     WRITERS = {
-        "checkpoint": lambda path, ck: save_checkpoint(path, ck),
-        "metrics": lambda path, ck: write_metrics_csv(path, "r", "plain", [TestAtomicWrites.REPORT]),
-        "histogram": lambda path, ck: write_histogram_csv(path, [TestAtomicWrites.REPORT]),
-        "manifest": lambda path, ck: write_manifest(path, {"a": 1, "b": 2}),
+        "checkpoint": ("out", lambda d, s, ck: save_checkpoint(str(d / "out"), ck)),
+        "metrics": ("out", lambda d, s, ck: write_metrics_csv(
+            str(d / "out"), "r", "plain", [TestAtomicWrites.REPORT])),
+        "histogram": ("out", lambda d, s, ck: write_histogram_csv(
+            str(d / "out"), [TestAtomicWrites.REPORT])),
+        "manifest": ("out", lambda d, s, ck: write_manifest(str(d / "out"), {"a": 1, "b": 2})),
+        "eval": ("eval.csv", lambda d, s, ck: main(
+            ["eval", "--checkpoint", str(s / "c.dckp"), "--data-dir", str(s), "--out", str(d)])),
+        "plot_data": ("plot_data.csv", lambda d, s, ck: main(
+            ["report", str(s / "metrics.csv"), "--out", str(d)])),
     }
+    APPENDS = {"eval"}  # keeps what the file held and adds its rows, without the header
+
+    @staticmethod
+    def _temp_files(d):
+        return [p.name for p in d.iterdir() if p.name.startswith(".")]
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
-    def test_failed_write_keeps_previous_file(self, writer, ckpt, tmp_path, monkeypatch):
-        path = tmp_path / "out"
-        path.write_bytes(b"previous contents")
-        monkeypatch.setattr(
-            checkpoint, "open", lambda *a, **k: _FailingFile(builtins.open(*a, **k)), raising=False
-        )
+    def test_failed_write_keeps_previous_file(
+        self, writer, ckpt, eval_inputs, tmp_path, monkeypatch
+    ):
+        name, write = self.WRITERS[writer]
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).write_bytes(b"previous contents\r\n")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = builtins.open(file, mode, *args, **kwargs)
+            return _FailingFile(f) if name in os.path.basename(file) else f
+
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
-            self.WRITERS[writer](str(path), ckpt)
-        assert path.read_bytes() == b"previous contents"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+            write(out, eval_inputs, ckpt)
+        assert (out / name).read_bytes() == b"previous contents\r\n"
+        assert self._temp_files(out) == []
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
-    def test_success_replaces_file(self, writer, ckpt, tmp_path):
-        path, fresh = tmp_path / "out", tmp_path / "fresh"
-        path.write_bytes(b"previous contents")
-        self.WRITERS[writer](str(path), ckpt)
-        self.WRITERS[writer](str(fresh), ckpt)
-        assert path.read_bytes() == fresh.read_bytes() != b"previous contents"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+    def test_success_replaces_file(self, writer, ckpt, eval_inputs, tmp_path):
+        name, write = self.WRITERS[writer]
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        out.mkdir()
+        fresh.mkdir()
+        (out / name).write_bytes(b"previous contents\r\n")
+        write(out, eval_inputs, ckpt)
+        write(fresh, eval_inputs, ckpt)
+        want = (fresh / name).read_bytes()
+        if writer in self.APPENDS:
+            want = b"previous contents\r\n" + want.split(b"\r\n", 1)[1]
+        assert (out / name).read_bytes() == want != b"previous contents\r\n"
+        assert self._temp_files(out) == self._temp_files(fresh) == []

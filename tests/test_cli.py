@@ -1,15 +1,22 @@
 import csv
+import gzip
 import hashlib
+import os
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
 from conftest import make_teacher_dataset
-from dropcompact.checkpoint import load_checkpoint, save_checkpoint
-from dropcompact.cli import config_hash, main, write_metrics_csv
+from dropcompact.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from dropcompact.cli import config_hash, main, parse_config_file, write_metrics_csv
 from dropcompact.data import quantize_pixels, write_idx_images, write_idx_labels
+from dropcompact.network import init_mlp
+from dropcompact.retention import RetentionParams
 from dropcompact.trainer import TrainConfig, run_training
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +52,23 @@ def write_config(path, **overrides):
     return str(path)
 
 
+def write_metrics(path, run_id, regime, rows):
+    """A metrics.csv with one (epoch, dev_err, test_err, test_loss) per row."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(
+            ["run_id", "regime", "epoch", "train_loss", "dev_loss", "dev_err",
+             "test_loss", "test_err", "n_weights", "units_l1"]
+        )
+        for epoch, dev_err, test_err, test_loss in rows:
+            w.writerow([run_id, regime, epoch, 0.5, 0.4, dev_err, test_loss, test_err, 1000, 10])
+
+
+def read_csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
 class TestTrain:
     def test_plain_run_writes_artifacts(self, data_dir, tmp_path):
         cfg = write_config(tmp_path / "c.ini")
@@ -58,7 +82,7 @@ class TestTrain:
             "manifest.txt",
         ):
             assert (out / name).exists()
-        rows = list(csv.DictReader(open(out / "metrics.csv")))
+        rows = read_csv_rows(out / "metrics.csv")
         assert len(rows) == 2
         assert rows[0]["regime"] == "plain"
         assert int(rows[0]["n_weights"]) == 49 * 12 + 12 * 10
@@ -106,7 +130,7 @@ class TestTrain:
             ["train", "--config", cfg, "--data-dir", data_dir, "--out", str(out),
              "--seed", "9", "--regime", "dropout"]
         ) == 0
-        rows = list(csv.DictReader(open(out / "metrics.csv")))
+        rows = read_csv_rows(out / "metrics.csv")
         assert rows[0]["regime"] == "dropout"
         assert "-s9-" in rows[0]["run_id"]
 
@@ -236,23 +260,13 @@ class TestBench:
 
 
 class TestReport:
-    def _write_metrics(self, path, run_id, regime, rows):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["run_id", "regime", "epoch", "train_loss", "dev_loss", "dev_err",
-                 "test_loss", "test_err", "n_weights", "units_l1"]
-            )
-            for epoch, dev_err, test_err, test_loss in rows:
-                w.writerow([run_id, regime, epoch, 0.5, 0.4, dev_err, test_loss, test_err, 1000, 10])
-
     def test_aggregates_best_rows(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        self._write_metrics(a, "r1", "plain", [(0, 5.0, 6.0, 0.30), (1, 4.0, 5.0, 0.20)])
-        self._write_metrics(b, "r2", "plain", [(0, 3.0, 4.0, 0.10), (1, 3.5, 4.5, 0.15)])
+        write_metrics(a, "r1", "plain", [(0, 5.0, 6.0, 0.30), (1, 4.0, 5.0, 0.20)])
+        write_metrics(b, "r2", "plain", [(0, 3.0, 4.0, 0.10), (1, 3.5, 4.5, 0.15)])
         out = tmp_path / "rep"
         assert main(["report", str(a), str(b), "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "plot_data.csv")))
+        rows = read_csv_rows(out / "plot_data.csv")
         assert len(rows) == 1
         # best rows: epoch 1 of r1 (err 5.0) and epoch 0 of r2 (err 4.0)
         assert float(rows[0]["mean_test_err"]) == pytest.approx(4.5)
@@ -260,19 +274,19 @@ class TestReport:
 
     def test_single_run_std_zero(self, tmp_path):
         a = tmp_path / "a.csv"
-        self._write_metrics(a, "r1", "dropout", [(0, 5.0, 6.0, 0.3)])
+        write_metrics(a, "r1", "dropout", [(0, 5.0, 6.0, 0.3)])
         out = tmp_path / "rep"
         assert main(["report", str(a), "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "plot_data.csv")))
+        rows = read_csv_rows(out / "plot_data.csv")
         assert float(rows[0]["std_test_err"]) == 0.0
 
     def test_mixed_regimes_grouped(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        self._write_metrics(a, "r1", "plain", [(0, 5.0, 6.0, 0.3)])
-        self._write_metrics(b, "r2", "compaction", [(0, 4.0, 5.0, 0.2)])
+        write_metrics(a, "r1", "plain", [(0, 5.0, 6.0, 0.3)])
+        write_metrics(b, "r2", "compaction", [(0, 4.0, 5.0, 0.2)])
         out = tmp_path / "rep"
         assert main(["report", str(a), str(b), "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "plot_data.csv")))
+        rows = read_csv_rows(out / "plot_data.csv")
         assert sorted(r["regime"] for r in rows) == ["compaction", "plain"]
 
     def test_inconsistent_header_exit_3(self, tmp_path):
@@ -316,3 +330,200 @@ class TestGoldenMetricsBytes:
             str(path), f"{regime}-s{cfg.seed}-{config_hash(cfg)[:8]}", regime, result.reports
         )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[regime]
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputBytes:
+    """Pins the bytes of every file eval, compact, bench and report write.
+    The digests were taken before these writers moved behind one atomic
+    CSV writer, with the numpy build of TestGoldenMetricsBytes."""
+
+    GOLDEN = {
+        "eval": {
+            "eval.csv": "1ecc2eb2b6a0843a7a93eccc58848bffb14912614c373d2d134f94036073277b",
+            "eval_manifest.txt": "a424f35b7e1807a1cc726f898162437f4a3e681e8a9996f53e5f971ecfb793bc",
+        },
+        "compact-prune": {
+            "checkpoint_compacted.dckp":
+                "11d7df19e2e4e470c2f8e42482e76e1187a1cd9bbe9d1eb2920eeff443402abd",
+            "compaction_report.json":
+                "f409798d174398d1bba3ae02e6209dd9af932b8d1a59c01b8b8262fb7bdc6844",
+            "compact_manifest.txt":
+                "d549248388264646248921c00aaef50a15b2553598ad5365f9ce58ca716015c6",
+        },
+        "compact-svd": {
+            "checkpoint_compacted.dckp":
+                "6ddb10d630c4c4314021cb9bdff395e20462458b55e688f0c7d108182bcf809e",
+            "compaction_report.json":
+                "7d79ec39d1003a63e234dd827931923840dbdb8732b4a59f922706ad38659ed6",
+            "compact_manifest.txt":
+                "075bd795a024624139fb6dcaec4a138c35de4a3c4403531106a81b4bf86041e8",
+        },
+        "report": {
+            "plot_data.csv": "fa965bf75dd43dead4fabdb1715778bbf069453e3173845bbae734f5e5a9b131",
+            "report_manifest.txt":
+                "1ed325af31d3fd6c4931275a265da8ebeaaba4de6e9f4867d66fb4108570d4e4",
+        },
+        "bench": (
+            "9081bed37085c5e6e7393907bf7ad05386c5241cf686fe4f4cc7c40ae93d73b7",
+            "fae089c1aa5ed57cadedee17c415215a15eb508d3aa7854b59a482dfe061af4e",
+        ),
+    }
+
+    def test_eval_twice_appends(self, trained, data_dir, tmp_path):
+        out = tmp_path / "ev"
+        args = ["eval", "--checkpoint", str(trained / "checkpoint_best.dckp"),
+                "--data-dir", data_dir, "--split", "test", "--out", str(out)]
+        assert main(args) == 0
+        assert main(args) == 0
+        assert len(read_csv_rows(out / "eval.csv")) == 2
+        got = {n: sha256_of(out / n) for n in ("eval.csv", "eval_manifest.txt")}
+        assert got == self.GOLDEN["eval"]
+
+    @pytest.mark.parametrize("mode", ["prune", "svd"])
+    def test_compact(self, trained_deep, tmp_path, mode):
+        ck = load_checkpoint(str(trained_deep / "checkpoint_best.dckp"))
+        ck.pi.layers[1][:] = np.linspace(0.05, 1.0, 10)
+        ck.pi.layers[2][:] = np.linspace(1.0, 0.05, 10)
+        src = tmp_path / "src.dckp"
+        save_checkpoint(str(src), ck)
+        out = tmp_path / "cp"
+        assert main(["compact", "--checkpoint", str(src), "--mode", mode,
+                     "--threshold", "0.5", "--out", str(out)]) == 0
+        names = ("checkpoint_compacted.dckp", "compaction_report.json", "compact_manifest.txt")
+        assert {n: sha256_of(out / n) for n in names} == self.GOLDEN[f"compact-{mode}"]
+
+    def test_report(self, tmp_path):
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        write_metrics(a, "r1", "plain", [(0, 5.0, 6.0, 0.30), (1, 4.0, 5.0, 0.20)])
+        write_metrics(b, "r2", "plain", [(0, 3.0, 4.0, 0.10), (1, 3.5, 4.5, 0.15)])
+        write_metrics(c, "r3", "compaction", [(0, float("nan"), 7.0, 0.4), (1, 2.5, 3.0, 0.1)])
+        out = tmp_path / "rep"
+        assert main(["report", str(a), str(b), str(c), "--out", str(out)]) == 0
+        got = {n: sha256_of(out / n) for n in ("plot_data.csv", "report_manifest.txt")}
+        assert got == self.GOLDEN["report"]
+
+    TIMING = ("min_s", "median_s", "p95_s", "throughput_eps", "speedup_vs_ref")
+
+    def test_bench_out(self, tmp_path, capsys):
+        out = tmp_path / "b" / "bench.csv"
+        assert main(["bench", "--shape", "16,32,8", "--ref-shape", "16,64,8",
+                     "--batch", "1,4", "--reps", "30", "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            text = f.read()
+        assert capsys.readouterr().out == text
+        rows = list(csv.reader(text.splitlines()))
+        keep = [i for i, name in enumerate(rows[0]) if name not in self.TIMING]
+        pinned = [rows[0]] + [[r[i] for i in keep] for r in rows[1:]]
+        digest = hashlib.sha256(repr(pinned).encode()).hexdigest()
+        manifest = sha256_of(tmp_path / "b" / "bench.csv.manifest.txt")
+        assert (digest, manifest) == self.GOLDEN["bench"]
+
+
+SHIPPED_CONFIGS = sorted(
+    os.path.relpath(os.path.join(d, n), REPO_ROOT)
+    for d in (os.path.join(REPO_ROOT, "configs"), os.path.join(REPO_ROOT, "perfbench", "configs"))
+    for n in os.listdir(d)
+    if n.endswith(".ini")
+)
+
+
+class TestShippedConfigHash:
+    """config_hash names a run in run_id and the manifest; pinned per shipped config."""
+
+    GOLDEN = {
+        "configs/mnist_large_compaction.ini":
+            "a3d95e48c5fff5cc4c1dada1d6a6fac96429ff7492153609774733fce0190f2f",
+        "configs/mnist_large_plain.ini":
+            "5c5822ea5207f79f52a6def82caf77e9fef3a8d6397893403402e00fa182c35d",
+        "configs/mnist_small_annealed.ini":
+            "1244f41f14b057e7d92828262b9ed266945d8a74ebfacbde3e5dbeb8c1a6fb37",
+        "configs/mnist_small_compaction.ini":
+            "e84c35490ebcbea217113cb74d96489cf2117db3026b1246751a5779537cea62",
+        "configs/mnist_small_dropout.ini":
+            "64949d61cdeb3db79df80c439317c28fb0365424a54c9e4e6c14fb7fe93504b8",
+        "configs/mnist_small_plain.ini":
+            "b6b0eb190840b7779d9bad36d0bdb2ba0b11f1acaae0c634d622e581c4197c7f",
+        "configs/mnist_small_svd_finetune.ini":
+            "1fb37761ead67fb4777de8c65e444545ad482aaf2484bba777397f9c2e82d4a8",
+        "perfbench/configs/train_compaction.ini":
+            "6d4832398e225d7e12697216231ca6ae9bfdf6d9be8d73ccfe70c822d32477bd",
+    }
+
+    @pytest.mark.parametrize("rel", SHIPPED_CONFIGS)
+    def test_config_hash(self, rel):
+        cfg = TrainConfig.from_dict(parse_config_file(os.path.join(REPO_ROOT, rel)))
+        assert config_hash(cfg) == self.GOLDEN[rel]
+
+
+@pytest.fixture(scope="session")
+def odd_checkpoints(tmp_path_factory):
+    """Checkpoints that load but do not fit data_dir or an SVD."""
+    root = tmp_path_factory.mktemp("odd")
+    paths = {}
+    for name, dims in (("wide", (784, 5, 10)), ("few_classes", (49, 5, 3)),
+                       ("one_hidden", (49, 5, 10))):
+        params = init_mlp(dims, "relu", seed=1)
+        paths[name] = str(root / f"{name}.dckp")
+        save_checkpoint(paths[name], Checkpoint(
+            params=params, pi=RetentionParams.constant(params, 1.0), config={"dev_size": 0},
+            seed=1, epoch=0))
+    return paths
+
+
+class TestExitCodes:
+    """Malformed input exits with its documented code and one line on
+    stderr, never with a traceback."""
+
+    CASES = {
+        "threshold-1.5": (["compact", "--checkpoint", "{deep}", "--mode", "prune",
+                           "--threshold", "1.5", "--out", "{tmp}/o"], 2),
+        "svd-rank-0": (["compact", "--checkpoint", "{deep}", "--mode", "svd",
+                        "--rank", "0", "--out", "{tmp}/o"], 2),
+        "svd-rank-99": (["compact", "--checkpoint", "{deep}", "--mode", "svd",
+                         "--rank", "99", "--out", "{tmp}/o"], 2),
+        "svd-one-hidden": (["compact", "--checkpoint", "{one_hidden}", "--mode", "svd",
+                            "--out", "{tmp}/o"], 2),
+        "eval-input-width": (["eval", "--checkpoint", "{wide}", "--data-dir", "{data}"], 2),
+        "eval-classes": (["eval", "--checkpoint", "{few_classes}", "--data-dir", "{data}"], 2),
+        "eval-truncated-gzip": (["eval", "--checkpoint", "{deep}", "--data-dir", "{tmp}/gz"], 3),
+        "report-epoch-word": (["report", "{tmp}/epoch_word.csv"], 3),
+        "report-short-row": (["report", "{tmp}/short_row.csv"], 3),
+        "train-lr-nan": (["train", "--config", "{tmp}/lr_nan.ini", "--data-dir", "{tmp}/none"], 2),
+        "train-retention-batch": (["train", "--config", "{tmp}/rb.ini",
+                                   "--data-dir", "{tmp}/none"], 2),
+        "train-dev-size": (["train", "--config", "{tmp}/dev.ini", "--data-dir", "{tmp}/none"], 2),
+        "train-clamp-0": (["train", "--config", "{tmp}/clamp.ini", "--data-dir", "{tmp}/none"], 2),
+    }
+
+    @pytest.fixture
+    def inputs(self, tmp_path, trained_deep, data_dir, odd_checkpoints):
+        header = ",".join(
+            ["run_id", "regime", "epoch", "train_loss", "dev_loss", "dev_err",
+             "test_loss", "test_err", "n_weights"]
+        )
+        (tmp_path / "epoch_word.csv").write_text(f"{header}\nr,plain,zero,1,1,1,1,1,10\n")
+        (tmp_path / "short_row.csv").write_text(f"{header}\nr,plain,0,1\n")
+        shutil.copytree(data_dir, tmp_path / "gz")
+        images = tmp_path / "gz" / "train-images-idx3-ubyte"
+        (tmp_path / "gz" / "train-images-idx3-ubyte.gz").write_bytes(
+            gzip.compress(images.read_bytes())[:-100]
+        )
+        images.unlink()
+        write_config(tmp_path / "lr_nan.ini", lr="nan")
+        write_config(tmp_path / "rb.ini", retention_batch_size=-5)
+        write_config(tmp_path / "dev.ini", dev_size=-1)
+        write_config(tmp_path / "clamp.ini", importance_clamp=0)
+        return dict(odd_checkpoints, tmp=str(tmp_path), data=data_dir,
+                    deep=str(trained_deep / "checkpoint_best.dckp"))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code(self, case, inputs, capsys):
+        argv, code = self.CASES[case]
+        assert main([a.format(**inputs) for a in argv]) == code
+        lines = capsys.readouterr().err.strip().splitlines()
+        prefix = {2: "config error: ", 3: "data error: "}[code]
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines

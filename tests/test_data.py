@@ -1,8 +1,10 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import synth_blobs
 from dropcompact.data import (
     IdxParseError,
     load_idx,
@@ -11,7 +13,6 @@ from dropcompact.data import (
     load_mnist_dir,
     quantize_pixels,
     split_train_dev,
-    synth_blobs,
     write_idx_images,
     write_idx_labels,
 )
@@ -38,8 +39,8 @@ class TestIdxRoundTrip:
         ip2, lp2 = tmp_path / "imgs2", tmp_path / "labs2"
         write_idx_images(str(ip2), quantize_pixels(ds.inputs))
         write_idx_labels(str(lp2), ds.labels)
-        assert open(ip, "rb").read() == open(ip2, "rb").read()
-        assert open(lp, "rb").read() == open(lp2, "rb").read()
+        assert Path(ip).read_bytes() == ip2.read_bytes()
+        assert Path(lp).read_bytes() == lp2.read_bytes()
 
     def test_gzip_suffix_roundtrip(self, tmp_path):
         images = rng_stream(1, "g").integers(0, 256, size=(7, 4, 4), dtype=np.uint8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dropcompact.linalg import (
-    bernoulli_vector,
+    bernoulli_matrix,
     glorot_uniform,
     rng_stream,
     truncated_svd,
@@ -90,19 +90,19 @@ class TestTruncatedSvd:
 class TestBernoulli:
     def test_degenerate(self):
         rng = rng_stream(0, "b")
-        assert np.array_equal(bernoulli_vector(np.ones(3), rng), np.ones(3))
-        assert np.array_equal(bernoulli_vector(np.zeros(2), rng), np.zeros(2))
+        assert np.array_equal(bernoulli_matrix(np.ones(3), 2, rng), np.ones((2, 3)))
+        assert np.array_equal(bernoulli_matrix(np.zeros(2), 2, rng), np.zeros((2, 2)))
 
     def test_empirical_mean(self):
         rng = rng_stream(1, "b")
-        draws = bernoulli_vector(np.full(1_000_000, 0.5), rng)
+        draws = bernoulli_matrix(np.full(1000, 0.5), 1000, rng)
         assert abs(draws.mean() - 0.5) < 0.002
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            bernoulli_vector(np.array([0.5, 1.2]), rng_stream(0, "b"))
+            bernoulli_matrix(np.array([0.5, 1.2]), 1, rng_stream(0, "b"))
         with pytest.raises(ValueError):
-            bernoulli_vector(np.array([-0.1]), rng_stream(0, "b"))
+            bernoulli_matrix(np.array([-0.1]), 1, rng_stream(0, "b"))
 
 
 class TestRngStreams:

@@ -66,11 +66,11 @@ class TestForward:
         assert np.abs(trace.probs[0] - probs).max() < 1e-12
 
     def test_zero_input_retention_leaves_bias(self):
-        params = init_mlp((3, 4, 2), "relu", seed=9)
+        params = init_mlp((3, 4, 2), "linear", seed=9)
         params.biases[0][:] = [0.5, -0.2, 0.1, 0.3]
         x = rng_stream(3, "o").normal(size=3)
         trace = forward_batch(params, x[None], [np.zeros(3), np.ones(4)])
-        assert np.array_equal(trace.pre_activations[0][0], params.biases[0])
+        assert np.array_equal(trace.activations[1][0], params.biases[0])
 
     def test_probs_sum_to_one(self):
         rng = rng_stream(4, "p")

@@ -23,7 +23,6 @@ from dropcompact.retention import (
     RetentionUpdateConfig,
     retention_update,
     sample_mask_block,
-    sample_maskset,
 )
 
 
@@ -61,9 +60,9 @@ def enumerate_exact_delta(params, pi, x, k, control):
 class TestSampling:
     def test_degenerate(self):
         pi = RetentionParams([np.ones(4), np.zeros(3)])
-        masks = sample_maskset(pi, rng_stream(0, "s"))
-        assert np.array_equal(masks[0], np.ones(4))
-        assert np.array_equal(masks[1], np.zeros(3))
+        masks = sample_mask_block(pi, 2, rng_stream(0, "s"))
+        assert masks[0] is None  # all-ones gate
+        assert np.array_equal(masks[1], np.zeros((2, 3)))
 
     def test_empirical_retention(self):
         pi = RetentionParams([np.full(6, 0.5)])

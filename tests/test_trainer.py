@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import synth_blobs
 from dropcompact import trainer
-from dropcompact.data import synth_blobs
 from dropcompact.linalg import rng_stream
 from dropcompact.network import Gradients, MlpParams, init_mlp
 from dropcompact.retention import RetentionParams
@@ -375,3 +375,32 @@ class TestConfig:
             TrainConfig(regime="bogus").validate()
         with pytest.raises(ValueError):
             TrainConfig(prior_alpha=1.5).validate()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(lr=float("nan")),
+            dict(lr=float("inf")),
+            dict(momentum=float("nan")),
+            dict(control_variate=float("nan")),
+            dict(plateau_threshold=float("-inf")),
+            dict(retention_batch_size=-5),
+            dict(dev_size=-1),
+            dict(importance_clamp=0.0),
+        ],
+    )
+    def test_validation_rejects(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad).validate()
+
+    def test_from_dict_reads_every_key_as_text(self):
+        want = TrainConfig(regime="compaction", layer_dims=(8, 4, 3), plateau_halving=True)
+        text = {
+            k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+            for k, v in want.to_dict().items()
+        }
+        got = TrainConfig.from_dict(text)
+        assert got == want
+        assert {k: type(v) for k, v in got.to_dict().items()} == {
+            k: type(v) for k, v in want.to_dict().items()
+        }
