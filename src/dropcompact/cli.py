@@ -41,7 +41,9 @@ from .retention import RetentionParams
 from .trainer import (
     EpochReport,
     HISTOGRAM_BINS,
+    REGIMES,
     TrainConfig,
+    beats_best,
     check_data_fits,
     evaluate,
     run_training,
@@ -193,6 +195,15 @@ def _load_dataset(data_dir: str, cfg: TrainConfig) -> Dataset:
     return split_train_dev(ds, cfg.dev_size, cfg.seed) if cfg.dev_size > 0 else ds
 
 
+def _make_out_dir(path: str) -> None:
+    """os.makedirs for an output directory; a path that cannot be one (an
+    existing file, or a file among its parents) is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from e
+
+
 def _load_checkpoint_arg(path: str) -> Checkpoint:
     """load_checkpoint for a path given on the command line."""
     try:
@@ -204,14 +215,10 @@ def _load_checkpoint_arg(path: str) -> Checkpoint:
 def _checkpoint_from_result(cfg: TrainConfig, result, epoch: int, best: bool) -> Checkpoint:
     params = result.best_params if best else result.final_params
     pi = result.best_pi if best else result.final_pi
-    best_metrics = {}
-    if result.best_epoch >= 0 and result.reports:
-        rep = result.reports[result.best_epoch - result.reports[0].epoch]
-        best_metrics = {
-            "epoch": result.best_epoch,
-            "dev_err": rep.dev_err,
-            "dev_loss": rep.dev_loss,
-        }
+    rep = result.best
+    best_metrics = (
+        {"epoch": rep.epoch, "dev_err": rep.dev_err, "dev_loss": rep.dev_loss} if rep else {}
+    )
     return Checkpoint(
         params=params,
         pi=pi,
@@ -237,11 +244,11 @@ def cmd_train(args) -> int:
         init_params, init_pi = ck.params, ck.pi
         cfg = replace(cfg, layer_dims=ck.params.layer_dims)
 
+    out = args.out or "."
+    _make_out_dir(out)
     dataset = _load_dataset(args.data_dir, cfg)
     result = run_training(dataset, cfg, init_params=init_params, init_pi=init_pi)
 
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     run_id = f"{cfg.regime}-s{cfg.seed}-{config_hash(cfg)[:8]}"
     last_epoch = result.reports[-1].epoch if result.reports else -1
     save_checkpoint(
@@ -266,12 +273,12 @@ def cmd_train(args) -> int:
     manifest.update(_data_digests(dataset))
     write_manifest(os.path.join(out, "manifest.txt"), manifest)
 
-    if result.reports:
-        rep = result.reports[-1]
-        best = result.reports[result.best_epoch - result.reports[0].epoch]
+    best = result.best
+    if best:
         print(
-            f"run {run_id}: {len(result.reports)} epochs, final weights {rep.n_weights},"
-            f" best dev {best.dev_err:.2f}%/{best.dev_loss:.4f} at epoch {result.best_epoch}"
+            f"run {run_id}: {len(result.reports)} epochs,"
+            f" final weights {result.reports[-1].n_weights},"
+            f" best dev {best.dev_err:.2f}%/{best.dev_loss:.4f} at epoch {best.epoch}"
         )
     else:
         print(f"run {run_id}: 0 epochs (checkpoint holds the initialized model)")
@@ -291,7 +298,7 @@ def cmd_eval(args) -> int:
         f" error_pct={_fmt(err)} avg_loss={_fmt(loss)} n_weights={n_weights}"
     )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         row = [os.path.basename(args.checkpoint), args.split, _fmt(err), _fmt(loss), n_weights]
         _write_csv(os.path.join(args.out, "eval.csv"), EVAL_CSV_HEADER, [row], append=True)
         manifest = {
@@ -356,7 +363,7 @@ def cmd_compact(args) -> int:
         best_metrics=ck.best_metrics,
         compaction_history=list(ck.compaction_history) + [history_entry],
     )
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     path = os.path.join(args.out, "checkpoint_compacted.dckp")
     save_checkpoint(path, out_ck)
     with atomic_open(os.path.join(args.out, "compaction_report.json"), "w") as f:
@@ -390,6 +397,8 @@ def cmd_bench(args) -> int:
     batches = [int(b) for b in args.batch.split(",") if b.strip()]
     if not batches:
         raise ConfigError(f"bad --batch {args.batch!r}")
+    if args.out:
+        _make_out_dir(os.path.dirname(args.out) or ".")
 
     results = []  # (BenchResult, flop_ratio_vs_ref, speedup_vs_ref)
     for batch in batches:
@@ -425,7 +434,6 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         _write_csv(args.out, BENCH_CSV_HEADER, rows)
         write_manifest(
             args.out + ".manifest.txt",
@@ -440,17 +448,6 @@ def cmd_bench(args) -> int:
             },
         )
     return EXIT_OK
-
-
-def _best_row(rows: list[dict]) -> dict:
-    def key(r):
-        return (
-            r["dev_err"] if not math.isnan(r["dev_err"]) else float("inf"),
-            r["dev_loss"] if not math.isnan(r["dev_loss"]) else float("inf"),
-            r["epoch"],
-        )
-
-    return min(rows, key=key)
 
 
 def cmd_report(args) -> int:
@@ -475,7 +472,11 @@ def cmd_report(args) -> int:
 
     groups: dict[str, list[dict]] = {}
     for rows in runs.values():
-        best = _best_row(rows)
+        rows.sort(key=lambda r: r["epoch"])
+        best = rows[0]
+        for row in rows[1:]:
+            if beats_best((row["dev_err"], row["dev_loss"]), (best["dev_err"], best["dev_loss"])):
+                best = row
         groups.setdefault(best["regime"], []).append(best)
 
     out_rows = []
@@ -495,12 +496,14 @@ def cmd_report(args) -> int:
         )
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
+        paths = [os.path.abspath(p) for p in args.metrics]
+        common = os.path.commonpath([os.path.dirname(p) for p in paths])
         write_manifest(
             os.path.join(args.out, "report_manifest.txt"),
             {
                 "command": "report",
-                **{f"input_{os.path.basename(p)}": file_digest(p) for p in args.metrics},
+                **{f"input_{os.path.relpath(p, common)}": file_digest(p) for p in paths},
             },
         )
         _write_csv(os.path.join(args.out, "plot_data.csv"), PLOT_CSV_HEADER, out_rows)
@@ -517,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", default=None)
     t.add_argument("--resume", default=None, help="checkpoint to fine-tune from")
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--regime", choices=("plain", "dropout", "annealed", "compaction"))
+    t.add_argument("--regime", choices=REGIMES)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a split")

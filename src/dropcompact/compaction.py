@@ -51,6 +51,18 @@ def count_weights(params: MlpParams) -> int:
     return int(sum(w.size for w in params.weights))
 
 
+def slice_units(
+    weights: list[np.ndarray], biases: list[np.ndarray], keep: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The entries of the kept units: matrix i keeps rows keep[i + 1] and
+    columns keep[i], bias i keeps entries keep[i + 1]. Works on parameters
+    and on parameter-shaped state such as momentum velocity."""
+    return (
+        [w[np.ix_(keep[i + 1], keep[i])] for i, w in enumerate(weights)],
+        [b[keep[i + 1]] for i, b in enumerate(biases)],
+    )
+
+
 def prune_units(
     params: MlpParams, pi: RetentionParams, threshold: float
 ) -> tuple[MlpParams, RetentionParams, CompactionReport]:
@@ -76,10 +88,7 @@ def prune_units(
         keep.append(kept)
     keep.append(np.arange(dims[n]))  # output layer untouched
 
-    weights = [
-        params.weights[i][np.ix_(keep[i + 1], keep[i])] for i in range(n)
-    ]
-    biases = [params.biases[i][keep[i + 1]] for i in range(n)]
+    weights, biases = slice_units(params.weights, params.biases, keep)
     pruned = MlpParams(weights, biases, tuple(params.hidden_activations))
     new_pi = RetentionParams([pi[layer][keep[layer]] for layer in range(n)])
 

@@ -2,8 +2,10 @@
 
 One engine covers four regimes: plain SGD, fixed dropout, annealed dropout
 (retention ramped to 1 over the first epochs), and compaction (weight
-epochs alternating with retention sweeps and unit removal). Weight updates
-are SGD with momentum and L2 on weights only; evaluation always uses the
+epochs alternating with retention sweeps and unit removal). Every regime
+draws its training gates from its retention vectors (plain SGD has hidden
+retention 1, so only input_retention gates it). Weight updates are SGD with
+momentum and L2 on weights only; evaluation always uses the
 expectation-scaled deterministic pass.
 
 Randomness is split into named per-epoch streams (shuffling + mask draws
@@ -16,11 +18,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 from typing import get_type_hints
 
 import numpy as np
 
-from .compaction import count_weights, prune_units
+from .compaction import count_weights, prune_units, slice_units
 from .data import Dataset
 from .linalg import Rng, rng_stream
 from .network import (
@@ -44,6 +47,7 @@ log = logging.getLogger("dropcompact")
 
 REGIMES = ("plain", "dropout", "annealed", "compaction")
 HISTOGRAM_BINS = 20
+NO_SCORE = (math.nan, math.nan)  # (error, loss) of a split that is absent
 
 
 @dataclass
@@ -175,11 +179,25 @@ class TrainResult:
     final_pi: RetentionParams
     best_params: MlpParams
     best_pi: RetentionParams
-    best_epoch: int
+    best: EpochReport | None  # None when no epoch ran
     reports: list[EpochReport]
-    retention_stats: RetentionStats
-    stopped_early: bool
-    final_lr: float
+
+    @property
+    def best_epoch(self) -> int:
+        return self.best.epoch if self.best else -1
+
+
+def beats_best(key: tuple[float, float], best: tuple[float, float]) -> bool:
+    """Whether a (dev_err, dev_loss) pair beats the best one so far.
+
+    The lower pair wins and a tie keeps the earlier epoch. A best with a
+    NaN (no dev split, or no epoch yet) is always replaced, so a run
+    without a dev split keeps its last epoch; a candidate with a NaN never
+    beats a finite best.
+    """
+    if any(math.isnan(v) for v in best):
+        return True
+    return not any(math.isnan(v) for v in key) and key < best
 
 
 def sgd_step(
@@ -199,25 +217,22 @@ def sgd_step(
     """
     if scratch is None:
         scratch = Gradients.zeros_like(params)
-    for w, g, v, t in zip(params.weights, grads.weights, velocity.weights, scratch.weights):
+    steps = chain(
+        zip(params.weights, grads.weights, velocity.weights, scratch.weights, repeat(l2)),
+        zip(params.biases, grads.biases, velocity.biases, scratch.biases, repeat(0.0)),
+    )
+    for w, g, v, t, decay in steps:
         if w.shape != g.shape or w.shape != v.shape:
             raise ValueError("gradient/velocity shape mismatch")
         v *= momentum
-        if l2 != 0.0:
-            np.multiply(w, l2, out=t)
+        if decay != 0.0:
+            np.multiply(w, decay, out=t)
             t += g
             t *= lr
         else:
             np.multiply(g, lr, out=t)
         v -= t
         w += v
-    for b, g, v, t in zip(params.biases, grads.biases, velocity.biases, scratch.biases):
-        if b.shape != g.shape or b.shape != v.shape:
-            raise ValueError("gradient/velocity shape mismatch")
-        v *= momentum
-        np.multiply(g, lr, out=t)
-        v -= t
-        b += v
     return params, velocity
 
 
@@ -236,12 +251,6 @@ def initial_retention(params: MlpParams, cfg: TrainConfig) -> RetentionParams:
         "compaction": cfg.retention_init,
     }[cfg.regime]
     return RetentionParams.constant(params, hidden, cfg.input_retention)
-
-
-def _gates_for_batch(pi: RetentionParams, b: int, regime: str, rng: Rng):
-    if regime == "plain":
-        return [None] * len(pi)
-    return sample_mask_block(pi, b, rng)
 
 
 def train_weights_epoch(
@@ -269,7 +278,7 @@ def train_weights_epoch(
         xb, yb = x[idx], y[idx]
         grads: Gradients | None = None
         for _ in range(cfg.samples_per_example):
-            gates = _gates_for_batch(pi, idx.size, cfg.regime, rng)
+            gates = sample_mask_block(pi, idx.size, rng)
             losses, g = backward_batch(params, xb, yb, gates)
             total += float(losses.sum())
             if grads is None:
@@ -329,15 +338,6 @@ def _prior_for(cfg: TrainConfig, train_size: int) -> PriorHyper:
     return hyper
 
 
-def _slice_velocity(velocity: Gradients, kept: list[np.ndarray]) -> Gradients:
-    weights = [
-        velocity.weights[i][np.ix_(kept[i + 1], kept[i])]
-        for i in range(len(velocity.weights))
-    ]
-    biases = [velocity.biases[i][kept[i + 1]] for i in range(len(velocity.biases))]
-    return Gradients(weights, biases)
-
-
 def check_data_fits(dataset: Dataset, layer_dims) -> None:
     """Raise ValueError unless the data's width and classes fit layer_dims."""
     if dataset.dim != layer_dims[0]:
@@ -381,15 +381,12 @@ def run_training(
     rcfg = RetentionUpdateConfig(
         cfg.retention_lr, cfg.control_variate, cfg.importance_clamp
     )
-    stats_total = RetentionStats()
 
     lr = cfg.lr
     reports: list[EpochReport] = []
-    best_key: tuple[float, float] | None = None
-    best_params, best_pi, best_epoch = params.copy(), pi.copy(), -1
+    best: EpochReport | None = None
+    best_params, best_pi = params.copy(), pi.copy()
     since_best = 0
-    stopped_early = False
-    dev_err_history: list[float] = []
 
     for epoch in range(cfg.epochs):
         if cfg.regime == "annealed":
@@ -420,7 +417,6 @@ def run_training(
                     pi = retention_update(
                         pi, params, (x_train[idx], y_train[idx]), hyper, rcfg, rng_r, stats
                     )
-                stats_total.merge(stats)
                 if stats.clamped:
                     log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
 
@@ -429,13 +425,13 @@ def run_training(
             )
             if prunable:
                 params, pi, report = prune_units(params, pi, cfg.prune_threshold)
-                velocity = _slice_velocity(velocity, report.kept_indices)
+                velocity = Gradients(
+                    *slice_units(velocity.weights, velocity.biases, report.kept_indices)
+                )
                 log.info("epoch %d: pruned to %s", epoch, report.summary())
 
-        dev_err, dev_loss = evaluate(params, pi, dev) if dev else (float("nan"), float("nan"))
-        test_err, test_loss = (
-            evaluate(params, pi, test) if test else (float("nan"), float("nan"))
-        )
+        dev_err, dev_loss = evaluate(params, pi, dev) if dev else NO_SCORE
+        test_err, test_loss = evaluate(params, pi, test) if test else NO_SCORE
         reports.append(
             EpochReport(
                 epoch=epoch,
@@ -461,31 +457,22 @@ def run_training(
             lr,
         )
 
-        if dev:
-            key = (dev_err, dev_loss)
-            if best_key is None or key < best_key:
-                best_key, best_epoch = key, epoch
-                best_params, best_pi = params.copy(), pi.copy()
-                since_best = 0
-            else:
-                since_best += 1
-            dev_err_history.append(dev_err)
-            if cfg.plateau_halving:
-                lr = plateau_lr(dev_err_history, lr, cfg.plateau_threshold)
-            if since_best >= cfg.patience:
-                stopped_early = True
-                break
+        if beats_best((dev_err, dev_loss), (best.dev_err, best.dev_loss) if best else NO_SCORE):
+            best = reports[-1]
+            best_params, best_pi = params.copy(), pi.copy()
+            since_best = 0
         else:
-            best_params, best_pi, best_epoch = params.copy(), pi.copy(), epoch
+            since_best += 1
+        if cfg.plateau_halving:
+            lr = plateau_lr([r.dev_err for r in reports], lr, cfg.plateau_threshold)
+        if since_best >= cfg.patience:
+            break
 
     return TrainResult(
         final_params=params,
         final_pi=pi,
         best_params=best_params,
         best_pi=best_pi,
-        best_epoch=best_epoch,
+        best=best,
         reports=reports,
-        retention_stats=stats_total,
-        stopped_early=stopped_early,
-        final_lr=lr,
     )

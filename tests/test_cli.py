@@ -289,6 +289,34 @@ class TestReport:
         rows = read_csv_rows(out / "plot_data.csv")
         assert sorted(r["regime"] for r in rows) == ["compaction", "plain"]
 
+    def test_manifest_records_every_input(self, tmp_path):
+        """Inputs that share a basename are keyed by their path relative to
+        the inputs' common directory, so each gets its own digest."""
+        for run in ("ra", "rb"):
+            (tmp_path / run).mkdir()
+            write_metrics(tmp_path / run / "metrics.csv", run, "plain", [(0, 5.0, 6.0, 0.3)])
+        out = tmp_path / "rep"
+        assert main(["report", str(tmp_path / "ra" / "metrics.csv"),
+                     str(tmp_path / "rb" / "metrics.csv"), "--out", str(out)]) == 0
+        lines = (out / "report_manifest.txt").read_text().splitlines()
+        inputs = [line.split("=")[0] for line in lines if line.startswith("input_")]
+        assert inputs == [f"input_{os.path.join('ra', 'metrics.csv')}",
+                          f"input_{os.path.join('rb', 'metrics.csv')}"]
+
+    def test_no_dev_run_reports_the_best_checkpoint_epoch(self, data_dir, tmp_path):
+        """Without a dev split train keeps its last epoch in
+        checkpoint_best.dckp, and report picks the same epoch."""
+        cfg = write_config(tmp_path / "c.ini", epochs=4, dev_size=0)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data-dir", data_dir, "--out", str(run)]) == 0
+        ck = load_checkpoint(str(run / "checkpoint_best.dckp"))
+        assert ck.epoch == ck.best_metrics["epoch"] == 3
+        test_err = {int(r["epoch"]): r["test_err"] for r in read_csv_rows(run / "metrics.csv")}
+        assert test_err[3] != test_err[0]
+        out = tmp_path / "rep"
+        assert main(["report", str(run / "metrics.csv"), "--out", str(out)]) == 0
+        assert read_csv_rows(out / "plot_data.csv")[0]["mean_test_err"] == test_err[3]
+
     def test_inconsistent_header_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         with open(bad, "w", newline="") as f:
@@ -497,6 +525,16 @@ class TestExitCodes:
                                    "--data-dir", "{tmp}/none"], 2),
         "train-dev-size": (["train", "--config", "{tmp}/dev.ini", "--data-dir", "{tmp}/none"], 2),
         "train-clamp-0": (["train", "--config", "{tmp}/clamp.ini", "--data-dir", "{tmp}/none"], 2),
+        # an --out that is an existing file, or lies under one
+        "out-file-train": (["train", "--config", "{tmp}/ok.ini", "--data-dir", "{data}",
+                            "--out", "{tmp}/taken"], 2),
+        "out-file-eval": (["eval", "--checkpoint", "{deep}", "--data-dir", "{data}",
+                           "--out", "{tmp}/taken"], 2),
+        "out-file-compact": (["compact", "--checkpoint", "{deep}", "--mode", "prune",
+                              "--out", "{tmp}/taken"], 2),
+        "out-file-bench": (["bench", "--shape", "16,32,8", "--reps", "30",
+                            "--out", "{tmp}/taken/bench.csv"], 2),
+        "out-file-report": (["report", "{tmp}/ok.csv", "--out", "{tmp}/taken"], 2),
     }
 
     @pytest.fixture
@@ -517,6 +555,9 @@ class TestExitCodes:
         write_config(tmp_path / "rb.ini", retention_batch_size=-5)
         write_config(tmp_path / "dev.ini", dev_size=-1)
         write_config(tmp_path / "clamp.ini", importance_clamp=0)
+        write_config(tmp_path / "ok.ini", epochs=1)
+        write_metrics(tmp_path / "ok.csv", "r", "plain", [(0, 5.0, 6.0, 0.3)])
+        (tmp_path / "taken").write_text("a file, not a directory\n")
         return dict(odd_checkpoints, tmp=str(tmp_path), data=data_dir,
                     deep=str(trained_deep / "checkpoint_best.dckp"))
 

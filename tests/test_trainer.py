@@ -235,9 +235,11 @@ class TestRunTraining:
             lr=0.02, momentum=0.9, seed=6, dev_size=0, patience=3,
         )
         res = run_training(small_teacher_ds, cfg)
-        assert res.stopped_early or len(res.reports) == 60
+        if len(res.reports) < 60:  # stopped early: patience epochs after the best
+            assert res.reports[-1].epoch - res.best_epoch == cfg.patience
         dev_errs = [r.dev_err for r in res.reports]
         assert res.best_epoch == int(np.argmin(dev_errs))
+        assert res.best is res.reports[res.best_epoch]
 
     def test_histogram_sums_to_maskable_units(self, small_teacher_ds):
         cfg = TrainConfig(
@@ -269,7 +271,9 @@ class TestFrozenSweepSkip:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        epoch, calls, pruned = [-1], {}, {}
+        """Retention updates per epoch, epochs that pruned, and the stats
+        object each epoch's sweep fills (the one perfbench's tracer reads)."""
+        epoch, calls, pruned, stats = [-1], {}, {}, {}
         real_epoch, real_update, real_prune = (
             trainer.train_weights_epoch, trainer.retention_update, trainer.prune_units
         )
@@ -280,6 +284,7 @@ class TestFrozenSweepSkip:
 
         def update(*args, **kwargs):
             calls[epoch[0]] = calls.get(epoch[0], 0) + 1
+            stats[epoch[0]] = args[6]
             return real_update(*args, **kwargs)
 
         def prune(*args, **kwargs):
@@ -289,10 +294,10 @@ class TestFrozenSweepSkip:
         monkeypatch.setattr(trainer, "train_weights_epoch", weights_epoch)
         monkeypatch.setattr(trainer, "retention_update", update)
         monkeypatch.setattr(trainer, "prune_units", prune)
-        return calls, pruned
+        return calls, pruned, stats
 
     def test_all_frozen_epoch_prunes_without_sweep(self, small_teacher_ds, monkeypatch):
-        calls, pruned = self._count_calls(monkeypatch)
+        calls, pruned, _ = self._count_calls(monkeypatch)
         cfg = TrainConfig(epochs=2, **self.BASE)
         params = init_mlp(cfg.layer_dims, "relu", cfg.seed)
         pi = RetentionParams(
@@ -302,15 +307,14 @@ class TestFrozenSweepSkip:
         assert calls == {}
         assert pruned == {0: True}
         assert res.final_params.layer_dims == (64, 6, 7, 10)
-        assert res.retention_stats.examples == 0
 
     def test_sweeps_stop_once_frozen(self, small_teacher_ds, monkeypatch):
-        calls, pruned = self._count_calls(monkeypatch)
+        calls, pruned, stats = self._count_calls(monkeypatch)
         res = run_training(small_teacher_ds, TrainConfig(epochs=4, retention_lr=1e-4, **self.BASE))
         batches = -(-3000 // 64)
         assert len(res.reports) == 4 and calls == {0: batches}
         assert 0 in pruned
-        assert res.retention_stats.examples == 3000
+        assert stats[0].examples == 3000
         assert not any(res.final_pi.active(layer).any() for layer in (1, 2))
 
 
@@ -345,6 +349,53 @@ class TestRegimeDegeneracy:
         )
         for wa, wb in zip(a.final_params.weights, b.final_params.weights):
             assert np.array_equal(wa, wb)
+
+    def test_plain_trains_with_input_retention(self, small_teacher_ds):
+        """input_retention gates the input in every regime, in training as
+        well as in the expectation-scaled evaluation."""
+        base = dict(
+            layer_dims=(64, 12, 10), epochs=3, batch_size=64, lr=0.01, momentum=0.9,
+            seed=12, dev_size=0, patience=50, input_retention=0.8,
+        )
+        a = run_training(small_teacher_ds, TrainConfig(regime="plain", **base))
+        b = run_training(
+            small_teacher_ds, TrainConfig(regime="dropout", dropout_retention=1.0, **base)
+        )
+        assert len(a.reports) == 3
+        assert [repr(r) for r in a.reports] == [repr(r) for r in b.reports]
+
+
+NAN = float("nan")
+
+
+class TestBestEpochRule:
+    """beats_best(candidate, best) on (dev_err, dev_loss) pairs."""
+
+    @pytest.mark.parametrize(
+        "key, best, want",
+        [
+            pytest.param((4.0, 0.3), (5.0, 0.1), True, id="lower-error-wins"),
+            pytest.param((5.0, 0.2), (5.0, 0.3), True, id="equal-error-lower-loss-wins"),
+            pytest.param((5.0, 0.3), (5.0, 0.3), False, id="tie-keeps-earlier"),
+            pytest.param((6.0, 0.1), (5.0, 0.3), False, id="higher-error-loses"),
+            pytest.param((5.0, 0.3), (NAN, NAN), True, id="nan-best-replaced"),
+            pytest.param((NAN, NAN), (NAN, NAN), True, id="no-dev-keeps-last"),
+            pytest.param((5.0, 0.3), (4.0, NAN), True, id="half-nan-best-replaced"),
+            pytest.param((NAN, NAN), (5.0, 0.3), False, id="nan-candidate-loses"),
+            pytest.param((4.0, NAN), (5.0, 0.3), False, id="nan-loss-candidate-loses"),
+            pytest.param((NAN, 0.1), (5.0, 0.3), False, id="nan-error-candidate-loses"),
+        ],
+    )
+    def test_rule(self, key, best, want):
+        assert trainer.beats_best(key, best) is want
+
+    def test_no_dev_keeps_last_epoch(self):
+        ds = synth_blobs(40, 3, 5, separation=4.0, seed=2)
+        cfg = TrainConfig(regime="plain", layer_dims=(5, 8, 3), epochs=3, batch_size=16,
+                          lr=0.01, seed=7, dev_size=0, patience=1)
+        res = run_training(ds, cfg)
+        assert len(res.reports) == 3 and res.best is res.reports[-1]
+        assert np.array_equal(res.best_params.weights[0], res.final_params.weights[0])
 
 
 class TestConfig:
