@@ -7,8 +7,10 @@ histogram CSV and a manifest recording the config hash, seed and data
 digests, so identical manifests imply identical metrics bytes. Every
 output file is written through ``checkpoint.atomic_open``.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 structural error;
-``main`` is the one place that maps exceptions to them.
+Exit codes: 0 success, 2 config error, 3 data error, 4 structural error,
+5 numeric failure (a non-finite loss or parameter stopped training, and
+no checkpoint was written); ``main`` is the one place that maps
+exceptions to them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .trainer import (
     EpochReport,
     HISTOGRAM_BINS,
     REGIMES,
+    NonFiniteError,
     TrainConfig,
     beats_best,
     check_data_fits,
@@ -53,6 +56,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_STRUCTURAL = 4
+EXIT_NUMERIC = 5
 
 METRICS_FIXED = (
     "run_id",
@@ -247,7 +251,10 @@ def cmd_train(args) -> int:
     out = args.out or "."
     _make_out_dir(out)
     dataset = _load_dataset(args.data_dir, cfg)
-    result = run_training(dataset, cfg, init_params=init_params, init_pi=init_pi)
+    # a non-finite value stops the run with NonFiniteError, so numpy's
+    # overflow warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_training(dataset, cfg, init_params=init_params, init_pi=init_pi)
 
     run_id = f"{cfg.regime}-s{cfg.seed}-{config_hash(cfg)[:8]}"
     last_epoch = result.reports[-1].epoch if result.reports else -1
@@ -571,6 +578,9 @@ def main(argv=None) -> int:
     except EmptyLayerError as e:
         print(f"structural error: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL
+    except NonFiniteError as e:
+        print(f"numeric error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,8 +2,17 @@
 
 IDX files (the MNIST container format) are parsed strictly: big-endian
 magics, declared counts and payload sizes are all validated, and parse
-errors name the offending field and byte offset. Pixels are scaled to
-[0, 1] by 1/255 and kept as float64.
+errors name the offending field and byte offset. Payloads are read in
+bounded chunks, so a header that declares more bytes than its file holds
+fails as truncated without allocating what it declares.
+
+Pixels are scaled to [0, 1] by 1/255 and kept as float64, in one copy:
+``load_mnist_dir`` divides the uint8 payloads of both image files
+straight into one preallocated (N_train + N_test, D) array. A split of a
+Dataset is a row index into that array; ``Dataset.arrays`` returns views
+for a split whose rows are one ascending run (the test split), and the
+trainer gathers its minibatches from the full array, so no split is
+copied whole.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from .linalg import rng_stream
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+READ_CHUNK = 1 << 20  # bytes per read of an IDX payload
 
 
 class IdxParseError(ValueError):
@@ -49,8 +59,11 @@ class Dataset:
         return self.inputs.shape[1]
 
     def arrays(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """The split's inputs and labels: views of the dataset's arrays when
+        its rows are one ascending run, gathered copies otherwise."""
         idx = self.splits[tag]
-        return self.inputs[idx], self.labels[idx]
+        rows = slice(idx[0], idx[-1] + 1) if idx.size and (np.diff(idx) == 1).all() else idx
+        return self.inputs[rows], self.labels[rows]
 
     def count(self, tag: str) -> int:
         return int(self.splits[tag].size) if tag in self.splits else 0
@@ -72,8 +85,27 @@ def _read_exact(f, n: int, what: str, offset: int) -> bytes:
     return data
 
 
-def load_idx_images(path: str) -> np.ndarray:
-    """Read an IDX image file into a (N, rows*cols) float64 array in [0, 1]."""
+def _read_payload(f, n: int, what: str, offset: int) -> np.ndarray:
+    """The n payload bytes after a header, as uint8, then check the file ends.
+
+    Read in chunks of at most READ_CHUNK bytes, so what is allocated never
+    exceeds what the file holds."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = f.read(min(n - len(buf), READ_CHUNK))
+        if not chunk:
+            raise IdxParseError(
+                f"truncated file while reading {what} at byte offset {offset}:"
+                f" wanted {n} bytes, got {len(buf)}"
+            )
+        buf += chunk
+    if f.read(1):
+        raise IdxParseError(f"trailing bytes after {what} at offset {offset + n}")
+    return np.frombuffer(buf, dtype=np.uint8)
+
+
+def _read_pixels(path: str) -> np.ndarray:
+    """The uint8 pixels of an IDX image file, shaped (N, rows*cols)."""
     with _open_maybe_gzip(path) as f:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header", 0))
         if magic != IMAGE_MAGIC:
@@ -81,12 +113,13 @@ def load_idx_images(path: str) -> np.ndarray:
                 f"magic mismatch at byte offset 0: got 0x{magic:08x},"
                 f" expected 0x{IMAGE_MAGIC:08x} for images"
             )
-        payload = _read_exact(f, n * rows * cols, "pixel data", 16)
-        extra = f.read(1)
-        if extra:
-            raise IdxParseError(f"trailing bytes after pixel data at offset {16 + n * rows * cols}")
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
-    return raw.astype(np.float64) / 255.0
+        pixels = _read_payload(f, n * rows * cols, "pixel data", 16)
+    return pixels.reshape(n, rows * cols)
+
+
+def load_idx_images(path: str) -> np.ndarray:
+    """Read an IDX image file into a (N, rows*cols) float64 array in [0, 1]."""
+    return _read_pixels(path) / 255.0
 
 
 def load_idx_labels(path: str) -> np.ndarray:
@@ -98,11 +131,19 @@ def load_idx_labels(path: str) -> np.ndarray:
                 f"magic mismatch at byte offset 0: got 0x{magic:08x},"
                 f" expected 0x{LABEL_MAGIC:08x} for labels"
             )
-        payload = _read_exact(f, n, "label data", 8)
-        extra = f.read(1)
-        if extra:
-            raise IdxParseError(f"trailing bytes after label data at offset {8 + n}")
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        return _read_payload(f, n, "label data", 8).astype(np.int64)
+
+
+def _check_counts(n_images: int, n_labels: int) -> None:
+    if n_images != n_labels:
+        raise IdxParseError(
+            f"count mismatch: image file declares {n_images} items,"
+            f" label file declares {n_labels}"
+        )
+
+
+def _num_classes(labels: np.ndarray) -> int:
+    return int(labels.max()) + 1 if labels.size else 0
 
 
 def file_digest(path: str) -> str:
@@ -118,16 +159,11 @@ def load_idx(images_path: str, labels_path: str, tag: str = "train") -> Dataset:
     """Load a paired image/label IDX file set under one split tag."""
     inputs = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
-    if inputs.shape[0] != labels.shape[0]:
-        raise IdxParseError(
-            f"count mismatch: image file declares {inputs.shape[0]} items,"
-            f" label file declares {labels.shape[0]}"
-        )
-    num_classes = int(labels.max()) + 1 if labels.size else 0
+    _check_counts(inputs.shape[0], labels.shape[0])
     return Dataset(
         inputs,
         labels,
-        num_classes,
+        _num_classes(labels),
         splits={tag: np.arange(inputs.shape[0])},
         source_digests={
             os.path.basename(images_path): file_digest(images_path),
@@ -183,25 +219,28 @@ def _resolve(data_dir: str, stem: str) -> str:
 
 
 def load_mnist_dir(data_dir: str) -> Dataset:
-    """Load the four standard MNIST IDX files into train + test tags."""
-    train = load_idx(
-        _resolve(data_dir, MNIST_FILES["train_images"]),
-        _resolve(data_dir, MNIST_FILES["train_labels"]),
-        tag="train",
-    )
-    test = load_idx(
-        _resolve(data_dir, MNIST_FILES["test_images"]),
-        _resolve(data_dir, MNIST_FILES["test_labels"]),
-        tag="test",
-    )
-    inputs = np.concatenate([train.inputs, test.inputs])
-    labels = np.concatenate([train.labels, test.labels])
-    splits = {
-        "train": np.arange(train.n),
-        "test": np.arange(train.n, train.n + test.n),
-    }
-    digests = {**train.source_digests, **test.source_digests}
-    return Dataset(inputs, labels, max(train.num_classes, test.num_classes), splits, digests)
+    """Load the four standard MNIST IDX files into train + test tags.
+
+    Both image files are scaled into one preallocated float64 array, so
+    the load holds that array and the uint8 payloads, and nothing more."""
+    paths = {key: _resolve(data_dir, stem) for key, stem in MNIST_FILES.items()}
+    train_px, test_px = (_read_pixels(paths[f"{tag}_images"]) for tag in ("train", "test"))
+    train_lab, test_lab = (load_idx_labels(paths[f"{tag}_labels"]) for tag in ("train", "test"))
+    _check_counts(train_px.shape[0], train_lab.shape[0])
+    _check_counts(test_px.shape[0], test_lab.shape[0])
+    if train_px.shape[1] != test_px.shape[1]:
+        raise IdxParseError(
+            f"width mismatch: train images have {train_px.shape[1]} pixels,"
+            f" test images {test_px.shape[1]}"
+        )
+    digests = {os.path.basename(p): file_digest(p) for p in paths.values()}
+    n_train = train_px.shape[0]
+    inputs = np.empty((n_train + test_px.shape[0], train_px.shape[1]))
+    np.divide(train_px, 255.0, out=inputs[:n_train])
+    np.divide(test_px, 255.0, out=inputs[n_train:])
+    labels = np.concatenate([train_lab, test_lab])
+    splits = {"train": np.arange(n_train), "test": np.arange(n_train, inputs.shape[0])}
+    return Dataset(inputs, labels, _num_classes(labels), splits, digests)
 
 
 def split_train_dev(dataset: Dataset, dev_size: int, seed: int) -> Dataset:

@@ -11,6 +11,10 @@ expectation-scaled deterministic pass.
 Randomness is split into named per-epoch streams (shuffling + mask draws
 for weight epochs, a separate stream for retention sweeps) so regimes that
 should coincide do so bit-for-bit under a shared seed.
+
+Minibatches are gathered straight from the dataset's inputs through the
+train split's row index, so the train split is never copied whole. A
+non-finite loss or parameter stops the run with NonFiniteError.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ log = logging.getLogger("dropcompact")
 REGIMES = ("plain", "dropout", "annealed", "compaction")
 HISTOGRAM_BINS = 20
 NO_SCORE = (math.nan, math.nan)  # (error, loss) of a split that is absent
+
+
+class NonFiniteError(FloatingPointError):
+    """A loss or parameter of a run stopped being finite; the message names
+    the epoch and the phase."""
 
 
 @dataclass
@@ -253,6 +262,16 @@ def initial_retention(params: MlpParams, cfg: TrainConfig) -> RetentionParams:
     return RetentionParams.constant(params, hidden, cfg.input_retention)
 
 
+def _minibatches(rows: np.ndarray, rng: Rng, size: int):
+    """The row indices of each minibatch of one shuffled pass over ``rows``.
+
+    The permutation is over ``rows.size`` and is drawn from ``rng`` when the
+    first batch is taken."""
+    order = rng.permutation(rows.size)
+    for start in range(0, rows.size, size):
+        yield rows[order[start : start + size]]
+
+
 def train_weights_epoch(
     params: MlpParams,
     pi: RetentionParams,
@@ -261,20 +280,23 @@ def train_weights_epoch(
     rng: Rng,
     velocity: Gradients | None = None,
     lr: float | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[MlpParams, float]:
-    """One shuffled pass of masked minibatch SGD; returns the mean loss."""
+    """One shuffled pass of masked minibatch SGD over ``rows`` of ``data``
+    (every row when None); returns the mean loss. Each minibatch is
+    gathered from ``data`` itself, so the rows are never copied as a whole."""
     x, y = data
-    t = y.shape[0]
+    if rows is None:
+        rows = np.arange(y.shape[0])
+    t = rows.size
     if t == 0:
         raise ValueError("empty training data")
     if velocity is None:
         velocity = Gradients.zeros_like(params)
     step_lr = cfg.lr if lr is None else lr
     scratch = Gradients.zeros_like(params)
-    order = rng.permutation(t)
     total = 0.0
-    for start in range(0, t, cfg.batch_size):
-        idx = order[start : start + cfg.batch_size]
+    for idx in _minibatches(rows, rng, cfg.batch_size):
         xb, yb = x[idx], y[idx]
         grads: Gradients | None = None
         for _ in range(cfg.samples_per_example):
@@ -338,6 +360,17 @@ def _prior_for(cfg: TrainConfig, train_size: int) -> PriorHyper:
     return hyper
 
 
+def _check_finite(epoch: int, phase: str, **values) -> None:
+    """Raise NonFiniteError unless every value (a float, or a list of
+    arrays) is finite."""
+    for name, value in values.items():
+        arrays = value if isinstance(value, list) else [value]
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise NonFiniteError(
+                f"non-finite {name.replace('_', ' ')} in epoch {epoch}, {phase} phase"
+            )
+
+
 def check_data_fits(dataset: Dataset, layer_dims) -> None:
     """Raise ValueError unless the data's width and classes fit layer_dims."""
     if dataset.dim != layer_dims[0]:
@@ -373,11 +406,13 @@ def run_training(
     pi.validate(params)
     velocity = Gradients.zeros_like(params)
 
-    x_train, y_train = dataset.arrays("train")
+    # minibatches are gathered from the full arrays through train_rows;
+    # the prior's scale and the sweep's permutation are over the train count
+    train_rows = dataset.splits["train"]
     dev = dataset.arrays("dev") if has_dev else None
     test = dataset.arrays("test") if dataset.count("test") > 0 else None
 
-    hyper = _prior_for(cfg, y_train.shape[0])
+    hyper = _prior_for(cfg, train_rows.size)
     rcfg = RetentionUpdateConfig(
         cfg.retention_lr, cfg.control_variate, cfg.importance_clamp
     )
@@ -397,11 +432,15 @@ def run_training(
         params, train_loss = train_weights_epoch(
             params,
             pi,
-            (x_train, y_train),
+            (dataset.inputs, dataset.labels),
             cfg,
             rng_stream(cfg.seed, "weights", epoch),
             velocity=velocity,
             lr=lr,
+            rows=train_rows,
+        )
+        _check_finite(
+            epoch, "weights", train_loss=train_loss, parameters=params.weights + params.biases
         )
 
         if cfg.regime == "compaction":
@@ -410,13 +449,10 @@ def run_training(
             if any(pi.active(layer).any() for layer in range(1, len(pi))):
                 stats = RetentionStats()
                 rng_r = rng_stream(cfg.seed, "retention", epoch)
-                order = rng_r.permutation(y_train.shape[0])
                 rb = cfg.retention_batch_size or cfg.batch_size
-                for start in range(0, order.size, rb):
-                    idx = order[start : start + rb]
-                    pi = retention_update(
-                        pi, params, (x_train[idx], y_train[idx]), hyper, rcfg, rng_r, stats
-                    )
+                for idx in _minibatches(train_rows, rng_r, rb):
+                    batch = (dataset.inputs[idx], dataset.labels[idx])
+                    pi = retention_update(pi, params, batch, hyper, rcfg, rng_r, stats)
                 if stats.clamped:
                     log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
 
@@ -430,8 +466,16 @@ def run_training(
                 )
                 log.info("epoch %d: pruned to %s", epoch, report.summary())
 
+        _check_finite(epoch, "retention", retention=pi.layers)
+
         dev_err, dev_loss = evaluate(params, pi, dev) if dev else NO_SCORE
         test_err, test_loss = evaluate(params, pi, test) if test else NO_SCORE
+        _check_finite(  # the NaN score of an absent split is no failure
+            epoch,
+            "evaluation",
+            dev_loss=dev_loss if dev else 0.0,
+            test_loss=test_loss if test else 0.0,
+        )
         reports.append(
             EpochReport(
                 epoch=epoch,

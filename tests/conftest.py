@@ -7,7 +7,10 @@ frozen copy of an older, simpler retention update that the package's
 version must match bit for bit.
 """
 
+import gzip
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -177,6 +180,33 @@ def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats=None):
         delta = delta + payoff @ score
         new_layers[layer] = np.clip(p + cfg.learning_rate * delta, 0.0, 1.0)
     return RetentionParams(new_layers)
+
+
+# ---------------------------------------------------------------------------
+# IDX loading as it was before the loader scaled into one preallocated array
+# ---------------------------------------------------------------------------
+
+def _idx_payload(path, header_size):
+    opener = gzip.open if path.endswith(".gz") else open
+    with opener(path, "rb") as f:
+        blob = f.read()
+    return blob[:header_size], np.frombuffer(blob[header_size:], dtype=np.uint8)
+
+
+def load_mnist_dir_oracle(data_dir):
+    """(inputs, labels) of the four MNIST files of data_dir: each image
+    file as astype(float64) / 255.0, train and test then concatenated."""
+    def path(stem):
+        plain = os.path.join(data_dir, stem)
+        return plain if os.path.exists(plain) else plain + ".gz"
+
+    inputs, labels = [], []
+    for prefix in ("train", "t10k"):
+        header, pixels = _idx_payload(path(f"{prefix}-images-idx3-ubyte"), 16)
+        _, n, rows, cols = struct.unpack(">IIII", header)
+        inputs.append(pixels.reshape(n, rows * cols).astype(np.float64) / 255.0)
+        labels.append(_idx_payload(path(f"{prefix}-labels-idx1-ubyte"), 8)[1].astype(np.int64))
+    return np.concatenate(inputs), np.concatenate(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import os
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,38 @@ class TestReport:
         with open(bad, "w", newline="") as f:
             csv.writer(f).writerow(["run", "loss"])
         assert main(["report", str(bad)]) == 3
+
+
+class TestNumericFailure:
+    @pytest.fixture(scope="class")
+    def teacher_dir(self, small_teacher_ds, tmp_path_factory):
+        """small_teacher_ds as MNIST files: train and dev rows as the train
+        file, test rows as the t10k file."""
+        root = tmp_path_factory.mktemp("teacher_idx")
+        ds = small_teacher_ds
+        imgs = quantize_pixels(ds.inputs).reshape(-1, 8, 8)
+        for prefix, rows in (
+            ("train", np.sort(np.concatenate([ds.splits["train"], ds.splits["dev"]]))),
+            ("t10k", ds.splits["test"]),
+        ):
+            write_idx_images(str(root / f"{prefix}-images-idx3-ubyte"), imgs[rows])
+            write_idx_labels(str(root / f"{prefix}-labels-idx1-ubyte"), ds.labels[rows])
+        return str(root)
+
+    def test_divergent_run_exits_5_without_checkpoint(self, teacher_dir, tmp_path, capsys):
+        # lr 1e3 with L2 drives the parameters to NaN within epoch 0; every
+        # numpy warning on the way raises here, so none may reach stderr
+        cfg = write_config(tmp_path / "diverge.ini", layer_dims="64,20,20,10", lr=1e3,
+                           l2=1e-4, dev_size=600)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--config", cfg, "--data-dir", teacher_dir, "--out", str(out)])
+        assert code == 5
+        assert not list(out.glob("*.dckp"))
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("numeric error: non-finite") and "epoch 0" in lines[0]
 
 
 class TestGoldenMetricsBytes:

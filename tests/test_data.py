@@ -1,11 +1,20 @@
+import contextlib
+import io
 import struct
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import synth_blobs
+from conftest import load_mnist_dir_oracle, synth_blobs
+from dropcompact.checkpoint import Checkpoint, save_checkpoint
+from dropcompact.cli import main
 from dropcompact.data import (
+    Dataset,
     IdxParseError,
     load_idx,
     load_idx_images,
@@ -17,6 +26,17 @@ from dropcompact.data import (
     write_idx_labels,
 )
 from dropcompact.linalg import rng_stream
+from dropcompact.network import init_mlp
+from dropcompact.retention import RetentionParams
+
+
+def write_mnist_dir(root, n_train, n_test, side, seed, suffix="", test_side=None):
+    """The four MNIST files of random side x side images and labels 0-9."""
+    rng = rng_stream(seed, "mnist-dir")
+    for prefix, n, s in (("train", n_train, side), ("t10k", n_test, test_side or side)):
+        imgs = rng.integers(0, 256, size=(n, s, s), dtype=np.uint8)
+        write_idx_images(str(root / f"{prefix}-images-idx3-ubyte{suffix}"), imgs)
+        write_idx_labels(str(root / f"{prefix}-labels-idx1-ubyte{suffix}"), rng.integers(0, 10, n))
 
 
 @pytest.fixture
@@ -64,6 +84,16 @@ class TestIdxRoundTrip:
         with pytest.raises(IdxParseError, match="offset 16"):
             load_idx_images(str(p))
 
+    def test_oversized_header_is_truncation(self, tmp_path):
+        # 1.5 TiB declared over a 24-byte payload fails as truncated,
+        # without allocating what the header declares
+        p = tmp_path / "huge"
+        with open(p, "wb") as f:
+            f.write(struct.pack(">IIII", 0x803, 6, 1 << 16, 1 << 22))
+            f.write(b"\x00" * 24)
+        with pytest.raises(IdxParseError, match="wanted 1649267441664 bytes, got 24"):
+            load_idx_images(str(p))
+
     def test_count_mismatch_rejected(self, idx_pair, tmp_path):
         ip, _, _, _ = idx_pair
         lp2 = tmp_path / "short_labels"
@@ -84,12 +114,7 @@ class TestIdxRoundTrip:
 
 class TestMnistDir:
     def test_loads_four_files_with_tags(self, tmp_path):
-        rng = rng_stream(2, "md")
-        for stem, n in (("train", 30), ("t10k", 12)):
-            imgs = rng.integers(0, 256, size=(n, 3, 3), dtype=np.uint8)
-            labs = rng.integers(0, 10, size=n).astype(np.uint8)
-            write_idx_images(str(tmp_path / f"{stem}-images-idx3-ubyte"), imgs)
-            write_idx_labels(str(tmp_path / f"{stem}-labels-idx1-ubyte"), labs)
+        write_mnist_dir(tmp_path, 30, 12, side=3, seed=2)
         ds = load_mnist_dir(str(tmp_path))
         assert ds.count("train") == 30 and ds.count("test") == 12
         assert len(ds.source_digests) == 4
@@ -97,6 +122,128 @@ class TestMnistDir:
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="train-images"):
             load_mnist_dir(str(tmp_path))
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["plain", "gz"])
+    def test_inputs_byte_equal_to_oracle(self, tmp_path, suffix):
+        write_mnist_dir(tmp_path, 30, 12, side=3, seed=4, suffix=suffix)
+        ds = load_mnist_dir(str(tmp_path))
+        inputs, labels = load_mnist_dir_oracle(str(tmp_path))
+        assert ds.inputs.dtype == inputs.dtype and ds.inputs.shape == inputs.shape
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert np.array_equal(ds.labels, labels) and ds.labels.dtype == labels.dtype
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["plain", "gz"])
+    def test_peak_memory_is_one_float_copy(self, tmp_path, suffix):
+        # the float64 inputs plus the uint8 payloads (an eighth of them);
+        # a second float64 copy held at any moment exceeds the bound
+        write_mnist_dir(tmp_path, 2000, 500, side=28, seed=5, suffix=suffix)
+        tracemalloc.start()
+        try:
+            ds = load_mnist_dir(str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * ds.inputs.nbytes, (peak, ds.inputs.nbytes)
+
+    def test_width_mismatch_rejected(self, tmp_path):
+        write_mnist_dir(tmp_path, 5, 4, side=3, seed=6, test_side=4)
+        with pytest.raises(IdxParseError, match="width mismatch"):
+            load_mnist_dir(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def tiny_mnist(tmp_path_factory):
+    """The bytes of four tiny MNIST files (6 train, 3 test 2x2 images) by name,
+    and a checkpoint that fits them."""
+    root = tmp_path_factory.mktemp("tiny_mnist")
+    write_mnist_dir(root, 6, 3, side=2, seed=7)
+    files = {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+    params = init_mlp((4, 3, 10), "relu", seed=1)
+    ckpt = str(root / "tiny.dckp")
+    save_checkpoint(ckpt, Checkpoint(
+        params=params, pi=RetentionParams.constant(params, 1.0), config={"dev_size": 0},
+        seed=1, epoch=0))
+    return files, ckpt
+
+
+@contextlib.contextmanager
+def mnist_dir_with(files, name, blob):
+    """A directory holding the files, with the one called name replaced by blob."""
+    with tempfile.TemporaryDirectory() as d:
+        for n, b in files.items():
+            Path(d, n).write_bytes(blob if n == name else b)
+        yield d
+
+
+def load_or_none(files, name, blob):
+    """load_mnist_dir of the files with one replaced; None on IdxParseError.
+    Any other exception fails the calling test."""
+    with mnist_dir_with(files, name, blob) as d:
+        try:
+            return load_mnist_dir(d)
+        except IdxParseError:
+            return None
+
+
+FILE_NAMES = sorted(f"{p}-{k}-idx{i}-ubyte" for p in ("train", "t10k")
+                    for k, i in (("images", 3), ("labels", 1)))
+
+
+class TestIdxFuzz:
+    """Damaged IDX files give IdxParseError (exit 3 through main) and
+    nothing else: no other exception, no allocation of what a damaged
+    header declares."""
+
+    def test_every_truncation_rejected(self, tiny_mnist):
+        files, _ = tiny_mnist
+        for name, blob in files.items():
+            for cut in range(len(blob)):
+                assert load_or_none(files, name, blob[:cut]) is None, (name, cut)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(FILE_NAMES), offset=st.integers(0, 15),
+           flip=st.integers(1, 255))
+    def test_header_byte_flip(self, tiny_mnist, name, offset, flip):
+        files, _ = tiny_mnist
+        blob = bytearray(files[name])
+        blob[offset % (16 if "images" in name else 8)] ^= flip
+        ds = load_or_none(files, name, bytes(blob))
+        if ds is not None:
+            assert ds.count("train") + ds.count("test") == ds.n == ds.labels.size
+            assert 0.0 <= ds.inputs.min() and ds.inputs.max() <= 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(FILE_NAMES), cut=st.integers(0, 39))
+    def test_truncated_file_eval_exits_3(self, tiny_mnist, name, cut):
+        files, ckpt = tiny_mnist
+        err = io.StringIO()
+        with mnist_dir_with(files, name, files[name][: cut % len(files[name])]) as d, \
+                contextlib.redirect_stderr(err):
+            code = main(["eval", "--checkpoint", ckpt, "--data-dir", d])
+        lines = err.getvalue().strip().splitlines()
+        assert code == 3 and len(lines) == 1 and lines[0].startswith("data error: "), lines
+
+
+class TestDatasetArrays:
+    DS = synth_blobs(20, 2, 3, separation=1.0, seed=0)  # 40 rows
+
+    def test_contiguous_split_is_a_view(self):
+        ds = Dataset(self.DS.inputs, self.DS.labels, 2, splits={"test": np.arange(25, 40)})
+        x, y = ds.arrays("test")
+        assert np.shares_memory(x, ds.inputs) and np.shares_memory(y, ds.labels)
+        assert np.array_equal(x, ds.inputs[25:]) and np.array_equal(y, ds.labels[25:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.one_of(
+        st.lists(st.integers(0, 39), max_size=50),
+        st.integers(0, 40).flatmap(lambda a: st.integers(a, 40).map(lambda b: list(range(a, b)))),
+    ))
+    def test_equals_fancy_indexing(self, rows):
+        idx = np.array(rows, dtype=np.int64)
+        ds = Dataset(self.DS.inputs, self.DS.labels, 2, splits={"s": idx})
+        x, y = ds.arrays("s")
+        assert x.shape == (idx.size, 3) and y.shape == (idx.size,)
+        assert np.array_equal(x, ds.inputs[idx]) and np.array_equal(y, ds.labels[idx])
 
 
 class TestSplit:

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import synth_blobs
 from dropcompact import trainer
+from dropcompact.data import split_train_dev
 from dropcompact.linalg import rng_stream
 from dropcompact.network import Gradients, MlpParams, init_mlp
 from dropcompact.retention import RetentionParams
 from dropcompact.trainer import (
+    NonFiniteError,
     TrainConfig,
     anneal_retention,
     evaluate,
@@ -240,6 +244,34 @@ class TestRunTraining:
         dev_errs = [r.dev_err for r in res.reports]
         assert res.best_epoch == int(np.argmin(dev_errs))
         assert res.best is res.reports[res.best_epoch]
+
+    def test_train_split_is_never_copied(self):
+        # 19000 x 64 train rows (9.7 MB) against a 64-16-10 net: an epoch
+        # that gathers its minibatches holds far less than the train split
+        ds = split_train_dev(synth_blobs(2000, 10, 64, separation=3.0, seed=10), 1000, seed=10)
+        cfg = TrainConfig(
+            regime="compaction", layer_dims=(64, 16, 10), epochs=1, batch_size=128,
+            lr=0.01, seed=10, dev_size=1000, retention_lr=1e-4,
+        )
+        train_bytes = ds.count("train") * ds.dim * ds.inputs.itemsize
+        tracemalloc.start()
+        try:
+            run_training(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * train_bytes, (peak, train_bytes)
+
+    @pytest.mark.parametrize("regime", ["plain", "compaction"])
+    def test_non_finite_loss_stops_run(self, small_teacher_ds, regime):
+        # lr 1e3 with L2 drives the parameters to NaN within epoch 0
+        cfg = TrainConfig(
+            regime=regime, layer_dims=(64, 20, 20, 10), epochs=3, batch_size=64,
+            lr=1e3, l2=1e-4, seed=5, dev_size=600,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="non-finite train loss in epoch 0, weights"):
+                run_training(small_teacher_ds, cfg)
 
     def test_histogram_sums_to_maskable_units(self, small_teacher_ds):
         cfg = TrainConfig(
