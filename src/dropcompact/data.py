@@ -6,13 +6,15 @@ errors name the offending field and byte offset. Payloads are read in
 bounded chunks, so a header that declares more bytes than its file holds
 fails as truncated without allocating what it declares.
 
-Pixels are scaled to [0, 1] by 1/255 and kept as float64, in one copy:
-``load_mnist_dir`` divides the uint8 payloads of both image files
-straight into one preallocated (N_train + N_test, D) array. A split of a
-Dataset is a row index into that array; ``Dataset.arrays`` returns views
-for a split whose rows are one ascending run (the test split), and the
-trainer gathers its minibatches from the full array, so no split is
-copied whole.
+Pixels stay uint8, as the files hold them: ``load_mnist_dir`` reads the
+payloads of both image files into one buffer, which becomes the dataset's
+``features`` without a copy. ``as_float`` is the one conversion rule: it
+scales uint8 rows by 1/255 into float64 and passes float rows through, and
+the trainer applies it only to the rows it has just gathered (a minibatch,
+or a chunk of an evaluated split). A split of a Dataset is a row index into
+``features``; ``Dataset.arrays`` returns raw rows, as views for a split whose
+rows are one ascending run (the test split), so no split is copied whole or
+held as float64.
 """
 
 from __future__ import annotations
@@ -36,11 +38,23 @@ class IdxParseError(ValueError):
     """IDX container violated the format; message carries field and offset."""
 
 
+def as_float(x: np.ndarray) -> np.ndarray:
+    """Rows of a Dataset's features as float64 network inputs: uint8 pixels
+    divided by 255 (a new array), float rows as they are (no copy)."""
+    return x / 255.0 if x.dtype == np.uint8 else x
+
+
 @dataclass
 class Dataset:
-    """Flat feature matrix plus labels, partitioned by split tags."""
+    """Feature matrix plus labels, partitioned by split tags.
 
-    inputs: np.ndarray  # (N, D) float64
+    ``features`` holds uint8 pixels (as loaded from IDX files) or float64
+    values (generated data); ``inputs`` is every row through ``as_float``.
+    For pixels that builds a new float64 array eight times the size, so
+    training and evaluation gather rows from ``features`` instead and
+    convert only those."""
+
+    features: np.ndarray  # (N, D) uint8 pixels or float64
     labels: np.ndarray  # (N,) int64
     num_classes: int
     splits: dict[str, np.ndarray] = field(default_factory=dict)
@@ -48,22 +62,27 @@ class Dataset:
 
     def __post_init__(self):
         if not self.splits:
-            self.splits = {"train": np.arange(self.inputs.shape[0])}
+            self.splits = {"train": np.arange(self.features.shape[0])}
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """Every row through ``as_float``; the package itself never reads it."""
+        return as_float(self.features)
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        return self.features.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.inputs.shape[1]
+        return self.features.shape[1]
 
     def arrays(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
-        """The split's inputs and labels: views of the dataset's arrays when
-        its rows are one ascending run, gathered copies otherwise."""
+        """The split's raw features and labels: views of the dataset's arrays
+        when its rows are one ascending run, gathered copies otherwise."""
         idx = self.splits[tag]
         rows = slice(idx[0], idx[-1] + 1) if idx.size and (np.diff(idx) == 1).all() else idx
-        return self.inputs[rows], self.labels[rows]
+        return self.features[rows], self.labels[rows]
 
     def count(self, tag: str) -> int:
         return int(self.splits[tag].size) if tag in self.splits else 0
@@ -85,41 +104,51 @@ def _read_exact(f, n: int, what: str, offset: int) -> bytes:
     return data
 
 
-def _read_payload(f, n: int, what: str, offset: int) -> np.ndarray:
-    """The n payload bytes after a header, as uint8, then check the file ends.
+def _read_payload(f, n: int, what: str, offset: int, buf: bytearray) -> bytearray:
+    """Append the n payload bytes after a header to buf, then check the file ends.
 
     Read in chunks of at most READ_CHUNK bytes, so what is allocated never
     exceeds what the file holds."""
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = f.read(min(n - len(buf), READ_CHUNK))
+    start = len(buf)
+    while len(buf) - start < n:
+        chunk = f.read(min(n - (len(buf) - start), READ_CHUNK))
         if not chunk:
             raise IdxParseError(
                 f"truncated file while reading {what} at byte offset {offset}:"
-                f" wanted {n} bytes, got {len(buf)}"
+                f" wanted {n} bytes, got {len(buf) - start}"
             )
         buf += chunk
     if f.read(1):
         raise IdxParseError(f"trailing bytes after {what} at offset {offset + n}")
-    return np.frombuffer(buf, dtype=np.uint8)
+    return buf
 
 
-def _read_pixels(path: str) -> np.ndarray:
-    """The uint8 pixels of an IDX image file, shaped (N, rows*cols)."""
-    with _open_maybe_gzip(path) as f:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header", 0))
-        if magic != IMAGE_MAGIC:
-            raise IdxParseError(
-                f"magic mismatch at byte offset 0: got 0x{magic:08x},"
-                f" expected 0x{IMAGE_MAGIC:08x} for images"
-            )
-        pixels = _read_payload(f, n * rows * cols, "pixel data", 16)
-    return pixels.reshape(n, rows * cols)
+def _read_images(paths: dict[str, str]) -> tuple[np.ndarray, list[int]]:
+    """The uint8 pixels of IDX image files (by split tag), stacked in file
+    order as one (N, rows*cols) array, and each file's image count.
 
-
-def load_idx_images(path: str) -> np.ndarray:
-    """Read an IDX image file into a (N, rows*cols) float64 array in [0, 1]."""
-    return _read_pixels(path) / 255.0
+    Every payload is read into one buffer, which the array wraps without a
+    copy. Each header's width is checked against the first's before its
+    payload is read."""
+    buf, counts, width, first = bytearray(), [], 0, ""
+    for tag, path in paths.items():
+        with _open_maybe_gzip(path) as f:
+            magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header", 0))
+            if magic != IMAGE_MAGIC:
+                raise IdxParseError(
+                    f"magic mismatch at byte offset 0: got 0x{magic:08x},"
+                    f" expected 0x{IMAGE_MAGIC:08x} for images"
+                )
+            if not counts:
+                width, first = rows * cols, tag
+            elif rows * cols != width:
+                raise IdxParseError(
+                    f"width mismatch: {first} images have {width} pixels,"
+                    f" {tag} images {rows * cols}"
+                )
+            _read_payload(f, n * width, "pixel data", 16, buf)
+        counts.append(n)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(sum(counts), width), counts
 
 
 def load_idx_labels(path: str) -> np.ndarray:
@@ -131,7 +160,8 @@ def load_idx_labels(path: str) -> np.ndarray:
                 f"magic mismatch at byte offset 0: got 0x{magic:08x},"
                 f" expected 0x{LABEL_MAGIC:08x} for labels"
             )
-        return _read_payload(f, n, "label data", 8).astype(np.int64)
+        labels = _read_payload(f, n, "label data", 8, bytearray())
+    return np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
 
 
 def _check_counts(n_images: int, n_labels: int) -> None:
@@ -157,14 +187,14 @@ def file_digest(path: str) -> str:
 
 def load_idx(images_path: str, labels_path: str, tag: str = "train") -> Dataset:
     """Load a paired image/label IDX file set under one split tag."""
-    inputs = load_idx_images(images_path)
+    features, _ = _read_images({tag: images_path})
     labels = load_idx_labels(labels_path)
-    _check_counts(inputs.shape[0], labels.shape[0])
+    _check_counts(features.shape[0], labels.shape[0])
     return Dataset(
-        inputs,
+        features,
         labels,
         _num_classes(labels),
-        splits={tag: np.arange(inputs.shape[0])},
+        splits={tag: np.arange(features.shape[0])},
         source_digests={
             os.path.basename(images_path): file_digest(images_path),
             os.path.basename(labels_path): file_digest(labels_path),
@@ -221,26 +251,20 @@ def _resolve(data_dir: str, stem: str) -> str:
 def load_mnist_dir(data_dir: str) -> Dataset:
     """Load the four standard MNIST IDX files into train + test tags.
 
-    Both image files are scaled into one preallocated float64 array, so
-    the load holds that array and the uint8 payloads, and nothing more."""
+    Both image payloads are read into one uint8 buffer that becomes the
+    dataset's features, so the load holds the file bytes once."""
     paths = {key: _resolve(data_dir, stem) for key, stem in MNIST_FILES.items()}
-    train_px, test_px = (_read_pixels(paths[f"{tag}_images"]) for tag in ("train", "test"))
-    train_lab, test_lab = (load_idx_labels(paths[f"{tag}_labels"]) for tag in ("train", "test"))
-    _check_counts(train_px.shape[0], train_lab.shape[0])
-    _check_counts(test_px.shape[0], test_lab.shape[0])
-    if train_px.shape[1] != test_px.shape[1]:
-        raise IdxParseError(
-            f"width mismatch: train images have {train_px.shape[1]} pixels,"
-            f" test images {test_px.shape[1]}"
-        )
+    # digests first, so their read buffers are freed before the pixels arrive
     digests = {os.path.basename(p): file_digest(p) for p in paths.values()}
-    n_train = train_px.shape[0]
-    inputs = np.empty((n_train + test_px.shape[0], train_px.shape[1]))
-    np.divide(train_px, 255.0, out=inputs[:n_train])
-    np.divide(test_px, 255.0, out=inputs[n_train:])
+    features, (n_train, n_test) = _read_images(
+        {tag: paths[f"{tag}_images"] for tag in ("train", "test")}
+    )
+    train_lab, test_lab = (load_idx_labels(paths[f"{tag}_labels"]) for tag in ("train", "test"))
+    _check_counts(n_train, train_lab.shape[0])
+    _check_counts(n_test, test_lab.shape[0])
     labels = np.concatenate([train_lab, test_lab])
-    splits = {"train": np.arange(n_train), "test": np.arange(n_train, inputs.shape[0])}
-    return Dataset(inputs, labels, _num_classes(labels), splits, digests)
+    splits = {"train": np.arange(n_train), "test": np.arange(n_train, n_train + n_test)}
+    return Dataset(features, labels, _num_classes(labels), splits, digests)
 
 
 def split_train_dev(dataset: Dataset, dev_size: int, seed: int) -> Dataset:
@@ -254,5 +278,5 @@ def split_train_dev(dataset: Dataset, dev_size: int, seed: int) -> Dataset:
     splits["dev"] = np.sort(shuffled[:dev_size])
     splits["train"] = np.sort(shuffled[dev_size:])
     return Dataset(
-        dataset.inputs, dataset.labels, dataset.num_classes, splits, dataset.source_digests
+        dataset.features, dataset.labels, dataset.num_classes, splits, dataset.source_digests
     )

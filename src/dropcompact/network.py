@@ -179,7 +179,10 @@ def backward_batch(params: MlpParams, x, ks, gates) -> tuple[np.ndarray, Gradien
         raise ValueError("class index out of range")
     losses = -log_softmax_pick(trace.logits, ks)
 
-    grads = Gradients.zeros_like(params)
+    # every entry is overwritten by np.dot(out=) or sum(out=) below
+    grads = Gradients(
+        [np.empty(w.shape) for w in params.weights], [np.empty(b.shape) for b in params.biases]
+    )
     delta = trace.probs
     delta[np.arange(b), ks] -= 1.0
     n = params.n_layers

@@ -12,9 +12,11 @@ Randomness is split into named per-epoch streams (shuffling + mask draws
 for weight epochs, a separate stream for retention sweeps) so regimes that
 should coincide do so bit-for-bit under a shared seed.
 
-Minibatches are gathered straight from the dataset's inputs through the
-train split's row index, so the train split is never copied whole. A
-non-finite loss or parameter stops the run with NonFiniteError.
+Minibatches are gathered straight from the dataset's features through the
+train split's row index, so the train split is never copied whole; each
+gathered minibatch, and each chunk of an evaluated split, is turned into
+float64 by ``data.as_float`` only then. A non-finite loss or parameter
+stops the run with NonFiniteError.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .compaction import count_weights, prune_units, slice_units
-from .data import Dataset
+from .data import Dataset, as_float
 from .linalg import Rng, rng_stream
 from .network import (
     Gradients,
@@ -284,7 +286,8 @@ def train_weights_epoch(
 ) -> tuple[MlpParams, float]:
     """One shuffled pass of masked minibatch SGD over ``rows`` of ``data``
     (every row when None); returns the mean loss. Each minibatch is
-    gathered from ``data`` itself, so the rows are never copied as a whole."""
+    gathered from ``data`` itself, so the rows are never copied as a whole,
+    and goes through ``as_float`` after the gather."""
     x, y = data
     if rows is None:
         rows = np.arange(y.shape[0])
@@ -297,7 +300,7 @@ def train_weights_epoch(
     scratch = Gradients.zeros_like(params)
     total = 0.0
     for idx in _minibatches(rows, rng, cfg.batch_size):
-        xb, yb = x[idx], y[idx]
+        xb, yb = as_float(x[idx]), y[idx]
         grads: Gradients | None = None
         for _ in range(cfg.samples_per_example):
             gates = sample_mask_block(pi, idx.size, rng)
@@ -319,7 +322,10 @@ def evaluate(
     split: tuple[np.ndarray, np.ndarray],
     batch_size: int = 1024,
 ) -> tuple[float, float]:
-    """(error rate %, mean cross-entropy) under the expectation-scaled pass."""
+    """(error rate %, mean cross-entropy) under the expectation-scaled pass.
+
+    The split's rows may be raw dataset features: each chunk goes through
+    ``as_float`` as it is evaluated."""
     x, y = split
     if y.shape[0] == 0:
         raise ValueError("empty evaluation split")
@@ -327,10 +333,12 @@ def evaluate(
     wrong = 0
     loss_sum = 0.0
     for start in range(0, y.shape[0], batch_size):
-        xb, yb = x[start : start + batch_size], y[start : start + batch_size]
-        trace = forward_batch(params, xb, gates)
-        wrong += int((trace.logits.argmax(axis=1) != yb).sum())
-        loss_sum += float(-log_softmax_pick(trace.logits, yb).sum())
+        # only the logits outlive the pass, so no chunk's inputs or trace
+        # are still held while the next chunk is converted
+        logits = forward_batch(params, as_float(x[start : start + batch_size]), gates).logits
+        yb = y[start : start + batch_size]
+        wrong += int((logits.argmax(axis=1) != yb).sum())
+        loss_sum += float(-log_softmax_pick(logits, yb).sum())
     n = y.shape[0]
     return 100.0 * wrong / n, loss_sum / n
 
@@ -358,6 +366,11 @@ def _prior_for(cfg: TrainConfig, train_size: int) -> PriorHyper:
     hyper = PriorHyper(cfg.prior_alpha, cfg.prior_beta, gamma)
     hyper.validate()
     return hyper
+
+
+def _any_active(pi: RetentionParams) -> bool:
+    """Whether any hidden unit's retention is still inside (eps, 1 - eps)."""
+    return any(pi.active(layer).any() for layer in range(1, len(pi)))
 
 
 def _check_finite(epoch: int, phase: str, **values) -> None:
@@ -406,7 +419,7 @@ def run_training(
     pi.validate(params)
     velocity = Gradients.zeros_like(params)
 
-    # minibatches are gathered from the full arrays through train_rows;
+    # minibatches are gathered from the full features through train_rows;
     # the prior's scale and the sweep's permutation are over the train count
     train_rows = dataset.splits["train"]
     dev = dataset.arrays("dev") if has_dev else None
@@ -432,7 +445,7 @@ def run_training(
         params, train_loss = train_weights_epoch(
             params,
             pi,
-            (dataset.inputs, dataset.labels),
+            (dataset.features, dataset.labels),
             cfg,
             rng_stream(cfg.seed, "weights", epoch),
             velocity=velocity,
@@ -445,14 +458,17 @@ def run_training(
 
         if cfg.regime == "compaction":
             # With every hidden unit frozen each update is p + lr * 0 == p,
-            # and the sweep's stream feeds nothing else: skip the sweep.
-            if any(pi.active(layer).any() for layer in range(1, len(pi))):
+            # and the sweep's stream feeds nothing else: skip the sweep, and
+            # end it after the batch that freezes the last unit.
+            if _any_active(pi):
                 stats = RetentionStats()
                 rng_r = rng_stream(cfg.seed, "retention", epoch)
                 rb = cfg.retention_batch_size or cfg.batch_size
                 for idx in _minibatches(train_rows, rng_r, rb):
-                    batch = (dataset.inputs[idx], dataset.labels[idx])
+                    batch = (as_float(dataset.features[idx]), dataset.labels[idx])
                     pi = retention_update(pi, params, batch, hyper, rcfg, rng_r, stats)
+                    if not _any_active(pi):
+                        break
                 if stats.clamped:
                     log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
 

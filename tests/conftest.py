@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dropcompact import kernels
-from dropcompact.data import Dataset, split_train_dev
+from dropcompact.data import Dataset, split_train_dev, write_idx_images, write_idx_labels
 from dropcompact.linalg import bernoulli_matrix, rng_stream
 from dropcompact.network import MlpParams, forward_batch, init_mlp
 from dropcompact.retention import (
@@ -183,8 +183,18 @@ def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats=None):
 
 
 # ---------------------------------------------------------------------------
-# IDX loading as it was before the loader scaled into one preallocated array
+# IDX files: random MNIST directories, and a float64 loader (astype / 255,
+# then concatenate) that the package's scaled pixels must match bit for bit
 # ---------------------------------------------------------------------------
+
+def write_mnist_dir(root, n_train, n_test, side, seed, suffix="", test_side=None):
+    """The four MNIST files of random side x side images and labels 0-9."""
+    rng = rng_stream(seed, "mnist-dir")
+    for prefix, n, s in (("train", n_train, side), ("t10k", n_test, test_side or side)):
+        imgs = rng.integers(0, 256, size=(n, s, s), dtype=np.uint8)
+        write_idx_images(str(root / f"{prefix}-images-idx3-ubyte{suffix}"), imgs)
+        write_idx_labels(str(root / f"{prefix}-labels-idx1-ubyte{suffix}"), rng.integers(0, 10, n))
+
 
 def _idx_payload(path, header_size):
     opener = gzip.open if path.endswith(".gz") else open

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_mnist_dir_oracle, synth_blobs
+from conftest import load_mnist_dir_oracle, synth_blobs, write_mnist_dir
 from dropcompact.checkpoint import Checkpoint, save_checkpoint
 from dropcompact.cli import main
 from dropcompact.data import (
     Dataset,
     IdxParseError,
     load_idx,
-    load_idx_images,
     load_idx_labels,
     load_mnist_dir,
     quantize_pixels,
@@ -28,15 +27,6 @@ from dropcompact.data import (
 from dropcompact.linalg import rng_stream
 from dropcompact.network import init_mlp
 from dropcompact.retention import RetentionParams
-
-
-def write_mnist_dir(root, n_train, n_test, side, seed, suffix="", test_side=None):
-    """The four MNIST files of random side x side images and labels 0-9."""
-    rng = rng_stream(seed, "mnist-dir")
-    for prefix, n, s in (("train", n_train, side), ("t10k", n_test, test_side or side)):
-        imgs = rng.integers(0, 256, size=(n, s, s), dtype=np.uint8)
-        write_idx_images(str(root / f"{prefix}-images-idx3-ubyte{suffix}"), imgs)
-        write_idx_labels(str(root / f"{prefix}-labels-idx1-ubyte{suffix}"), rng.integers(0, 10, n))
 
 
 @pytest.fixture
@@ -64,35 +54,41 @@ class TestIdxRoundTrip:
 
     def test_gzip_suffix_roundtrip(self, tmp_path):
         images = rng_stream(1, "g").integers(0, 256, size=(7, 4, 4), dtype=np.uint8)
-        p = tmp_path / "imgs.gz"
+        p, lp = tmp_path / "imgs.gz", tmp_path / "labs.gz"
         write_idx_images(str(p), images)
-        loaded = load_idx_images(str(p))
-        assert np.array_equal(quantize_pixels(loaded).reshape(7, 4, 4), images)
+        write_idx_labels(str(lp), np.arange(7))
+        loaded = load_idx(str(p), str(lp))
+        assert np.array_equal(quantize_pixels(loaded.inputs).reshape(7, 4, 4), images)
 
     def test_magic_mismatch_names_field(self, idx_pair):
         ip, lp, _, _ = idx_pair
         with pytest.raises(IdxParseError, match="magic mismatch"):
-            load_idx_images(lp)  # label magic in image position
+            load_idx(lp, lp)  # label magic in image position
         with pytest.raises(IdxParseError, match="magic mismatch"):
             load_idx_labels(ip)
 
-    def test_truncated_file_names_offset(self, tmp_path):
+    # the image file is parsed before the label file, so each damaged image
+    # file below is paired with a valid label file
+
+    def test_truncated_file_names_offset(self, idx_pair, tmp_path):
+        _, lp, _, _ = idx_pair
         p = tmp_path / "trunc"
         with open(p, "wb") as f:
             f.write(struct.pack(">IIII", 0x803, 10, 5, 5))
             f.write(b"\x00" * 30)  # should be 250 bytes
         with pytest.raises(IdxParseError, match="offset 16"):
-            load_idx_images(str(p))
+            load_idx(str(p), lp)
 
-    def test_oversized_header_is_truncation(self, tmp_path):
+    def test_oversized_header_is_truncation(self, idx_pair, tmp_path):
         # 1.5 TiB declared over a 24-byte payload fails as truncated,
         # without allocating what the header declares
+        _, lp, _, _ = idx_pair
         p = tmp_path / "huge"
         with open(p, "wb") as f:
             f.write(struct.pack(">IIII", 0x803, 6, 1 << 16, 1 << 22))
             f.write(b"\x00" * 24)
         with pytest.raises(IdxParseError, match="wanted 1649267441664 bytes, got 24"):
-            load_idx_images(str(p))
+            load_idx(str(p), lp)
 
     def test_count_mismatch_rejected(self, idx_pair, tmp_path):
         ip, _, _, _ = idx_pair
@@ -102,14 +98,14 @@ class TestIdxRoundTrip:
             load_idx(ip, str(lp2))
 
     def test_trailing_bytes_rejected(self, idx_pair, tmp_path):
-        ip, _, images, _ = idx_pair
+        ip, lp, images, _ = idx_pair
         p = tmp_path / "padded"
         with open(ip, "rb") as f:
             blob = f.read()
         with open(p, "wb") as f:
             f.write(blob + b"\x00")
         with pytest.raises(IdxParseError, match="trailing"):
-            load_idx_images(str(p))
+            load_idx(str(p), lp)
 
 
 class TestMnistDir:
@@ -134,16 +130,20 @@ class TestMnistDir:
 
     @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["plain", "gz"])
     def test_peak_memory_is_one_float_copy(self, tmp_path, suffix):
-        # the float64 inputs plus the uint8 payloads (an eighth of them);
-        # a second float64 copy held at any moment exceeds the bound
-        write_mnist_dir(tmp_path, 2000, 500, side=28, seed=5, suffix=suffix)
+        # the uint8 pixels once, plus one read chunk (READ_CHUNK, 1 MiB) and
+        # the buffer's growth slack; a copy of the pixels, or any float64
+        # array of them, exceeds the bound. 10000 images keep the fixed
+        # chunk small against the pixels (2500 read 1.34-1.39x).
+        write_mnist_dir(tmp_path, 8000, 2000, side=28, seed=5, suffix=suffix)
         tracemalloc.start()
         try:
             ds = load_mnist_dir(str(tmp_path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * ds.inputs.nbytes, (peak, ds.inputs.nbytes)
+        pixels = ds.n * ds.dim  # bytes of the uint8 payloads
+        assert peak < 1.3 * pixels, (peak, pixels)
+        assert ds.features.dtype == np.uint8 and ds.features.nbytes == pixels
 
     def test_width_mismatch_rejected(self, tmp_path):
         write_mnist_dir(tmp_path, 5, 4, side=3, seed=6, test_side=4)

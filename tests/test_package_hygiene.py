@@ -6,6 +6,9 @@
   somewhere in ``src/`` or ``perfbench/`` outside its own definition, so
   code that lost its last caller is deleted rather than left behind.
   Tests do not count as callers.
+- No module but ``data.py`` reads an attribute named ``inputs``: for a
+  pixel dataset ``Dataset.inputs`` builds a float64 copy of every row, so
+  the package gathers rows from ``Dataset.features`` and converts only those.
 """
 
 import ast
@@ -89,3 +92,14 @@ def test_every_top_level_definition_has_a_caller():
             ):
                 orphans.append(f"{os.path.relpath(path, REPO_ROOT)}:{stmt.name}")
     assert orphans == []
+
+
+def test_only_data_reads_inputs():
+    reads = [
+        f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}"
+        for path in PACKAGE_FILES
+        if path.name != "data.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "inputs"
+    ]
+    assert reads == []

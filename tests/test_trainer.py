@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import synth_blobs
+from conftest import synth_blobs, write_mnist_dir
 from dropcompact import trainer
-from dropcompact.data import split_train_dev
+from dropcompact.data import Dataset, load_mnist_dir, split_train_dev
 from dropcompact.linalg import rng_stream
 from dropcompact.network import Gradients, MlpParams, init_mlp
 from dropcompact.retention import RetentionParams
@@ -292,9 +292,53 @@ class TestRunTraining:
         assert res.final_pi[1].min() == 1.0
 
 
+class TestPixelDataset:
+    """A dataset loaded from IDX files: training and evaluation turn only
+    the rows they gather into float64, with the bits of float64 inputs."""
+
+    @pytest.fixture(scope="class")
+    def pixel_ds(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pixels")
+        write_mnist_dir(root, 15000, 5000, side=16, seed=21)
+        return split_train_dev(load_mnist_dir(str(root)), 5000, seed=21)
+
+    def test_bit_equal_to_float_twin(self, pixel_ds):
+        twin = Dataset(pixel_ds.inputs, pixel_ds.labels, pixel_ds.num_classes, pixel_ds.splits)
+        cfg = TrainConfig(regime="dropout", layer_dims=(256, 16, 10), batch_size=128,
+                          lr=0.01, input_retention=0.8, seed=22)
+        init = init_mlp(cfg.layer_dims, "relu", cfg.seed)
+        pi = initial_retention(init, cfg)
+        runs = []
+        for ds in (pixel_ds, twin):
+            params, loss = train_weights_epoch(
+                init.copy(), pi, ds.arrays("train"), cfg, rng_stream(cfg.seed, "weights", 0)
+            )
+            scores = [evaluate(params, pi, ds.arrays(tag)) for tag in ("dev", "test")]
+            runs.append((params.weights + params.biases, loss, scores))
+        (pa, la, sa), (pb, lb, sb) = runs
+        assert la == lb and sa == sb
+        assert all(np.array_equal(a, b) for a, b in zip(pa, pb))
+
+    def test_run_holds_less_than_a_float_split(self, pixel_ds):
+        # 5000 x 256 pixels in the dev and test splits: a float64 copy of one
+        # is 10.2 MB, where converting one 1024-row evaluate chunk holds 4.2 MB
+        cfg = TrainConfig(regime="compaction", layer_dims=(256, 16, 10), epochs=1,
+                          batch_size=128, lr=0.01, seed=23, dev_size=5000, retention_lr=1e-4)
+        smallest = min(pixel_ds.count(tag) for tag in ("train", "dev", "test"))
+        float_split = smallest * pixel_ds.dim * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            run_training(pixel_ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < float_split, (peak, float_split)
+
+
 class TestFrozenSweepSkip:
-    """With every hidden unit frozen the retention sweep is skipped; the
-    prune check after it still runs."""
+    """With every hidden unit frozen the retention sweep is skipped, and a
+    sweep ends after the batch that freezes the last unit; the prune check
+    after it still runs."""
 
     BASE = dict(
         regime="compaction", layer_dims=(64, 12, 10, 10), batch_size=64, lr=0.01,
@@ -303,8 +347,9 @@ class TestFrozenSweepSkip:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        """Retention updates per epoch, epochs that pruned, and the stats
-        object each epoch's sweep fills (the one perfbench's tracer reads)."""
+        """Per epoch, one flag per retention update (whether it left every
+        hidden unit frozen), the epochs that pruned, and the stats object
+        each epoch's sweep fills (the one perfbench's tracer reads)."""
         epoch, calls, pruned, stats = [-1], {}, {}, {}
         real_epoch, real_update, real_prune = (
             trainer.train_weights_epoch, trainer.retention_update, trainer.prune_units
@@ -315,9 +360,11 @@ class TestFrozenSweepSkip:
             return real_epoch(*args, **kwargs)
 
         def update(*args, **kwargs):
-            calls[epoch[0]] = calls.get(epoch[0], 0) + 1
             stats[epoch[0]] = args[6]
-            return real_update(*args, **kwargs)
+            pi = real_update(*args, **kwargs)
+            frozen = not any(pi.active(layer).any() for layer in range(1, len(pi)))
+            calls.setdefault(epoch[0], []).append(frozen)
+            return pi
 
         def prune(*args, **kwargs):
             pruned[epoch[0]] = True
@@ -343,10 +390,13 @@ class TestFrozenSweepSkip:
     def test_sweeps_stop_once_frozen(self, small_teacher_ds, monkeypatch):
         calls, pruned, stats = self._count_calls(monkeypatch)
         res = run_training(small_teacher_ds, TrainConfig(epochs=4, retention_lr=1e-4, **self.BASE))
-        batches = -(-3000 // 64)
-        assert len(res.reports) == 4 and calls == {0: batches}
+        # the epoch-0 sweep would take 47 batches; it ends right after the
+        # first one that leaves every unit frozen, and later epochs skip it
+        n = len(calls[0])
+        assert len(res.reports) == 4 and list(calls) == [0] and n < -(-3000 // 64)
+        assert calls[0] == [False] * (n - 1) + [True]
         assert 0 in pruned
-        assert stats[0].examples == 3000
+        assert stats[0].examples == n * 64
         assert not any(res.final_pi.active(layer).any() for layer in (1, 2))
 
 
