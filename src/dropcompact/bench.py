@@ -1,15 +1,15 @@
 """Inference-latency microbenchmark.
 
-Times ``network.forward_batch``, the forward pass that ``eval`` runs, on a
-Glorot-initialized model over fixed random inputs, with the all-ones gates
-that a compacted checkpoint carries. The analytic multiply-accumulate count
-per example is reported next to the measured latency; shape pairs can then
-be compared as FLOP ratio vs measured speedup.
+Times ``network.forward_batch`` as ``evaluate`` calls it (the pass ``eval``
+runs) on a Glorot-initialized model over fixed random inputs: with the
+gates of the all-ones retention that a compacted checkpoint carries, which
+are all None, and no trace kept. The analytic multiply-accumulate count per
+example is reported next to the measured latency; shape pairs can then be
+compared as FLOP ratio vs measured speedup.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kernels, network
 from .linalg import rng_stream
+from .retention import RetentionParams
 
 MIN_REPS = 30
 WARMUP_PASSES = 10
@@ -49,10 +50,9 @@ def flop_count(shape) -> int:
 
 def _make_runner(params: network.MlpParams, x: np.ndarray):
     """Closure running the eval forward pass once on ``x``."""
-    # a compacted checkpoint stores all-ones retention, which eval passes as gates
-    gates = [np.ones(d) for d in params.layer_dims[:-1]]
+    gates = RetentionParams.constant(params, 1.0).scaled_gates()
     forward = network.forward_batch
-    return lambda: forward(params, x, gates)
+    return lambda: forward(params, x, gates, trace=False)
 
 
 def time_forward(
@@ -92,37 +92,3 @@ def time_forward(
         flops=flop_count(dims),
     )
 
-
-def multi_worker_throughput(
-    shape,
-    batch: int = 1,
-    reps: int = 100,
-    workers: int = 2,
-    seed: int = 0,
-    activation: str = "relu",
-) -> float:
-    """Aggregate examples/sec with `workers` threads each running the eval
-    forward pass on its own inputs; reported separately from latency stats."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    params = network.init_mlp(shape, activation, seed)
-    dims = params.layer_dims
-    runners = [
-        _make_runner(params, rng_stream(seed, "bench-x", w).random((batch, dims[0])))
-        for w in range(workers)
-    ]
-    for run in runners:
-        run()  # warm caches before timing
-
-    def work(run):
-        for _ in range(reps):
-            run()
-
-    threads = [threading.Thread(target=work, args=(r,)) for r in runners]
-    t0 = time.perf_counter()
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    elapsed = time.perf_counter() - t0
-    return workers * reps * batch / elapsed

@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import kernels
-from .bench import multi_worker_throughput, time_forward
+from .bench import time_forward
 from .checkpoint import Checkpoint, atomic_open, load_checkpoint, save_checkpoint
 from .compaction import (
     EmptyLayerError,
@@ -298,7 +298,8 @@ def cmd_eval(args) -> int:
     if dataset.count(args.split) == 0:
         raise DataError(f"split {args.split!r} is empty or missing")
     check_data_fits(dataset, ck.params.layer_dims)
-    err, loss = evaluate(ck.params, ck.pi, dataset.arrays(args.split))
+    split = (dataset.features, dataset.labels)
+    err, loss = evaluate(ck.params, ck.pi, split, rows=dataset.splits[args.split])
     n_weights = count_weights(ck.params)
     print(
         f"checkpoint={os.path.basename(args.checkpoint)} split={args.split}"
@@ -416,15 +417,6 @@ def cmd_bench(args) -> int:
             results.append((res, _fmt(ref.flops / res.flops), _fmt(res.speedup_vs(ref))))
         else:
             results.append((res, "", ""))
-        if args.workers > 1:
-            eps = multi_worker_throughput(
-                shape, batch=batch, reps=args.reps, workers=args.workers, seed=args.seed
-            )
-            print(
-                f"# workers={args.workers} backend={res.backend} batch={batch}"
-                f" aggregate_throughput={eps:.1f} examples/s",
-                file=sys.stderr,
-            )
 
     rows = [
         ["x".join(map(str, r.shape)), r.batch, r.reps, r.backend, _fmt(r.min_s),
@@ -552,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--batch", default="1", help="batch size, or comma list like 1,128")
     b.add_argument("--reps", type=int, default=100)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--workers", type=int, default=1)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)
 

@@ -28,7 +28,6 @@ class CompactionReport:
     weights_before: int
     weights_after: int
     kept_indices: list[np.ndarray]
-    unit_map: list[np.ndarray]
 
     @property
     def compression_ratio(self) -> float:
@@ -92,18 +91,12 @@ def prune_units(
     pruned = MlpParams(weights, biases, tuple(params.hidden_activations))
     new_pi = RetentionParams([pi[layer][keep[layer]] for layer in range(n)])
 
-    unit_map = []
-    for layer in range(n + 1):
-        m = np.full(dims[layer], -1, dtype=np.int64)
-        m[keep[layer]] = np.arange(keep[layer].size)
-        unit_map.append(m)
     report = CompactionReport(
         kept=[int(keep[layer].size) for layer in range(1, n)],
         removed=[int(dims[layer] - keep[layer].size) for layer in range(1, n)],
         weights_before=count_weights(params),
         weights_after=count_weights(pruned),
         kept_indices=keep,
-        unit_map=unit_map,
     )
     return pruned, new_pi, report
 

@@ -6,6 +6,12 @@ retention probabilities themselves (so prediction needs a single pass).
 Backprop returns exact gradients of the softmax cross-entropy for a fixed
 mask draw.
 
+``forward_batch`` keeps every layer's gated activation in its trace by
+default, since backprop reads them. With ``trace=False`` it holds one layer
+at a time: each layer's activation is computed in place in its GEMM output,
+which replaces the previous layer's, and only the logits are returned. The
+logits and the bits are the same either way; evaluation uses this mode.
+
 Layer convention: dims = (D0, ..., DL); weights[i] has shape
 (dims[i+1], dims[i]); gates apply to layers 0..L-1 (input through last
 hidden), never to the logits.
@@ -92,8 +98,8 @@ class Gradients:
 
 @dataclass
 class BatchTrace:
-    """Per-row trace: gated activations per layer and output logits, each
-    with a leading batch axis."""
+    """Per-row trace: gated activations per layer (empty when the pass kept
+    no trace) and output logits, each with a leading batch axis."""
 
     activations: list[np.ndarray]
     logits: np.ndarray
@@ -127,10 +133,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax_pick(logits: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """log p(k) per row via log-sum-exp, without forming probabilities."""
+    """log p(k) per row via log-sum-exp, without forming probabilities.
+
+    Overwrites ``logits`` (with exp(logits - row max)), so it allocates
+    nothing logits-sized; read anything else from them first."""
     m = logits.max(axis=-1)
-    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
     picked = logits[np.arange(logits.shape[0]), ks]
+    logits -= m[..., None]
+    np.exp(logits, out=logits)
+    lse = m + np.log(logits.sum(axis=-1))
     return picked - lse
 
 
@@ -145,22 +156,26 @@ def _check_gates(params: MlpParams, gates, batch: int) -> None:
             raise ValueError(f"gate {layer} shape {g.shape} vs layer width {dims[layer]}")
 
 
-def forward_batch(params: MlpParams, x: np.ndarray, gates) -> BatchTrace:
-    """Shared recursion over a (B, D0) block; gates[l] is None, (D_l,) or (B, D_l)."""
+def forward_batch(params: MlpParams, x: np.ndarray, gates, trace: bool = True) -> BatchTrace:
+    """Shared recursion over a (B, D0) block; gates[l] is None, (D_l,) or (B, D_l).
+
+    With ``trace=False`` no activation outlives the layer that reads it, and
+    the returned trace holds only the logits."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
         raise ValueError(f"input shape {x.shape} vs input width {params.layer_dims[0]}")
     _check_gates(params, gates, x.shape[0])
 
     h = x if gates[0] is None else x * gates[0]
-    activations = [h]
+    del x  # the pass reads only h from here on
+    activations = [h] if trace else []
     n = params.n_layers
     for i in range(n - 1):
         z = h @ params.weights[i].T
         z += params.biases[i]
-        h = np.empty_like(z)
-        kernels.gate_act(z, gates[i + 1], params.hidden_activations[i], h)
-        activations.append(h)
+        h = kernels.gate_act(z, gates[i + 1], params.hidden_activations[i], z)
+        if trace:
+            activations.append(h)
     logits = h @ params.weights[n - 1].T
     logits += params.biases[n - 1]
     return BatchTrace(activations, logits)
@@ -177,13 +192,13 @@ def backward_batch(params: MlpParams, x, ks, gates) -> tuple[np.ndarray, Gradien
     ks = np.asarray(ks)
     if ks.min() < 0 or ks.max() >= params.num_classes:
         raise ValueError("class index out of range")
-    losses = -log_softmax_pick(trace.logits, ks)
+    delta = trace.probs
+    losses = -log_softmax_pick(trace.logits, ks)  # overwrites trace.logits
 
     # every entry is overwritten by np.dot(out=) or sum(out=) below
     grads = Gradients(
         [np.empty(w.shape) for w in params.weights], [np.empty(b.shape) for b in params.biases]
     )
-    delta = trace.probs
     delta[np.arange(b), ks] -= 1.0
     n = params.n_layers
     for i in range(n - 1, -1, -1):

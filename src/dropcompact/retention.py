@@ -29,6 +29,12 @@ GUARD_EPS = 1e-6
 PROB_FLOOR = 1e-30
 
 
+def _all_ones(v: np.ndarray) -> bool:
+    """Whether every entry is exactly 1: such a layer draws no mask and its
+    gate needs no multiply (x * 1.0 == x)."""
+    return np.count_nonzero(v != 1.0) == 0
+
+
 @dataclass
 class RetentionParams:
     """One probability vector per gated layer (input through last hidden)."""
@@ -65,6 +71,11 @@ class RetentionParams:
 
     def copy(self) -> "RetentionParams":
         return RetentionParams([v.copy() for v in self.layers])
+
+    def scaled_gates(self) -> list[np.ndarray | None]:
+        """Gates of the expectation-scaled pass: each retention vector, or
+        None where it is all ones, which gives the same bits."""
+        return [None if _all_ones(v) else v for v in self.layers]
 
     def active(self, layer: int) -> np.ndarray:
         """Units still inside the open interval (eps, 1-eps)."""
@@ -130,7 +141,7 @@ def _mask_block(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray | None:
     doubles the draw would have used (one 64-bit output each), so it ends
     where the draw would have left it, buffered 32-bit half-word included.
     """
-    if not (p == 1.0).all():
+    if not _all_ones(p):
         return bernoulli_matrix(p, n_rows, rng)
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
@@ -162,7 +173,7 @@ def prior_score_vector(p: np.ndarray, hyper: PriorHyper, active: np.ndarray) -> 
 
 
 def _label_probs(params, gates, x, ks) -> np.ndarray:
-    trace = forward_batch(params, x, list(gates))
+    trace = forward_batch(params, x, list(gates), trace=False)
     return trace.probs[np.arange(x.shape[0]), ks]
 
 
@@ -200,15 +211,14 @@ def retention_update(
     for p in pi:
         p_eff = np.where(p <= GUARD_EPS, 0.0, np.where(p >= 1.0 - GUARD_EPS, 1.0, p))
         mask_blocks.append(_mask_block(p_eff, x.shape[0], rng))
-    scaled_gates = [None if (p == 1.0).all() else p for p in pi]
+    scaled_gates = pi.scaled_gates()
 
     if n_layers > 1 and mask_blocks[0] is None and scaled_gates[0] is None:
         # Both passes start from the same ungated input, so layer 0 runs
         # once; the tail nets then do the same operations as full passes.
         z = x @ params.weights[0].T
         z += params.biases[0]
-        h = np.empty_like(z)
-        kernels.gate_act(z, None, params.hidden_activations[0], h)
+        h = kernels.gate_act(z, None, params.hidden_activations[0], z)
         tail = MlpParams(params.weights[1:], params.biases[1:], params.hidden_activations[1:])
         p_masked = _label_probs(tail, mask_blocks[1:], h, ks)
         p_scaled = _label_probs(tail, scaled_gates[1:], h, ks)

@@ -13,10 +13,11 @@ for weight epochs, a separate stream for retention sweeps) so regimes that
 should coincide do so bit-for-bit under a shared seed.
 
 Minibatches are gathered straight from the dataset's features through the
-train split's row index, so the train split is never copied whole; each
-gathered minibatch, and each chunk of an evaluated split, is turned into
-float64 by ``data.as_float`` only then. A non-finite loss or parameter
-stops the run with NonFiniteError.
+train split's row index, and dev chunks through the dev split's, so
+neither split is ever copied whole; each gathered minibatch, and each
+chunk of an evaluated split, is turned into float64 by ``data.as_float``
+only then. A non-finite loss or parameter stops the run with
+NonFiniteError.
 """
 
 from __future__ import annotations
@@ -321,25 +322,31 @@ def evaluate(
     pi: RetentionParams,
     split: tuple[np.ndarray, np.ndarray],
     batch_size: int = 1024,
+    rows: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(error rate %, mean cross-entropy) under the expectation-scaled pass.
 
-    The split's rows may be raw dataset features: each chunk goes through
-    ``as_float`` as it is evaluated."""
+    Scores ``rows`` of ``split`` (every row when None), gathered one chunk
+    at a time, so a split given by its row index is never copied whole.
+    The rows may be raw dataset features: each chunk goes through
+    ``as_float`` as it is evaluated. The pass keeps no trace and skips the
+    multiply of every all-ones gate, and the loss overwrites the logits, so
+    a chunk holds at most two layers' activations at once."""
     x, y = split
-    if y.shape[0] == 0:
+    n = y.shape[0] if rows is None else rows.size
+    if n == 0:
         raise ValueError("empty evaluation split")
-    gates = list(pi)
+    gates = pi.scaled_gates()
     wrong = 0
     loss_sum = 0.0
-    for start in range(0, y.shape[0], batch_size):
-        # only the logits outlive the pass, so no chunk's inputs or trace
-        # are still held while the next chunk is converted
-        logits = forward_batch(params, as_float(x[start : start + batch_size]), gates).logits
-        yb = y[start : start + batch_size]
+    for start in range(0, n, batch_size):
+        stop = start + batch_size
+        chunk = slice(start, stop) if rows is None else rows[start:stop]
+        yb = y[chunk]
+        logits = forward_batch(params, as_float(x[chunk]), gates, trace=False).logits
+        # the argmax comes first: log_softmax_pick overwrites the logits
         wrong += int((logits.argmax(axis=1) != yb).sum())
         loss_sum += float(-log_softmax_pick(logits, yb).sum())
-    n = y.shape[0]
     return 100.0 * wrong / n, loss_sum / n
 
 
@@ -422,7 +429,6 @@ def run_training(
     # minibatches are gathered from the full features through train_rows;
     # the prior's scale and the sweep's permutation are over the train count
     train_rows = dataset.splits["train"]
-    dev = dataset.arrays("dev") if has_dev else None
     test = dataset.arrays("test") if dataset.count("test") > 0 else None
 
     hyper = _prior_for(cfg, train_rows.size)
@@ -484,12 +490,16 @@ def run_training(
 
         _check_finite(epoch, "retention", retention=pi.layers)
 
-        dev_err, dev_loss = evaluate(params, pi, dev) if dev else NO_SCORE
+        dev_err, dev_loss = (
+            evaluate(params, pi, (dataset.features, dataset.labels), rows=dataset.splits["dev"])
+            if has_dev
+            else NO_SCORE
+        )
         test_err, test_loss = evaluate(params, pi, test) if test else NO_SCORE
         _check_finite(  # the NaN score of an absent split is no failure
             epoch,
             "evaluation",
-            dev_loss=dev_loss if dev else 0.0,
+            dev_loss=dev_loss if has_dev else 0.0,
             test_loss=test_loss if test else 0.0,
         )
         reports.append(

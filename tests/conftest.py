@@ -2,9 +2,9 @@
 
 The oracles here are deliberately dumb: pure-python per-neuron loops and
 finite differences. They never call into the package's fast paths, so
-agreement is meaningful. The one exception is retention_update_oracle, a
-frozen copy of an older, simpler retention update that the package's
-version must match bit for bit.
+agreement is meaningful. The exceptions are retention_update_oracle and
+evaluate_oracle, frozen copies of an older, simpler retention update and
+evaluation that the package's versions must match bit for bit.
 """
 
 import gzip
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dropcompact import kernels
-from dropcompact.data import Dataset, split_train_dev, write_idx_images, write_idx_labels
+from dropcompact.data import Dataset, as_float, split_train_dev, write_idx_images, write_idx_labels
 from dropcompact.linalg import bernoulli_matrix, rng_stream
 from dropcompact.network import MlpParams, forward_batch, init_mlp
 from dropcompact.retention import (
@@ -180,6 +180,39 @@ def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats=None):
         delta = delta + payoff @ score
         new_layers[layer] = np.clip(p + cfg.learning_rate * delta, 0.0, 1.0)
     return RetentionParams(new_layers)
+
+
+# ---------------------------------------------------------------------------
+# evaluation oracle: the expectation-scaled evaluation as it was before the
+# pass stopped keeping a trace and the loss started overwriting the logits
+# ---------------------------------------------------------------------------
+
+def evaluate_oracle(params: MlpParams, pi: RetentionParams, split, batch_size=1024):
+    """(error rate %, mean cross-entropy) over pre-gathered (x, y), with
+    every retention vector as a gate, every activation kept and the loss
+    taken from a separate exp temporary; the package's evaluate must match
+    it bit for bit."""
+    x, y = split
+    gates = list(pi)
+    wrong = 0
+    loss_sum = 0.0
+    for start in range(0, y.shape[0], batch_size):
+        xb = as_float(x[start : start + batch_size])
+        h = xb * gates[0]
+        for i in range(params.n_layers - 1):
+            z = h @ params.weights[i].T
+            z += params.biases[i]
+            h = np.empty_like(z)
+            kernels.gate_act(z, gates[i + 1], params.hidden_activations[i], h)
+        logits = h @ params.weights[-1].T
+        logits += params.biases[-1]
+        yb = y[start : start + batch_size]
+        wrong += int((logits.argmax(axis=1) != yb).sum())
+        m = logits.max(axis=-1)
+        lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
+        loss_sum += float(-(logits[np.arange(logits.shape[0]), yb] - lse).sum())
+    n = y.shape[0]
+    return 100.0 * wrong / n, loss_sum / n
 
 
 # ---------------------------------------------------------------------------

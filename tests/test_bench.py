@@ -3,16 +3,16 @@ import time
 import numpy as np
 import pytest
 
-from dropcompact import kernels, network
+from dropcompact import kernels, network, trainer
 from dropcompact.bench import (
     MIN_REPS,
     WARMUP_PASSES,
     _make_runner,
     flop_count,
-    multi_worker_throughput,
     time_forward,
 )
 from dropcompact.linalg import rng_stream
+from dropcompact.retention import RetentionParams
 
 
 class TestFlopCount:
@@ -75,32 +75,32 @@ class TestTimeForward:
             time_forward((8, 8, 2), reps=10)
 
 
-@pytest.fixture
-def forward_calls(monkeypatch):
-    """Record (layer dims, input shape, gates) of every network.forward_batch call."""
-    calls = []
-    real = network.forward_batch
+def _recording(calls, real):
+    """network.forward_batch that records (layer dims, input shape, gates, keywords)."""
 
-    def counting(params, x, gates):
-        calls.append((params.layer_dims, x.shape, [g.tolist() for g in gates]))
-        return real(params, x, gates)
+    def counting(params, x, gates, **kwargs):
+        gate_lists = [None if g is None else np.asarray(g).tolist() for g in gates]
+        calls.append((params.layer_dims, x.shape, gate_lists, kwargs))
+        return real(params, x, gates, **kwargs)
 
-    monkeypatch.setattr(network, "forward_batch", counting)
-    return calls
+    return counting
 
 
 class TestSinglePath:
-    # bench must time network.forward_batch, the pass eval runs, with the
-    # all-ones gates that a compacted checkpoint carries
-    def test_time_forward_runs_eval_forward(self, forward_calls):
+    # bench must call network.forward_batch exactly as evaluate does on the
+    # all-ones retention that a compacted checkpoint carries
+    def test_time_forward_runs_eval_forward(self, monkeypatch):
+        real = network.forward_batch
+        timed, evaluated = [], []
+        monkeypatch.setattr(network, "forward_batch", _recording(timed, real))
+        monkeypatch.setattr(trainer, "forward_batch", _recording(evaluated, real))
         time_forward((6, 4, 3), batch=2, reps=MIN_REPS)
-        assert len(forward_calls) == WARMUP_PASSES + MIN_REPS
-        assert forward_calls[0] == ((6, 4, 3), (2, 6), [[1.0] * 6, [1.0] * 4])
+        assert len(timed) == WARMUP_PASSES + MIN_REPS
 
-    def test_workers_run_eval_forward(self, forward_calls):
-        multi_worker_throughput((6, 4, 3), batch=2, reps=5, workers=2)
-        assert len(forward_calls) == 2 * (1 + 5)
-        assert all(c[:2] == ((6, 4, 3), (2, 6)) for c in forward_calls)
+        params = network.init_mlp((6, 4, 3), "relu", 0)
+        split = (np.ones((2, 6)), np.array([0, 1]))
+        trainer.evaluate(params, RetentionParams.constant(params, 1.0), split)
+        assert timed[0] == evaluated[0] == ((6, 4, 3), (2, 6), [None, None], {"trace": False})
 
 
 class TestMeasuredVsAnalytic:
@@ -110,9 +110,3 @@ class TestMeasuredVsAnalytic:
         small = time_forward((128, 256, 256, 32), batch=1, reps=60, seed=2)
         assert big.flops / small.flops >= 2.0
         assert big.median_s / small.median_s >= 1.5
-
-
-class TestWorkers:
-    def test_multi_worker_throughput_positive(self):
-        eps = multi_worker_throughput((16, 32, 4), batch=4, reps=40, workers=2)
-        assert eps > 0

@@ -33,7 +33,10 @@ class TestPrune:
         assert np.array_equal(new_pi[1], np.ones(2))
         assert report.kept == [2]
         assert report.removed == [2]
-        assert np.array_equal(report.unit_map[1], [0, -1, 1, -1])
+        # old unit -> new unit (-1 for removed), derived from the kept indices
+        unit_map = np.full(4, -1)
+        unit_map[report.kept_indices[1]] = np.arange(report.kept_indices[1].size)
+        assert np.array_equal(unit_map, [0, -1, 1, -1])
 
     def test_threshold_zero_noop(self):
         params = init_mlp((3, 5, 2), "relu", seed=2)

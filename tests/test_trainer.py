@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import synth_blobs, write_mnist_dir
+from conftest import evaluate_oracle, synth_blobs, write_mnist_dir
 from dropcompact import trainer
 from dropcompact.data import Dataset, load_mnist_dir, split_train_dev
 from dropcompact.linalg import rng_stream
@@ -166,6 +168,78 @@ class TestEvaluate:
             evaluate(params, RetentionParams([np.ones(2)]), (np.zeros((0, 2)), np.zeros(0, int)))
 
 
+def _retention(kind: str, width: int, rng) -> np.ndarray:
+    """A retention vector: all ones, some ones, all zeros or random."""
+    if kind == "ones":
+        return np.ones(width)
+    if kind == "zeros":
+        return np.zeros(width)
+    v = rng.random(width)
+    if kind == "partly_ones":
+        v[: (width + 1) // 2] = 1.0
+    return v
+
+
+class TestEvaluateMatchesOracle:
+    """evaluate gives the bits of the pass that keeps every activation and
+    multiplies by every gate, chunk by chunk, for given rows or gathered ones."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        hidden=st.lists(st.integers(1, 12), max_size=3),
+        act=st.sampled_from(("relu", "sigmoid")),
+        kinds=st.lists(st.sampled_from(("ones", "partly_ones", "zeros", "random")),
+                       min_size=4, max_size=4),
+        n=st.integers(1, 70),
+        batch_size=st.integers(1, 32),
+        pixels=st.booleans(),
+        through_rows=st.booleans(),
+    )
+    def test_bit_equal(self, seed, hidden, act, kinds, n, batch_size, pixels, through_rows):
+        rng = rng_stream(seed, "eval-oracle")
+        dims = (6, *hidden, 5)
+        params = init_mlp(dims, act, seed)
+        for b in params.biases:
+            b[:] = rng.normal(size=b.shape)
+        pi = RetentionParams([_retention(k, d, rng) for k, d in zip(kinds, dims[:-1])])
+        total = n + 30
+        if pixels:
+            x = rng.integers(0, 256, (total, 6), dtype=np.uint8)
+        else:
+            x = rng.normal(size=(total, 6))
+        y = rng.integers(0, 5, total)
+        if through_rows:
+            rows = rng.choice(total, n, replace=False)
+            got = evaluate(params, pi, (x, y), batch_size, rows=rows)
+            want = evaluate_oracle(params, pi, (x[rows], y[rows]), batch_size)
+        else:
+            got = evaluate(params, pi, (x[:n], y[:n]), batch_size)
+            want = evaluate_oracle(params, pi, (x[:n], y[:n]), batch_size)
+        assert got == want
+
+
+class TestEvaluateMemory:
+    @pytest.mark.parametrize("hidden", [1.0, 0.5])
+    def test_holds_two_layers_at_a_time(self, hidden):
+        # 64-256x4-512 at batch 128: the float64 input is 64 KiB and the two
+        # widest layers 768 KiB; each broadcasting ufunc (bias add, gate
+        # multiply) also takes numpy's transient buffer of getbufsize() doubles
+        params = init_mlp((64, 256, 256, 256, 256, 512), "relu", seed=3)
+        pi = RetentionParams.constant(params, hidden)
+        rng = rng_stream(3, "eval-memory")
+        x, y = rng.random((128, 64)), rng.integers(0, 512, 128)
+        evaluate(params, pi, (x, y))
+        bound = x.nbytes + 128 * (512 + 256) * 8 + np.getbufsize() * 8
+        tracemalloc.start()
+        try:
+            evaluate(params, pi, (x, y))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
+
 class TestTrainEpoch:
     def test_zero_lr_keeps_params(self):
         ds = synth_blobs(30, 2, 4, separation=3.0, seed=0)
@@ -321,7 +395,7 @@ class TestPixelDataset:
 
     def test_run_holds_less_than_a_float_split(self, pixel_ds):
         # 5000 x 256 pixels in the dev and test splits: a float64 copy of one
-        # is 10.2 MB, where converting one 1024-row evaluate chunk holds 4.2 MB
+        # is 10.2 MB, where converting one 1024-row evaluate chunk holds 2.1 MB
         cfg = TrainConfig(regime="compaction", layer_dims=(256, 16, 10), epochs=1,
                           batch_size=128, lr=0.01, seed=23, dev_size=5000, retention_lr=1e-4)
         smallest = min(pixel_ds.count(tag) for tag in ("train", "dev", "test"))
@@ -333,6 +407,22 @@ class TestPixelDataset:
         finally:
             tracemalloc.stop()
         assert peak < float_split, (peak, float_split)
+
+    def test_dev_split_is_never_gathered(self, tmp_path):
+        # 14000 x 256 dev pixels are 3.6 MB; evaluating them 1024 rows at a
+        # time through their row index holds one 2.1 MB float64 chunk
+        write_mnist_dir(tmp_path, 18000, 1000, side=16, seed=24)
+        ds = split_train_dev(load_mnist_dir(str(tmp_path)), 14000, seed=24)
+        cfg = TrainConfig(regime="compaction", layer_dims=(256, 16, 10), epochs=1,
+                          batch_size=128, lr=0.01, seed=24, dev_size=14000, retention_lr=1e-4)
+        dev_bytes = ds.count("dev") * ds.dim * ds.features.itemsize
+        tracemalloc.start()
+        try:
+            run_training(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dev_bytes, (peak, dev_bytes)
 
 
 class TestFrozenSweepSkip:
