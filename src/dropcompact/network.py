@@ -137,23 +137,25 @@ def log_softmax_pick(logits: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
     Overwrites ``logits`` (with exp(logits - row max)), so it allocates
     nothing logits-sized; read anything else from them first."""
-    m = logits.max(axis=-1)
+    # the reductions .max and .sum dispatch to (so the same bits), called
+    # without the Python wrappers they pass through on the way
+    m = np.maximum.reduce(logits, axis=-1)
     picked = logits[np.arange(logits.shape[0]), ks]
     logits -= m[..., None]
     np.exp(logits, out=logits)
-    lse = m + np.log(logits.sum(axis=-1))
+    lse = m + np.log(np.add.reduce(logits, axis=-1))
     return picked - lse
 
 
 def _check_gates(params: MlpParams, gates, batch: int) -> None:
-    dims = params.layer_dims
     if len(gates) != params.n_layers:
         raise ValueError(f"need {params.n_layers} gate vectors, got {len(gates)}")
     for layer, g in enumerate(gates):
         if g is None:
             continue
-        if g.shape not in ((dims[layer],), (batch, dims[layer])):
-            raise ValueError(f"gate {layer} shape {g.shape} vs layer width {dims[layer]}")
+        width = params.weights[layer].shape[1]
+        if g.shape not in ((width,), (batch, width)):
+            raise ValueError(f"gate {layer} shape {g.shape} vs layer width {width}")
 
 
 def forward_batch(params: MlpParams, x: np.ndarray, gates, trace: bool = True) -> BatchTrace:
@@ -162,22 +164,23 @@ def forward_batch(params: MlpParams, x: np.ndarray, gates, trace: bool = True) -
     With ``trace=False`` no activation outlives the layer that reads it, and
     the returned trace holds only the logits."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
-        raise ValueError(f"input shape {x.shape} vs input width {params.layer_dims[0]}")
+    weights, biases = params.weights, params.biases
+    width = weights[0].shape[1]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"input shape {x.shape} vs input width {width}")
     _check_gates(params, gates, x.shape[0])
 
     h = x if gates[0] is None else x * gates[0]
     del x  # the pass reads only h from here on
     activations = [h] if trace else []
-    n = params.n_layers
-    for i in range(n - 1):
-        z = h @ params.weights[i].T
-        z += params.biases[i]
-        h = kernels.gate_act(z, gates[i + 1], params.hidden_activations[i], z)
+    for i, act in enumerate(params.hidden_activations):
+        z = h @ weights[i].T
+        z += biases[i]
+        h = kernels.gate_act(z, gates[i + 1], act, z)
         if trace:
             activations.append(h)
-    logits = h @ params.weights[n - 1].T
-    logits += params.biases[n - 1]
+    logits = h @ weights[-1].T
+    logits += biases[-1]
     return BatchTrace(activations, logits)
 
 

@@ -13,6 +13,10 @@ their mask is deterministic and they take no further updates (the score is
 singular at the boundary). A layer whose retention is exactly 1 draws no
 mask at all: its RNG stream is advanced past the draws instead, so every
 later draw is the one it would have been.
+
+A ``RetentionParams`` is a value: it holds read-only copies of its
+vectors, so the gates it derives from them are computed once. To change
+retention, build a new one.
 """
 
 from __future__ import annotations
@@ -37,12 +41,17 @@ def _all_ones(v: np.ndarray) -> bool:
 
 @dataclass
 class RetentionParams:
-    """One probability vector per gated layer (input through last hidden)."""
+    """One probability vector per gated layer (input through last hidden),
+    each a read-only float64 copy of the vector it was built from."""
 
     layers: list[np.ndarray]
 
     def __post_init__(self):
-        self.layers = [np.asarray(v, dtype=np.float64) for v in self.layers]
+        # a copy, not a read-only view: the caller's array could still change
+        self.layers = [np.array(v, dtype=np.float64) for v in self.layers]
+        for v in self.layers:
+            v.flags.writeable = False
+        self._gates = None
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -69,13 +78,13 @@ class RetentionParams:
                 if v.shape != (dims[i],):
                     raise ValueError(f"retention vector {i} shape {v.shape} vs width {dims[i]}")
 
-    def copy(self) -> "RetentionParams":
-        return RetentionParams([v.copy() for v in self.layers])
-
     def scaled_gates(self) -> list[np.ndarray | None]:
         """Gates of the expectation-scaled pass: each retention vector, or
-        None where it is all ones, which gives the same bits."""
-        return [None if _all_ones(v) else v for v in self.layers]
+        None where it is all ones, which gives the same bits. Computed on
+        the first call; later calls return the same list."""
+        if self._gates is None:
+            self._gates = [None if _all_ones(v) else v for v in self.layers]
+        return self._gates
 
     def active(self, layer: int) -> np.ndarray:
         """Units still inside the open interval (eps, 1-eps)."""
@@ -233,7 +242,7 @@ def retention_update(
         stats.merge(RetentionStats(examples=x.shape[0], clamped=clamped, floored=floored))
 
     payoff = w - cfg.control_variate
-    new_layers = [v.copy() for v in pi.layers]
+    new_layers = list(pi.layers)
     for layer in update_layers:
         p = pi[layer]
         act = active[layer]

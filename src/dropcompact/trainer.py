@@ -345,8 +345,8 @@ def evaluate(
         yb = y[chunk]
         logits = forward_batch(params, as_float(x[chunk]), gates, trace=False).logits
         # the argmax comes first: log_softmax_pick overwrites the logits
-        wrong += int((logits.argmax(axis=1) != yb).sum())
-        loss_sum += float(-log_softmax_pick(logits, yb).sum())
+        wrong += np.count_nonzero(logits.argmax(axis=1) != yb)
+        loss_sum -= float(np.add.reduce(log_softmax_pick(logits, yb)))
     return 100.0 * wrong / n, loss_sum / n
 
 
@@ -422,7 +422,7 @@ def run_training(
     params = init_params.copy() if init_params else init_mlp(
         cfg.layer_dims, cfg.hidden_activation, cfg.seed
     )
-    pi = init_pi.copy() if init_pi else initial_retention(params, cfg)
+    pi = init_pi or initial_retention(params, cfg)
     pi.validate(params)
     velocity = Gradients.zeros_like(params)
 
@@ -439,14 +439,13 @@ def run_training(
     lr = cfg.lr
     reports: list[EpochReport] = []
     best: EpochReport | None = None
-    best_params, best_pi = params.copy(), pi.copy()
+    best_params, best_pi = params.copy(), pi
     since_best = 0
 
     for epoch in range(cfg.epochs):
         if cfg.regime == "annealed":
             level = anneal_retention(epoch, cfg)
-            for layer in range(1, len(pi)):
-                pi.layers[layer][:] = level
+            pi = RetentionParams([pi[0]] + [np.full(v.shape, level) for v in pi.layers[1:]])
 
         params, train_loss = train_weights_epoch(
             params,
@@ -529,7 +528,7 @@ def run_training(
 
         if beats_best((dev_err, dev_loss), (best.dev_err, best.dev_loss) if best else NO_SCORE):
             best = reports[-1]
-            best_params, best_pi = params.copy(), pi.copy()
+            best_params, best_pi = params.copy(), pi
             since_best = 0
         else:
             since_best += 1

@@ -209,7 +209,7 @@ class TestCompact:
 
     def test_prune_empty_layer_exit_4(self, trained_deep, tmp_path):
         ck = load_checkpoint(str(trained_deep / "checkpoint_best.dckp"))
-        ck.pi.layers[1][:] = 0.0
+        ck.pi = RetentionParams([ck.pi[0], np.zeros(10), ck.pi[2]])
         dead = tmp_path / "dead.dckp"
         save_checkpoint(str(dead), ck)
         assert main(
@@ -358,13 +358,15 @@ class TestNumericFailure:
 
 
 class TestGoldenMetricsBytes:
-    """Pins the metrics.csv bytes of two small runs, so a speed-up of the
-    training loop that drifts a single bit fails here.
+    """Pins the metrics.csv bytes of one small run per regime, so a speed-up
+    of the training loop that drifts a single bit fails here.
 
     The compaction run has active units in epochs 0-1, prunes in both and
     has no active hidden unit in epochs 2-3; the dropout run gates the
-    input with retention exactly 1. The digests were taken with numpy 2.4
-    and its bundled OpenBLAS on x86-64; another BLAS may round differently.
+    input with retention exactly 1; the annealed run's hidden retention
+    goes 0.5, 0.75, 1, 1 over its epochs; the plain run gates only its
+    input. The digests were taken with numpy 2.4 and its bundled OpenBLAS
+    on x86-64; another BLAS may round differently.
     """
 
     BASE = dict(
@@ -374,6 +376,8 @@ class TestGoldenMetricsBytes:
     GOLDEN = {
         "compaction": "12236d4517a393080fa765ce8e8c120fbb1690f567724dc5bca40d1c91dec52c",
         "dropout": "957e74b223e1eae802d603e7033bd560ae52859aaad660c2e0df497a7011a926",
+        "annealed": "71bce2e857975c821af39a391c754390d1d82e04afaac0ecb9da7b2e176b4f3d",
+        "plain": "9245b130140d596f32f359534211226a7676c5b1d7c41bfef1931d8118049588",
     }
 
     @pytest.mark.parametrize(
@@ -381,6 +385,8 @@ class TestGoldenMetricsBytes:
         [
             ("compaction", dict(retention_lr=1e-4)),
             ("dropout", dict(dropout_retention=0.5, input_retention=1.0)),
+            ("annealed", dict(annealing_epochs=2)),
+            ("plain", dict(input_retention=0.8)),
         ],
     )
     def test_metrics_sha256(self, small_teacher_ds, tmp_path, regime, extra):
@@ -447,8 +453,7 @@ class TestGoldenOutputBytes:
     @pytest.mark.parametrize("mode", ["prune", "svd"])
     def test_compact(self, trained_deep, tmp_path, mode):
         ck = load_checkpoint(str(trained_deep / "checkpoint_best.dckp"))
-        ck.pi.layers[1][:] = np.linspace(0.05, 1.0, 10)
-        ck.pi.layers[2][:] = np.linspace(1.0, 0.05, 10)
+        ck.pi = RetentionParams([ck.pi[0], np.linspace(0.05, 1.0, 10), np.linspace(1.0, 0.05, 10)])
         src = tmp_path / "src.dckp"
         save_checkpoint(str(src), ck)
         out = tmp_path / "cp"

@@ -76,9 +76,10 @@ class TestPrune:
 
     def test_weight_count_consistency(self):
         params = init_mlp((10, 8, 6, 4), "relu", seed=7)
-        pi = RetentionParams([np.ones(10), np.ones(8), np.ones(6)])
-        pi.layers[1][[1, 3, 4]] = 0.0
-        pi.layers[2][[0]] = 0.0
+        h1, h2 = np.ones(8), np.ones(6)
+        h1[[1, 3, 4]] = 0.0
+        h2[[0]] = 0.0
+        pi = RetentionParams([np.ones(10), h1, h2])
         before = count_weights(params)
         pruned, _, report = prune_units(params, pi, 0.5)
         # interior layer: each removed unit drops (fan_in + fan_out) weights,

@@ -79,10 +79,18 @@ class TestForward:
             assert abs(softmax(logits).sum() - 1.0) < 1e-12
 
     def test_shape_mismatch_rejected(self, fixture_net_232):
-        with pytest.raises(ValueError):
-            forward_batch(fixture_net_232, np.ones((1, 3)), ones_gates(fixture_net_232))
-        with pytest.raises(ValueError):
-            forward_batch(fixture_net_232, np.ones((1, 2)), [np.ones(2), np.ones(4)])
+        net = fixture_net_232
+        with pytest.raises(ValueError, match=r"input shape \(1, 3\) vs input width 2"):
+            forward_batch(net, np.ones((1, 3)), ones_gates(net))
+        with pytest.raises(ValueError, match="need 2 gate vectors, got 1"):
+            forward_batch(net, np.ones((1, 2)), [None])
+        # a wrong-width gate is named by its layer, whole-batch or per-row
+        with pytest.raises(ValueError, match=r"gate 1 shape \(4,\) vs layer width 3"):
+            forward_batch(net, np.ones((1, 2)), [np.ones(2), np.ones(4)])
+        with pytest.raises(ValueError, match=r"gate 0 shape \(2, 2\) vs layer width 2"):
+            forward_batch(net, np.ones((1, 2)), [np.ones((2, 2)), None])
+        with pytest.raises(ValueError, match=r"gate 1 shape \(1, 2\) vs layer width 3"):
+            forward_batch(net, np.ones((1, 2)), [None, np.ones((1, 2))])
 
 
 class TestXentLoss:

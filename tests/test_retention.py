@@ -24,6 +24,7 @@ from dropcompact.retention import (
     retention_update,
     sample_mask_block,
 )
+from dropcompact.trainer import evaluate
 
 
 @pytest.fixture
@@ -55,6 +56,43 @@ def enumerate_exact_delta(params, pi, x, k, control):
         for i, layer in enumerate(range(1, len(pi))):
             acc[i] += prob * (w - control) * scores[layer]
     return acc
+
+
+class TestValueSemantics:
+    """A RetentionParams owns read-only copies of its vectors, so the gates
+    derived from them are computed once and can never go stale."""
+
+    def test_write_raises(self):
+        pi = RetentionParams([np.ones(2), np.full(3, 0.5)])
+        with pytest.raises(ValueError, match="read-only"):
+            pi[1][0] = 0.2
+        with pytest.raises(ValueError, match="read-only"):
+            pi.layers[0][:] = 0.0
+        assert np.array_equal(pi[1], np.full(3, 0.5))
+
+    def test_caller_array_is_copied(self):
+        v = np.full(3, 0.5)
+        pi = RetentionParams([np.ones(2), v])
+        assert v.flags.writeable
+        v[0] = 0.9
+        assert pi[1][0] == 0.5
+
+    def test_scaled_gates_computed_once(self):
+        pi = RetentionParams([np.ones(2), np.full(3, 0.5)])
+        gates = pi.scaled_gates()
+        assert gates[0] is None and gates[1] is pi[1]
+        assert pi.scaled_gates() is gates
+
+    def test_evaluate_scans_each_vector_once(self, monkeypatch):
+        calls = []
+        all_ones = retention._all_ones
+        monkeypatch.setattr(retention, "_all_ones", lambda v: calls.append(1) or all_ones(v))
+        params = init_mlp((6, 5, 4, 3), "relu", seed=36)
+        pi = RetentionParams([np.ones(6), np.full(5, 0.5), np.ones(4)])
+        rng = rng_stream(36, "requests")
+        for _ in range(100):
+            evaluate(params, pi, (rng.normal(size=(1, 6)), rng.integers(0, 3, 1)))
+        assert len(calls) <= len(pi)
 
 
 class TestSampling:
@@ -139,7 +177,7 @@ class TestRetentionUpdateMatchesOracle:
             b[:] = rng_stream(32, "bias", b.size).normal(size=b.shape)
         h1, h2 = self.HIDDEN[hidden]
         pi = RetentionParams([np.full(6, input_retention), np.array(h1), np.array(h2)])
-        ref_pi = pi.copy()
+        ref_pi = pi
         data = rng_stream(33, "data")
         cfg = RetentionUpdateConfig(learning_rate=0.02, control_variate=1.0, importance_clamp=3.0)
         hyper = PriorHyper(0.9, 0.9, 2.0)
