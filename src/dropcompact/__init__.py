@@ -2,7 +2,7 @@
 probabilities converge to 0 or 1, then remove the dead units."""
 
 from .compaction import absorb_retention, count_weights, prune_units, svd_compact
-from .data import Dataset, load_idx, load_mnist_dir, split_train_dev
+from .data import Dataset, load_mnist_dir, split_train_dev
 from .network import MlpParams, backward_batch, forward_batch, init_mlp
 from .retention import PriorHyper, RetentionParams, retention_update
 from .trainer import TrainConfig, evaluate, run_training
@@ -21,7 +21,6 @@ __all__ = [
     "evaluate",
     "forward_batch",
     "init_mlp",
-    "load_idx",
     "load_mnist_dir",
     "prune_units",
     "retention_update",

@@ -12,9 +12,8 @@ payloads of both image files into one buffer, which becomes the dataset's
 scales uint8 rows by 1/255 into float64 and passes float rows through, and
 the trainer applies it only to the rows it has just gathered (a minibatch,
 or a chunk of an evaluated split). A split of a Dataset is a row index into
-``features``; ``Dataset.arrays`` returns raw rows, as views for a split whose
-rows are one ascending run (the test split), so no split is copied whole or
-held as float64.
+``features``, and every consumer gathers its rows through it, so no split is
+copied whole or held as float64.
 """
 
 from __future__ import annotations
@@ -70,19 +69,8 @@ class Dataset:
         return as_float(self.features)
 
     @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def arrays(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
-        """The split's raw features and labels: views of the dataset's arrays
-        when its rows are one ascending run, gathered copies otherwise."""
-        idx = self.splits[tag]
-        rows = slice(idx[0], idx[-1] + 1) if idx.size and (np.diff(idx) == 1).all() else idx
-        return self.features[rows], self.labels[rows]
 
     def count(self, tag: str) -> int:
         return int(self.splits[tag].size) if tag in self.splits else 0
@@ -183,23 +171,6 @@ def file_digest(path: str) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def load_idx(images_path: str, labels_path: str, tag: str = "train") -> Dataset:
-    """Load a paired image/label IDX file set under one split tag."""
-    features, _ = _read_images({tag: images_path})
-    labels = load_idx_labels(labels_path)
-    _check_counts(features.shape[0], labels.shape[0])
-    return Dataset(
-        features,
-        labels,
-        _num_classes(labels),
-        splits={tag: np.arange(features.shape[0])},
-        source_digests={
-            os.path.basename(images_path): file_digest(images_path),
-            os.path.basename(labels_path): file_digest(labels_path),
-        },
-    )
 
 
 def write_idx_images(path: str, images: np.ndarray) -> None:

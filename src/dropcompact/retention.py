@@ -66,7 +66,7 @@ class RetentionParams:
         for i, v in enumerate(self.layers):
             if v.ndim != 1 or v.size == 0:
                 raise ValueError(f"retention vector {i} must be a non-empty 1-D array")
-            if v.min() < 0.0 or v.max() > 1.0:
+            if not ((v >= 0.0) & (v <= 1.0)).all():  # a NaN fails both
                 raise ValueError(f"retention vector {i} leaves [0, 1]")
         if params is not None:
             dims = params.layer_dims

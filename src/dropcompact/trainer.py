@@ -12,10 +12,9 @@ Randomness is split into named per-epoch streams (shuffling + mask draws
 for weight epochs, a separate stream for retention sweeps) so regimes that
 should coincide do so bit-for-bit under a shared seed.
 
-Minibatches are gathered straight from the dataset's features through the
-train split's row index, and dev chunks through the dev split's, so
-neither split is ever copied whole; each gathered minibatch, and each
-chunk of an evaluated split, is turned into float64 by ``data.as_float``
+Every split is a row index into the dataset's features. Minibatches and
+the chunks of an evaluated split are gathered through it, so no split is
+ever copied whole, and each is turned into float64 by ``data.as_float``
 only then. A non-finite loss or parameter stops the run with
 NonFiniteError.
 """
@@ -265,14 +264,17 @@ def initial_retention(params: MlpParams, cfg: TrainConfig) -> RetentionParams:
     return RetentionParams.constant(params, hidden, cfg.input_retention)
 
 
-def _minibatches(rows: np.ndarray, rng: Rng, size: int):
-    """The row indices of each minibatch of one shuffled pass over ``rows``.
+def _minibatches(data: tuple[np.ndarray, np.ndarray], rows: np.ndarray, rng: Rng, size: int):
+    """Each minibatch ``(inputs, labels)`` of one shuffled pass over ``rows``
+    of ``data``, gathered and put through ``as_float`` as it is taken.
 
     The permutation is over ``rows.size`` and is drawn from ``rng`` when the
     first batch is taken."""
+    x, y = data
     order = rng.permutation(rows.size)
     for start in range(0, rows.size, size):
-        yield rows[order[start : start + size]]
+        idx = rows[order[start : start + size]]
+        yield as_float(x[idx]), y[idx]
 
 
 def train_weights_epoch(
@@ -286,12 +288,9 @@ def train_weights_epoch(
     rows: np.ndarray | None = None,
 ) -> tuple[MlpParams, float]:
     """One shuffled pass of masked minibatch SGD over ``rows`` of ``data``
-    (every row when None); returns the mean loss. Each minibatch is
-    gathered from ``data`` itself, so the rows are never copied as a whole,
-    and goes through ``as_float`` after the gather."""
-    x, y = data
+    (every row when None); returns the mean loss."""
     if rows is None:
-        rows = np.arange(y.shape[0])
+        rows = np.arange(data[1].shape[0])
     t = rows.size
     if t == 0:
         raise ValueError("empty training data")
@@ -300,11 +299,10 @@ def train_weights_epoch(
     step_lr = cfg.lr if lr is None else lr
     scratch = Gradients.zeros_like(params)
     total = 0.0
-    for idx in _minibatches(rows, rng, cfg.batch_size):
-        xb, yb = as_float(x[idx]), y[idx]
+    for xb, yb in _minibatches(data, rows, rng, cfg.batch_size):
         grads: Gradients | None = None
         for _ in range(cfg.samples_per_example):
-            gates = sample_mask_block(pi, idx.size, rng)
+            gates = sample_mask_block(pi, yb.size, rng)
             losses, g = backward_batch(params, xb, yb, gates)
             total += float(losses.sum())
             if grads is None:
@@ -312,7 +310,7 @@ def train_weights_epoch(
             else:
                 for acc, new in zip(grads.weights + grads.biases, g.weights + g.biases):
                     acc += new
-        grads.scale(1.0 / (idx.size * cfg.samples_per_example))
+        grads.scale(1.0 / (yb.size * cfg.samples_per_example))
         sgd_step(params, grads, velocity, step_lr, cfg.momentum, cfg.l2, scratch)
     return params, total / (t * cfg.samples_per_example)
 
@@ -362,8 +360,9 @@ def plateau_lr(history: list[float], lr: float, threshold: float = 0.005) -> flo
 
 
 def retention_histogram(pi: RetentionParams, bins: int = HISTOGRAM_BINS) -> tuple[int, ...]:
-    """Histogram of hidden-layer retention values over [0, 1]."""
-    values = np.concatenate([pi[layer] for layer in range(1, len(pi))])
+    """Histogram of hidden-layer retention values over [0, 1]; all zeros
+    for a net without a hidden layer."""
+    values = np.concatenate([np.empty(0), *pi.layers[1:]])
     counts, _ = np.histogram(values, bins=bins, range=(0.0, 1.0))
     return tuple(int(c) for c in counts)
 
@@ -426,10 +425,10 @@ def run_training(
     pi.validate(params)
     velocity = Gradients.zeros_like(params)
 
-    # minibatches are gathered from the full features through train_rows;
+    # every split is gathered from the full features through its row index;
     # the prior's scale and the sweep's permutation are over the train count
+    data = (dataset.features, dataset.labels)
     train_rows = dataset.splits["train"]
-    test = dataset.arrays("test") if dataset.count("test") > 0 else None
 
     hyper = _prior_for(cfg, train_rows.size)
     rcfg = RetentionUpdateConfig(
@@ -450,7 +449,7 @@ def run_training(
         params, train_loss = train_weights_epoch(
             params,
             pi,
-            (dataset.features, dataset.labels),
+            data,
             cfg,
             rng_stream(cfg.seed, "weights", epoch),
             velocity=velocity,
@@ -463,19 +462,17 @@ def run_training(
 
         if cfg.regime == "compaction":
             # With every hidden unit frozen each update is p + lr * 0 == p,
-            # and the sweep's stream feeds nothing else: skip the sweep, and
-            # end it after the batch that freezes the last unit.
-            if _any_active(pi):
-                stats = RetentionStats()
-                rng_r = rng_stream(cfg.seed, "retention", epoch)
-                rb = cfg.retention_batch_size or cfg.batch_size
-                for idx in _minibatches(train_rows, rng_r, rb):
-                    batch = (as_float(dataset.features[idx]), dataset.labels[idx])
-                    pi = retention_update(pi, params, batch, hyper, rcfg, rng_r, stats)
-                    if not _any_active(pi):
-                        break
-                if stats.clamped:
-                    log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
+            # and the sweep's stream feeds nothing else: the sweep ends at
+            # the first batch that finds no active unit.
+            stats = RetentionStats()
+            rng_r = rng_stream(cfg.seed, "retention", epoch)
+            rb = cfg.retention_batch_size or cfg.batch_size
+            for batch in _minibatches(data, train_rows, rng_r, rb):
+                if not _any_active(pi):
+                    break
+                pi = retention_update(pi, params, batch, hyper, rcfg, rng_r, stats)
+            if stats.clamped:
+                log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
 
             prunable = any(
                 (pi[layer] < cfg.prune_threshold).any() for layer in range(1, len(pi))
@@ -489,18 +486,14 @@ def run_training(
 
         _check_finite(epoch, "retention", retention=pi.layers)
 
-        dev_err, dev_loss = (
-            evaluate(params, pi, (dataset.features, dataset.labels), rows=dataset.splits["dev"])
-            if has_dev
-            else NO_SCORE
-        )
-        test_err, test_loss = evaluate(params, pi, test) if test else NO_SCORE
-        _check_finite(  # the NaN score of an absent split is no failure
-            epoch,
-            "evaluation",
-            dev_loss=dev_loss if has_dev else 0.0,
-            test_loss=test_loss if test else 0.0,
-        )
+        scores = {
+            tag: evaluate(params, pi, data, rows=dataset.splits[tag])
+            for tag in ("dev", "test")
+            if dataset.count(tag)
+        }
+        _check_finite(epoch, "evaluation", **{f"{tag}_loss": s[1] for tag, s in scores.items()})
+        dev_err, dev_loss = scores.get("dev", NO_SCORE)
+        test_err, test_loss = scores.get("test", NO_SCORE)
         reports.append(
             EpochReport(
                 epoch=epoch,

@@ -106,7 +106,8 @@ class TestCriterion1Mnist:
         res = run_training(mnist, mnist_small_plain_cfg())
         check("1e", "baseline weight count exactly 42200",
               count_weights(res.best_params) == 42200)
-        err, loss = evaluate(res.best_params, res.best_pi, mnist.arrays("test"))
+        err, loss = evaluate(res.best_params, res.best_pi, (mnist.features, mnist.labels),
+                             rows=mnist.splits["test"])
         check("1f", f"baseline test error {err:.2f}% in [2.6, 3.6]", 2.6 <= err <= 3.6)
 
     def test_compaction_mnist(self, mnist):
@@ -117,7 +118,8 @@ class TestCriterion1Mnist:
         check("1g", f"compaction final weight count {n} in [38000, 56000]",
               38000 <= n <= 56000)
         ones = RetentionParams([np.ones(d) for d in final.layer_dims[:-1]])
-        err, loss = evaluate(final, ones, mnist.arrays("test"))
+        err, loss = evaluate(final, ones, (mnist.features, mnist.labels),
+                             rows=mnist.splits["test"])
         check("1h", f"compaction test error {err:.2f}% <= 3.2%", err <= 3.2)
         check("1i", f"compaction avg test loss {loss:.4f} <= 0.14", loss <= 0.14)
 
@@ -131,7 +133,8 @@ class TestCriterion1Mnist:
             batch_size=128, lr=0.001, momentum=0.9, patience=8, seed=1, dev_size=10000,
         )
         ft = run_training(mnist, ft_cfg, init_params=compacted)
-        err, _ = evaluate(ft.best_params, ft.best_pi, mnist.arrays("test"))
+        err, _ = evaluate(ft.best_params, ft.best_pi, (mnist.features, mnist.labels),
+                          rows=mnist.splits["test"])
         check("1k", f"SVD post-fine-tune test error {err:.2f}% <= 3.9%", err <= 3.9)
 
 
@@ -389,3 +392,26 @@ class TestCriterion8RegimeDegeneracy:
         )
         check("8", "plain regime is bit-identical to an all-ones-mask dropout run",
               self._params_equal(plain.final_params, ones.final_params))
+
+
+class TestCriterion9PriorControlsSize:
+    """The paper's size-control claim: a stronger prior (larger gamma)
+    leaves no more hidden units. The ladder and seeds were fixed before the
+    outcome was seen."""
+
+    GAMMAS = (0.5, 1.0, 2.0, 4.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_units_do_not_grow_with_gamma(self, small_teacher_ds, seed):
+        base = dict(
+            regime="compaction", layer_dims=(64, 100, 100, 10), epochs=40, batch_size=64,
+            lr=0.01, momentum=0.9, l2=1e-4, dev_size=0, patience=50, retention_lr=4e-6,
+            seed=seed,
+        )
+        units = [
+            sum(run_training(small_teacher_ds, TrainConfig(gamma=g, **base))
+                .final_params.layer_dims[1:-1])
+            for g in self.GAMMAS
+        ]
+        check("9", f"seed {seed}: hidden units {units} over gamma {self.GAMMAS} do not grow",
+              all(a >= b for a, b in zip(units, units[1:])))

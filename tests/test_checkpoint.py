@@ -1,4 +1,6 @@
 import builtins
+import contextlib
+import io
 import json
 import os
 import struct
@@ -6,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropcompact import checkpoint
 from dropcompact.checkpoint import (
@@ -21,8 +25,7 @@ from dropcompact.retention import RetentionParams
 from dropcompact.trainer import EpochReport, TrainConfig
 
 
-@pytest.fixture
-def ckpt():
+def small_checkpoint():
     params = init_mlp((6, 5, 3), "sigmoid", seed=4)
     pi = RetentionParams([np.ones(6), np.full(5, 0.25)])
     return Checkpoint(
@@ -34,6 +37,11 @@ def ckpt():
         best_metrics={"epoch": 7, "dev_err": 4.5, "dev_loss": 0.21},
         compaction_history=[{"mode": "prune", "threshold": 0.5}],
     )
+
+
+@pytest.fixture
+def ckpt():
+    return small_checkpoint()
 
 
 class TestRoundTrip:
@@ -158,18 +166,24 @@ class _FailingFile:
         self._f.close()
 
 
-@pytest.fixture
-def eval_inputs(ckpt, tmp_path):
-    """ckpt saved to disk, a 2x3-pixel IDX data dir it can evaluate, and a
-    metrics.csv for report, outside the directory the writers write to."""
-    src = tmp_path / "inputs"
-    src.mkdir()
+def write_eval_inputs(src, ckpt):
+    """ckpt (with no dev split) saved as src/c.dckp, and a 2x3-pixel IDX
+    data dir in src that it can evaluate."""
     save_checkpoint(str(src / "c.dckp"), replace(ckpt, config={**ckpt.config, "dev_size": 0}))
     rng = np.random.default_rng(0)
     for stem in ("train", "t10k"):
         write_idx_images(str(src / f"{stem}-images-idx3-ubyte"),
                          rng.integers(0, 256, size=(8, 2, 3), dtype=np.uint8))
         write_idx_labels(str(src / f"{stem}-labels-idx1-ubyte"), np.arange(8) % 3)
+
+
+@pytest.fixture
+def eval_inputs(ckpt, tmp_path):
+    """ckpt saved to disk, a 2x3-pixel IDX data dir it can evaluate, and a
+    metrics.csv for report, outside the directory the writers write to."""
+    src = tmp_path / "inputs"
+    src.mkdir()
+    write_eval_inputs(src, ckpt)
     write_metrics_csv(str(src / "metrics.csv"), "r", "plain", [TestAtomicWrites.REPORT])
     return src
 
@@ -228,3 +242,66 @@ class TestAtomicWrites:
             want = b"previous contents\r\n" + want.split(b"\r\n", 1)[1]
         assert (out / name).read_bytes() == want != b"previous contents\r\n"
         assert self._temp_files(out) == self._temp_files(fresh) == []
+
+
+def run_main(argv):
+    """main(argv)'s exit code and the lines it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().strip().splitlines()
+
+
+class TestRetentionOutOfRange:
+    """A retention entry outside [0, 1], NaN included, makes a checkpoint
+    malformed: nothing evaluates or compacts it."""
+
+    @pytest.fixture
+    def nan_path(self, ckpt, eval_inputs):
+        path = eval_inputs / "nan.dckp"
+        pi = RetentionParams([np.ones(6), np.array([0.25, np.nan, 0.25, 0.25, 0.25])])
+        save_checkpoint(str(path), replace(ckpt, pi=pi, config={**ckpt.config, "dev_size": 0}))
+        return path
+
+    def test_load_rejects_nan(self, nan_path):
+        with pytest.raises(CheckpointError, match="retention vector 1 leaves"):
+            load_checkpoint(str(nan_path))
+
+    @pytest.mark.parametrize("command", ["eval", "compact"])
+    def test_cli_exits_2(self, command, nan_path, eval_inputs, tmp_path):
+        out = tmp_path / "o"
+        argv = {
+            "eval": ["eval", "--data-dir", str(eval_inputs)],
+            "compact": ["compact", "--mode", "prune", "--out", str(out)],
+        }[command]
+        code, lines = run_main(argv + ["--checkpoint", str(nan_path)])
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory holding a small checkpoint (c.dckp) and data it can
+    evaluate, and the checkpoint's bytes."""
+    src = tmp_path_factory.mktemp("ckpt_fuzz")
+    write_eval_inputs(src, small_checkpoint())
+    return src, (src / "c.dckp").read_bytes()
+
+
+class TestCheckpointFuzz:
+    """A damaged checkpoint either still evaluates (exit 0) or is a config
+    error (exit 2, one line); no exception gets out of main."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(where=st.integers(0, 1 << 16), flip=st.integers(1, 255))
+    def test_byte_flip_eval(self, fuzz_inputs, where, flip):
+        src, blob = fuzz_inputs
+        bad = bytearray(blob)
+        bad[where % len(bad)] ^= flip
+        path = src / "flipped.dckp"
+        path.write_bytes(bytes(bad))
+        code, lines = run_main(["eval", "--checkpoint", str(path), "--data-dir", str(src)])
+        assert code in (0, 2), (code, lines)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+

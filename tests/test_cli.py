@@ -124,6 +124,19 @@ class TestTrain:
         err = float(capsys.readouterr().out.split("error_pct=")[1].split()[0])
         assert 75.0 <= err <= 97.0  # untrained 10-class net sits near 90%
 
+    @pytest.mark.parametrize("regime", ["plain", "compaction"])
+    def test_net_without_hidden_layer(self, data_dir, tmp_path, regime):
+        cfg = write_config(tmp_path / "c.ini", regime=regime, layer_dims="49,10")
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data-dir", data_dir, "--out", str(out)]) == 0
+        header = next(iter(read_csv_rows(out / "metrics.csv"))).keys()
+        assert not [k for k in header if k.startswith("units_l")], header
+        ckpt = str(out / "checkpoint_final.dckp")
+        assert main(["eval", "--checkpoint", ckpt, "--data-dir", data_dir]) == 0
+        assert main(["compact", "--checkpoint", ckpt, "--mode", "prune",
+                     "--out", str(tmp_path / "c")]) == 0
+        assert main(["report", str(out / "metrics.csv")]) == 0
+
     def test_seed_and_regime_overrides(self, data_dir, tmp_path):
         cfg = write_config(tmp_path / "c.ini")
         out = tmp_path / "ovr"

@@ -173,12 +173,13 @@ class TestSvdCompact:
             lr=0.02, momentum=0.9, seed=18, dev_size=0,
         )
         res = run_training(small_teacher_ds, cfg)
-        x, y = small_teacher_ds.arrays("train")
+        ds = small_teacher_ds
         counts, losses = [], []
         for k in (16, 8, 4, 2):
             compacted = svd_compact(res.final_params, k)
             counts.append(count_weights(compacted))
-            _, loss = evaluate(compacted, ones_pi(compacted), (x, y))
+            _, loss = evaluate(compacted, ones_pi(compacted), (ds.features, ds.labels),
+                               rows=ds.splits["train"])
             losses.append(loss)
         assert all(a > b for a, b in zip(counts, counts[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:]))

@@ -14,9 +14,7 @@ from conftest import load_mnist_dir_oracle, synth_blobs, write_mnist_dir
 from dropcompact.checkpoint import Checkpoint, save_checkpoint
 from dropcompact.cli import main
 from dropcompact.data import (
-    Dataset,
     IdxParseError,
-    load_idx,
     load_idx_labels,
     load_mnist_dir,
     quantize_pixels,
@@ -29,83 +27,79 @@ from dropcompact.network import init_mlp
 from dropcompact.retention import RetentionParams
 
 
+TRAIN_IMAGES, TRAIN_LABELS = "train-images-idx3-ubyte", "train-labels-idx1-ubyte"
+
+
 @pytest.fixture
-def idx_pair(tmp_path):
+def idx_files(tmp_path):
+    """The bytes of four MNIST files by name, written under tmp_path, whose
+    train and test pairs both hold the same 40 random 5x5 images and labels."""
     rng = rng_stream(0, "idx")
     images = rng.integers(0, 256, size=(40, 5, 5), dtype=np.uint8)
     labels = rng.integers(0, 10, size=40).astype(np.uint8)
-    ip, lp = tmp_path / "imgs", tmp_path / "labs"
-    write_idx_images(str(ip), images)
-    write_idx_labels(str(lp), labels)
-    return str(ip), str(lp), images, labels
+    for stem in ("train", "t10k"):
+        write_idx_images(str(tmp_path / f"{stem}-images-idx3-ubyte"), images)
+        write_idx_labels(str(tmp_path / f"{stem}-labels-idx1-ubyte"), labels)
+    return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+def load_with(files, name=None, blob=b""):
+    """load_mnist_dir of the files, with the one called name replaced by blob."""
+    with mnist_dir_with(files, name, blob) as d:
+        return load_mnist_dir(d)
 
 
 class TestIdxRoundTrip:
-    def test_bytes_identical_after_reserialize(self, idx_pair, tmp_path):
-        ip, lp, _, _ = idx_pair
-        ds = load_idx(ip, lp)
-        assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
-        assert np.isfinite(ds.inputs).all()
+    def test_bytes_identical_after_reserialize(self, idx_files, tmp_path):
+        ds = load_with(idx_files)
+        train = ds.splits["train"]
+        x = ds.inputs[train]
+        assert x.min() >= 0.0 and x.max() <= 1.0
+        assert np.isfinite(x).all()
         ip2, lp2 = tmp_path / "imgs2", tmp_path / "labs2"
-        write_idx_images(str(ip2), quantize_pixels(ds.inputs))
-        write_idx_labels(str(lp2), ds.labels)
-        assert Path(ip).read_bytes() == ip2.read_bytes()
-        assert Path(lp).read_bytes() == lp2.read_bytes()
+        write_idx_images(str(ip2), quantize_pixels(x))
+        write_idx_labels(str(lp2), ds.labels[train])
+        assert idx_files[TRAIN_IMAGES] == ip2.read_bytes()
+        assert idx_files[TRAIN_LABELS] == lp2.read_bytes()
 
     def test_gzip_suffix_roundtrip(self, tmp_path):
         images = rng_stream(1, "g").integers(0, 256, size=(7, 4, 4), dtype=np.uint8)
-        p, lp = tmp_path / "imgs.gz", tmp_path / "labs.gz"
-        write_idx_images(str(p), images)
-        write_idx_labels(str(lp), np.arange(7))
-        loaded = load_idx(str(p), str(lp))
-        assert np.array_equal(quantize_pixels(loaded.inputs).reshape(7, 4, 4), images)
+        for stem in ("train", "t10k"):
+            write_idx_images(str(tmp_path / f"{stem}-images-idx3-ubyte.gz"), images)
+            write_idx_labels(str(tmp_path / f"{stem}-labels-idx1-ubyte.gz"), np.arange(7))
+        loaded = load_mnist_dir(str(tmp_path))
+        x = loaded.inputs[loaded.splits["train"]]
+        assert np.array_equal(quantize_pixels(x).reshape(7, 4, 4), images)
 
-    def test_magic_mismatch_names_field(self, idx_pair):
-        ip, lp, _, _ = idx_pair
+    def test_magic_mismatch_names_field(self, idx_files, tmp_path):
         with pytest.raises(IdxParseError, match="magic mismatch"):
-            load_idx(lp, lp)  # label magic in image position
+            load_with(idx_files, TRAIN_IMAGES, idx_files[TRAIN_LABELS])
         with pytest.raises(IdxParseError, match="magic mismatch"):
-            load_idx_labels(ip)
+            load_idx_labels(str(tmp_path / TRAIN_IMAGES))
 
-    # the image file is parsed before the label file, so each damaged image
-    # file below is paired with a valid label file
+    # each test below damages one file of an otherwise valid set
 
-    def test_truncated_file_names_offset(self, idx_pair, tmp_path):
-        _, lp, _, _ = idx_pair
-        p = tmp_path / "trunc"
-        with open(p, "wb") as f:
-            f.write(struct.pack(">IIII", 0x803, 10, 5, 5))
-            f.write(b"\x00" * 30)  # should be 250 bytes
+    def test_truncated_file_names_offset(self, idx_files):
+        blob = struct.pack(">IIII", 0x803, 10, 5, 5) + b"\x00" * 30  # should be 250 bytes
         with pytest.raises(IdxParseError, match="offset 16"):
-            load_idx(str(p), lp)
+            load_with(idx_files, TRAIN_IMAGES, blob)
 
-    def test_oversized_header_is_truncation(self, idx_pair, tmp_path):
+    def test_oversized_header_is_truncation(self, idx_files):
         # 1.5 TiB declared over a 24-byte payload fails as truncated,
         # without allocating what the header declares
-        _, lp, _, _ = idx_pair
-        p = tmp_path / "huge"
-        with open(p, "wb") as f:
-            f.write(struct.pack(">IIII", 0x803, 6, 1 << 16, 1 << 22))
-            f.write(b"\x00" * 24)
+        blob = struct.pack(">IIII", 0x803, 6, 1 << 16, 1 << 22) + b"\x00" * 24
         with pytest.raises(IdxParseError, match="wanted 1649267441664 bytes, got 24"):
-            load_idx(str(p), lp)
+            load_with(idx_files, TRAIN_IMAGES, blob)
 
-    def test_count_mismatch_rejected(self, idx_pair, tmp_path):
-        ip, _, _, _ = idx_pair
+    def test_count_mismatch_rejected(self, idx_files, tmp_path):
         lp2 = tmp_path / "short_labels"
         write_idx_labels(str(lp2), np.arange(10, dtype=np.uint8))
         with pytest.raises(IdxParseError, match="count mismatch"):
-            load_idx(ip, str(lp2))
+            load_with(idx_files, TRAIN_LABELS, lp2.read_bytes())
 
-    def test_trailing_bytes_rejected(self, idx_pair, tmp_path):
-        ip, lp, images, _ = idx_pair
-        p = tmp_path / "padded"
-        with open(ip, "rb") as f:
-            blob = f.read()
-        with open(p, "wb") as f:
-            f.write(blob + b"\x00")
+    def test_trailing_bytes_rejected(self, idx_files):
         with pytest.raises(IdxParseError, match="trailing"):
-            load_idx(str(p), lp)
+            load_with(idx_files, TRAIN_IMAGES, idx_files[TRAIN_IMAGES] + b"\x00")
 
 
 class TestMnistDir:
@@ -141,7 +135,7 @@ class TestMnistDir:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        pixels = ds.n * ds.dim  # bytes of the uint8 payloads
+        pixels = ds.labels.size * ds.dim  # bytes of the uint8 payloads
         assert peak < 1.3 * pixels, (peak, pixels)
         assert ds.features.dtype == np.uint8 and ds.features.nbytes == pixels
 
@@ -209,7 +203,7 @@ class TestIdxFuzz:
         blob[offset % (16 if "images" in name else 8)] ^= flip
         ds = load_or_none(files, name, bytes(blob))
         if ds is not None:
-            assert ds.count("train") + ds.count("test") == ds.n == ds.labels.size
+            assert ds.count("train") + ds.count("test") == ds.features.shape[0] == ds.labels.size
             assert 0.0 <= ds.inputs.min() and ds.inputs.max() <= 1.0
 
     @settings(max_examples=50, deadline=None)
@@ -222,28 +216,6 @@ class TestIdxFuzz:
             code = main(["eval", "--checkpoint", ckpt, "--data-dir", d])
         lines = err.getvalue().strip().splitlines()
         assert code == 3 and len(lines) == 1 and lines[0].startswith("data error: "), lines
-
-
-class TestDatasetArrays:
-    DS = synth_blobs(20, 2, 3, separation=1.0, seed=0)  # 40 rows
-
-    def test_contiguous_split_is_a_view(self):
-        ds = Dataset(self.DS.inputs, self.DS.labels, 2, splits={"test": np.arange(25, 40)})
-        x, y = ds.arrays("test")
-        assert np.shares_memory(x, ds.inputs) and np.shares_memory(y, ds.labels)
-        assert np.array_equal(x, ds.inputs[25:]) and np.array_equal(y, ds.labels[25:])
-
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.one_of(
-        st.lists(st.integers(0, 39), max_size=50),
-        st.integers(0, 40).flatmap(lambda a: st.integers(a, 40).map(lambda b: list(range(a, b)))),
-    ))
-    def test_equals_fancy_indexing(self, rows):
-        idx = np.array(rows, dtype=np.int64)
-        ds = Dataset(self.DS.inputs, self.DS.labels, 2, splits={"s": idx})
-        x, y = ds.arrays("s")
-        assert x.shape == (idx.size, 3) and y.shape == (idx.size,)
-        assert np.array_equal(x, ds.inputs[idx]) and np.array_equal(y, ds.labels[idx])
 
 
 class TestSplit:

@@ -5,7 +5,13 @@
 - Every top-level function and class in ``src/dropcompact`` is referenced
   somewhere in ``src/`` or ``perfbench/`` outside its own definition, so
   code that lost its last caller is deleted rather than left behind.
-  Tests do not count as callers.
+  Tests do not count as callers, and neither does the package's
+  ``__init__.py``: a re-export is not a use.
+- Every method, property and dataclass field of a package class (dunders
+  aside) is read as an attribute somewhere in those caller files outside
+  its own definition. Members are matched by name alone, so a name that
+  several classes or modules share (``lr``, ``count``) counts as read
+  wherever any of them is read.
 - No module but ``data.py`` reads an attribute named ``inputs``: for a
   pixel dataset ``Dataset.inputs`` builds a float64 copy of every row, so
   the package gathers rows from ``Dataset.features`` and converts only those.
@@ -22,7 +28,7 @@ PACKAGE = REPO_ROOT / "src" / "dropcompact"
 PACKAGE_FILES = sorted(PACKAGE.glob("*.py"))
 CALLER_FILES = sorted(
     p for d in (REPO_ROOT / "src", REPO_ROOT / "perfbench") for p in d.rglob("*.py")
-    if "tests" not in p.relative_to(d).parts
+    if "tests" not in p.relative_to(d).parts and p != PACKAGE / "__init__.py"
 )
 
 
@@ -92,6 +98,46 @@ def test_every_top_level_definition_has_a_caller():
             ):
                 orphans.append(f"{os.path.relpath(path, REPO_ROOT)}:{stmt.name}")
     assert orphans == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any("dataclass" in _names_in(d) for d in cls.decorator_list)
+
+
+def _members(cls: ast.ClassDef):
+    """The non-dunder methods, properties and dataclass fields of a class."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef):
+            name = stmt.name
+        elif isinstance(stmt, ast.AnnAssign) and _is_dataclass(cls):
+            name = stmt.target.id
+        else:
+            continue
+        if not (name.startswith("__") and name.endswith("__")):
+            yield name, stmt
+
+
+def test_every_class_member_is_read():
+    # (file, line, name) of every attribute read in the caller files
+    reads = [
+        (path, node.lineno, node.attr)
+        for path in CALLER_FILES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for path in PACKAGE_FILES:
+        for cls in _tree(path).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for name, stmt in _members(cls):
+                own = range(stmt.lineno, stmt.end_lineno + 1)
+                if not any(
+                    attr == name and not (where == path and line in own)
+                    for where, line, attr in reads
+                ):
+                    unread.append(f"{os.path.relpath(path, REPO_ROOT)}:{cls.name}.{name}")
+    assert unread == []
 
 
 def test_only_data_reads_inputs():

@@ -246,9 +246,9 @@ class TestTrainEpoch:
         cfg = TrainConfig(regime="plain", layer_dims=(4, 5, 2), epochs=1, batch_size=8, lr=1e-9)
         params = init_mlp((4, 5, 2), "relu", seed=2)
         before = [w.copy() for w in params.weights]
-        x, y = ds.arrays("train")
-        _, loss = train_weights_epoch(params, initial_retention(params, cfg), (x, y), cfg,
-                                      rng_stream(0, "e"), lr=0.0)
+        _, loss = train_weights_epoch(params, initial_retention(params, cfg),
+                                      (ds.features, ds.labels), cfg, rng_stream(0, "e"),
+                                      lr=0.0, rows=ds.splits["train"])
         assert loss > 0
         for b, w in zip(before, params.weights):
             assert np.array_equal(b, w)
@@ -260,8 +260,8 @@ class TestTrainEpoch:
             lr=0.05, momentum=0.9, seed=3, dev_size=0, patience=100,
         )
         res = run_training(ds, cfg)
-        x, y = ds.arrays("train")
-        err, _ = evaluate(res.final_params, res.final_pi, (x, y))
+        err, _ = evaluate(res.final_params, res.final_pi, (ds.features, ds.labels),
+                          rows=ds.splits["train"])
         assert err == 0.0
 
     def test_multi_sample_plain_equals_single(self):
@@ -384,10 +384,12 @@ class TestPixelDataset:
         pi = initial_retention(init, cfg)
         runs = []
         for ds in (pixel_ds, twin):
+            data = (ds.features, ds.labels)
             params, loss = train_weights_epoch(
-                init.copy(), pi, ds.arrays("train"), cfg, rng_stream(cfg.seed, "weights", 0)
+                init.copy(), pi, data, cfg, rng_stream(cfg.seed, "weights", 0),
+                rows=ds.splits["train"],
             )
-            scores = [evaluate(params, pi, ds.arrays(tag)) for tag in ("dev", "test")]
+            scores = [evaluate(params, pi, data, rows=ds.splits[tag]) for tag in ("dev", "test")]
             runs.append((params.weights + params.biases, loss, scores))
         (pa, la, sa), (pb, lb, sb) = runs
         assert la == lb and sa == sb
