@@ -5,6 +5,12 @@ canonical JSON header (sorted keys, no whitespace) describing config,
 bookkeeping and the array manifest, then each array as raw little-endian
 float64 bytes in manifest order. Canonical encoding makes
 save -> load -> save byte-identical.
+
+Payloads move between file and array without a copy of their bytes:
+``save_checkpoint`` writes each array's own buffer, and ``load_checkpoint``
+reads each payload straight into the array it returns. That array is
+allocated only after its length has been checked against the bytes left
+in the file, so a corrupt length never sizes a buffer.
 """
 
 from __future__ import annotations
@@ -99,7 +105,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         f.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         f.write(blob)
         for _, a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
 
 
 def _parse_header(blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]:
@@ -135,10 +141,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
-        def take(n: int, what: str) -> bytes:
+        def check_left(n: int, what: str) -> None:
             # checked before reading so a corrupt length never sizes a buffer
             if n > size - f.tell():
                 raise CheckpointError(f"truncated {what}")
+
+        def take(n: int, what: str) -> bytes:
+            check_left(n, what)
             return f.read(n)
 
         magic = f.read(4)
@@ -152,8 +161,15 @@ def load_checkpoint(path: str) -> Checkpoint:
         header, manifest = _parse_header(take(hlen, "checkpoint header"))
         arrays = {}
         for name, shape in manifest:
-            buf = take(8 * math.prod(shape), f"payload for array {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            what = f"payload for array {name}"
+            check_left(8 * math.prod(shape), what)
+            try:
+                a = np.empty(shape, dtype="<f8")
+            except ValueError as e:  # e.g. a zero dimension beside a huge one
+                raise CheckpointError(f"bad shape {list(shape)} for array {name}: {e}") from e
+            if f.readinto(a) != a.nbytes:
+                raise CheckpointError(f"truncated {what}")
+            arrays[name] = a
         if f.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
 

@@ -119,7 +119,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; '#' and ';' start comments; no sections."""
     raw: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:  # a leading BOM is dropped
             lines = f.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
@@ -574,6 +574,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:  # e.g. layer_dims too large for this machine
+        print(f"config error: out of memory: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -186,7 +187,7 @@ def write_idx_images(path: str, images: np.ndarray) -> None:
     n, rows, cols = images.shape
     with _open_maybe_gzip(path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
+        f.write(memoryview(np.ascontiguousarray(images)))
 
 
 def write_idx_labels(path: str, labels: np.ndarray) -> None:
@@ -199,8 +200,16 @@ def write_idx_labels(path: str, labels: np.ndarray) -> None:
 
 
 def quantize_pixels(inputs: np.ndarray) -> np.ndarray:
-    """Invert the 1/255 scaling back to uint8 (exact for loaded data)."""
-    return np.rint(inputs * 255.0).astype(np.uint8)
+    """Invert the 1/255 scaling back to uint8 (exact for loaded data).
+
+    Rows are converted in chunks of at most READ_CHUNK float64 bytes, so the
+    only full-size array is the uint8 result."""
+    out = np.empty(inputs.shape, dtype=np.uint8)
+    step = max(1, READ_CHUNK // (8 * max(1, math.prod(inputs.shape[1:]))))
+    for start in range(0, inputs.shape[0], step):
+        chunk = inputs[start : start + step] * 255.0
+        out[start : start + step] = np.rint(chunk, out=chunk)
+    return out
 
 
 MNIST_FILES = {

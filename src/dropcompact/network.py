@@ -29,6 +29,13 @@ from .linalg import glorot_uniform, rng_stream
 HIDDEN_ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether no entry of a is NaN or infinite. min and max propagate NaN,
+    so both are finite exactly when every entry is, and unlike
+    ``np.isfinite(a).all()`` nothing the size of a is allocated."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 @dataclass
 class MlpParams:
     """weights[i]: (dims[i+1], dims[i]); hidden_activations[i] acts on layer i+1."""
@@ -62,7 +69,7 @@ class MlpParams:
                 raise ValueError(f"layer {i + 1}: bias shape {b.shape} vs weight {w.shape}")
             if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
                 raise ValueError(f"layer {i + 1}: fan-in does not match previous layer")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            if not (_all_finite(w) and _all_finite(b)):
                 raise ValueError(f"layer {i + 1}: non-finite parameter")
 
     def copy(self) -> "MlpParams":

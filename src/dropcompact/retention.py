@@ -108,7 +108,7 @@ class PriorHyper:
     beta: float
     gamma: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta <= 1.0):
             raise ValueError("alpha and beta must lie in (0, 1] for the bimodal regime")
         if self.gamma < 0.0:
@@ -121,7 +121,7 @@ class RetentionUpdateConfig:
     control_variate: float = 1.0
     importance_clamp: float = 100.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.learning_rate < 0.0:
             raise ValueError("retention learning rate must be non-negative")
         if self.importance_clamp <= 0.0:
@@ -208,8 +208,6 @@ def retention_update(
     ks = np.asarray(ks)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("retention_update needs a non-empty (B, D) batch")
-    cfg.validate()
-    hyper.validate()
 
     n_layers = params.n_layers
     update_layers = range(1, n_layers)

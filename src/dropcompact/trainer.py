@@ -130,7 +130,7 @@ class TrainConfig:
             raise ValueError("importance_clamp must be positive")
         if self.retention_batch_size < 0 or self.dev_size < 0:
             raise ValueError("retention_batch_size and dev_size must be >= 0")
-        PriorHyper(self.prior_alpha, self.prior_beta, max(self.gamma, 0.0)).validate()
+        PriorHyper(self.prior_alpha, self.prior_beta, max(self.gamma, 0.0))  # checks alpha, beta
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
@@ -369,9 +369,7 @@ def retention_histogram(pi: RetentionParams, bins: int = HISTOGRAM_BINS) -> tupl
 
 def _prior_for(cfg: TrainConfig, train_size: int) -> PriorHyper:
     gamma = cfg.gamma * train_size if cfg.gamma_mode == "multiple_of_t" else cfg.gamma
-    hyper = PriorHyper(cfg.prior_alpha, cfg.prior_beta, gamma)
-    hyper.validate()
-    return hyper
+    return PriorHyper(cfg.prior_alpha, cfg.prior_beta, gamma)
 
 
 def _any_active(pi: RetentionParams) -> bool:

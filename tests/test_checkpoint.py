@@ -4,6 +4,7 @@ import io
 import json
 import os
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,56 @@ class TestMalformed:
         out = str(tmp_path / "o")
         assert main(["compact", "--checkpoint", str(path), "--mode", "prune", "--out", out]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def big_checkpoint():
+    """A checkpoint of about 1.8 MB whose arrays are mostly one weight matrix."""
+    params = init_mlp((100, 2000, 10), "relu", seed=5)
+    return Checkpoint(
+        params=params, pi=RetentionParams.constant(params, 0.75), config={}, seed=5, epoch=1
+    )
+
+
+def array_bytes(ckpt) -> int:
+    return sum(a.nbytes for a in [*ckpt.params.weights, *ckpt.params.biases, *ckpt.pi])
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak of the memory fn(*args) allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPayloadMemory:
+    """Payloads go straight between file and array: no copy of their bytes."""
+
+    def test_round_trip_over_one_mib(self, tmp_path):
+        ckpt = big_checkpoint()
+        assert array_bytes(ckpt) > 1 << 20
+        p1, p2 = tmp_path / "a.dckp", tmp_path / "b.dckp"
+        save_checkpoint(str(p1), ckpt)
+        loaded = load_checkpoint(str(p1))
+        for a, b in zip([*loaded.params.weights, *loaded.params.biases, *loaded.pi],
+                        [*ckpt.params.weights, *ckpt.params.biases, *ckpt.pi]):
+            assert a.dtype == np.float64 and a.shape == b.shape and np.array_equal(a, b)
+        save_checkpoint(str(p2), loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_peak_is_its_arrays(self, tmp_path):
+        ckpt = big_checkpoint()
+        path = str(tmp_path / "c.dckp")
+        save_checkpoint(path, ckpt)
+        peak = traced_peak(load_checkpoint, path)
+        assert peak <= 1.1 * array_bytes(ckpt), (peak, array_bytes(ckpt))
+
+    def test_save_peak_below_one_mib(self, tmp_path):
+        ckpt = big_checkpoint()
+        peak = traced_peak(save_checkpoint, str(tmp_path / "c.dckp"), ckpt)
+        assert peak < 1 << 20, peak
 
 
 class _FailingFile:
@@ -305,3 +356,22 @@ class TestCheckpointFuzz:
         if code == 2:
             assert len(lines) == 1 and lines[0].startswith("config error: "), lines
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entry=st.integers(0, 4),
+        huge=st.lists(st.integers(1 << 32, 1 << 80), min_size=2, max_size=3),
+        zero_at=st.integers(0, 3),
+    )
+    def test_unbuildable_shape_rejected(self, fuzz_inputs, entry, huge, zero_at):
+        # the zero makes the declared payload 0 bytes, so the shape passes
+        # the length check; the other dimensions' product overflows numpy
+        src, blob = fuzz_inputs
+        shape = huge[:zero_at] + [0] + huge[zero_at:]
+
+        def edit(header):
+            header["arrays"][entry]["shape"] = shape
+
+        path = src / "shape.dckp"
+        path.write_bytes(_edit_header(blob, edit))
+        with pytest.raises(CheckpointError, match="bad shape"):
+            load_checkpoint(str(path))

@@ -537,6 +537,14 @@ class TestShippedConfigHash:
         cfg = TrainConfig.from_dict(parse_config_file(os.path.join(REPO_ROOT, rel)))
         assert config_hash(cfg) == self.GOLDEN[rel]
 
+    @pytest.mark.parametrize("rel", SHIPPED_CONFIGS)
+    def test_copy_saved_with_bom_parses_alike(self, rel, tmp_path):
+        path = os.path.join(REPO_ROOT, rel)
+        copy = tmp_path / "bom.ini"
+        with open(path, "rb") as f:
+            copy.write_bytes(b"\xef\xbb\xbf" + f.read())
+        assert parse_config_file(str(copy)) == parse_config_file(path)
+
 
 @pytest.fixture(scope="session")
 def odd_checkpoints(tmp_path_factory):
@@ -576,6 +584,8 @@ class TestExitCodes:
                                    "--data-dir", "{tmp}/none"], 2),
         "train-dev-size": (["train", "--config", "{tmp}/dev.ini", "--data-dir", "{tmp}/none"], 2),
         "train-clamp-0": (["train", "--config", "{tmp}/clamp.ini", "--data-dir", "{tmp}/none"], 2),
+        "train-unallocatable": (["train", "--config", "{tmp}/huge.ini", "--data-dir", "{data}",
+                                 "--out", "{tmp}/o"], 2),
         # an --out that is an existing file, or lies under one
         "out-file-train": (["train", "--config", "{tmp}/ok.ini", "--data-dir", "{data}",
                             "--out", "{tmp}/taken"], 2),
@@ -606,6 +616,9 @@ class TestExitCodes:
         write_config(tmp_path / "rb.ini", retention_batch_size=-5)
         write_config(tmp_path / "dev.ini", dev_size=-1)
         write_config(tmp_path / "clamp.ini", importance_clamp=0)
+        # a 49 x 2**52 weight matrix is 1.5 EiB, beyond any address space,
+        # so its allocation fails at once
+        write_config(tmp_path / "huge.ini", layer_dims=f"49,{2**52},10")
         write_config(tmp_path / "ok.ini", epochs=1)
         write_metrics(tmp_path / "ok.csv", "r", "plain", [(0, 5.0, 6.0, 0.3)])
         (tmp_path / "taken").write_text("a file, not a directory\n")

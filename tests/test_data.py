@@ -1,9 +1,11 @@
 import contextlib
+import gzip
 import io
 import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_mnist_dir_oracle, synth_blobs, write_mnist_dir
+from dropcompact import data
 from dropcompact.checkpoint import Checkpoint, save_checkpoint
 from dropcompact.cli import main
 from dropcompact.data import (
+    IMAGE_MAGIC,
+    READ_CHUNK,
     IdxParseError,
     load_idx_labels,
     load_mnist_dir,
@@ -100,6 +105,48 @@ class TestIdxRoundTrip:
     def test_trailing_bytes_rejected(self, idx_files):
         with pytest.raises(IdxParseError, match="trailing"):
             load_with(idx_files, TRAIN_IMAGES, idx_files[TRAIN_IMAGES] + b"\x00")
+
+
+class TestPixelWriters:
+    """quantize_pixels and write_idx_images give the bytes of the full-array
+    formulas, rint(x * 255).astype(uint8) and images.tobytes(), without
+    building either array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(0, 40),
+        side=st.integers(1, 6),
+        chunk=st.sampled_from([1, 8, 100, READ_CHUNK]),
+        seed=st.integers(0, 2**32 - 1),
+        reverse=st.booleans(),
+        suffix=st.sampled_from(["", ".gz"]),
+    )
+    def test_bytes_match_full_array_formula(self, rows, side, chunk, seed, reverse, suffix):
+        rng = rng_stream(seed, "quantize")
+        # exact pixel levels, as loaded data has, and arbitrary values in [0, 1]
+        x = np.where(rng.random((rows, side * side)) < 0.5,
+                     rng.integers(0, 256, (rows, side * side)) / 255.0,
+                     rng.random((rows, side * side)))
+        with mock.patch.object(data, "READ_CHUNK", chunk):
+            pixels = quantize_pixels(x)
+        assert pixels.dtype == np.uint8
+        assert pixels.tobytes() == np.rint(x * 255.0).astype(np.uint8).tobytes()
+        images = pixels[:, ::-1] if reverse else pixels  # a non-contiguous view
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / f"images{suffix}"
+            write_idx_images(str(path), images)
+            blob = gzip.decompress(path.read_bytes()) if suffix else path.read_bytes()
+        assert blob == struct.pack(">IIII", IMAGE_MAGIC, rows, side, side) + images.tobytes()
+
+    def test_quantize_peak_is_the_result_and_one_chunk(self):
+        x = rng_stream(3, "quantize").random((2000, 784))  # 12.5 MB of float64
+        tracemalloc.start()
+        try:
+            pixels = quantize_pixels(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pixels.nbytes + 2 * READ_CHUNK, (peak, pixels.nbytes)
 
 
 class TestMnistDir:

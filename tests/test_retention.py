@@ -304,6 +304,19 @@ class TestImportanceWeight:
         assert w <= 1.5
 
 
+class TestHyperparametersCheckedWhenBuilt:
+    @pytest.mark.parametrize("build", [
+        lambda: PriorHyper(1.5, 0.9, 1.0),
+        lambda: PriorHyper(0.9, 0.0, 1.0),
+        lambda: PriorHyper(0.9, 0.9, -1.0),
+        lambda: RetentionUpdateConfig(learning_rate=-0.1),
+        lambda: RetentionUpdateConfig(learning_rate=0.1, importance_clamp=0.0),
+    ], ids=["alpha", "beta", "gamma", "learning_rate", "importance_clamp"])
+    def test_invalid_value_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
 class TestRetentionUpdate:
     def test_no_signal_no_change(self):
         params = init_mlp((2, 4, 2), "relu", seed=23)
