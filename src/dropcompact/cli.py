@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import zlib
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,29 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"cannot create output directory {path}: {e}") from e
 
 
+@contextmanager
+def _out_dir_removed_on_failure(path: str):
+    """_make_out_dir for a command that fills the directory afterwards: if
+    the command raises, the directories this call created are removed
+    again, innermost first, while they are still empty. A directory that
+    existed before stays as it was."""
+    created = []
+    missing = os.path.abspath(path)
+    while not os.path.exists(missing):
+        created.append(missing)
+        missing = os.path.dirname(missing)
+    _make_out_dir(path)
+    try:
+        yield
+    except BaseException:
+        for d in created:
+            try:
+                os.rmdir(d)
+            except OSError:  # no longer empty
+                break
+        raise
+
+
 def _load_checkpoint_arg(path: str) -> Checkpoint:
     """load_checkpoint for a path given on the command line."""
     try:
@@ -249,46 +273,46 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, layer_dims=ck.params.layer_dims)
 
     out = args.out or "."
-    _make_out_dir(out)
-    dataset = _load_dataset(args.data_dir, cfg)
-    # a non-finite value stops the run with NonFiniteError, so numpy's
-    # overflow warnings on the way there would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run_training(dataset, cfg, init_params=init_params, init_pi=init_pi)
+    with _out_dir_removed_on_failure(out):
+        dataset = _load_dataset(args.data_dir, cfg)
+        # a non-finite value stops the run with NonFiniteError, so numpy's
+        # overflow warnings on the way there would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_training(dataset, cfg, init_params=init_params, init_pi=init_pi)
 
-    run_id = f"{cfg.regime}-s{cfg.seed}-{config_hash(cfg)[:8]}"
-    last_epoch = result.reports[-1].epoch if result.reports else -1
-    save_checkpoint(
-        os.path.join(out, "checkpoint_final.dckp"),
-        _checkpoint_from_result(cfg, result, last_epoch, best=False),
-    )
-    save_checkpoint(
-        os.path.join(out, "checkpoint_best.dckp"),
-        _checkpoint_from_result(cfg, result, result.best_epoch, best=True),
-    )
-    write_metrics_csv(os.path.join(out, "metrics.csv"), run_id, cfg.regime, result.reports)
-    write_histogram_csv(os.path.join(out, "retention_hist.csv"), result.reports)
-    manifest = {
-        "run_id": run_id,
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "backend": kernels.backend_name(),
-        "regime": cfg.regime,
-    }
-    if args.resume:
-        manifest["resumed_from"] = file_digest(args.resume)
-    manifest.update(_data_digests(dataset))
-    write_manifest(os.path.join(out, "manifest.txt"), manifest)
-
-    best = result.best
-    if best:
-        print(
-            f"run {run_id}: {len(result.reports)} epochs,"
-            f" final weights {result.reports[-1].n_weights},"
-            f" best dev {best.dev_err:.2f}%/{best.dev_loss:.4f} at epoch {best.epoch}"
+        run_id = f"{cfg.regime}-s{cfg.seed}-{config_hash(cfg)[:8]}"
+        last_epoch = result.reports[-1].epoch if result.reports else -1
+        save_checkpoint(
+            os.path.join(out, "checkpoint_final.dckp"),
+            _checkpoint_from_result(cfg, result, last_epoch, best=False),
         )
-    else:
-        print(f"run {run_id}: 0 epochs (checkpoint holds the initialized model)")
+        save_checkpoint(
+            os.path.join(out, "checkpoint_best.dckp"),
+            _checkpoint_from_result(cfg, result, result.best_epoch, best=True),
+        )
+        write_metrics_csv(os.path.join(out, "metrics.csv"), run_id, cfg.regime, result.reports)
+        write_histogram_csv(os.path.join(out, "retention_hist.csv"), result.reports)
+        manifest = {
+            "run_id": run_id,
+            "config_hash": config_hash(cfg),
+            "seed": cfg.seed,
+            "backend": kernels.backend_name(),
+            "regime": cfg.regime,
+        }
+        if args.resume:
+            manifest["resumed_from"] = file_digest(args.resume)
+        manifest.update(_data_digests(dataset))
+        write_manifest(os.path.join(out, "manifest.txt"), manifest)
+
+        best = result.best
+        if best:
+            print(
+                f"run {run_id}: {len(result.reports)} epochs,"
+                f" final weights {result.reports[-1].n_weights},"
+                f" best dev {best.dev_err:.2f}%/{best.dev_loss:.4f} at epoch {best.epoch}"
+            )
+        else:
+            print(f"run {run_id}: 0 epochs (checkpoint holds the initialized model)")
     return EXIT_OK
 
 

@@ -101,16 +101,34 @@ def prune_units(
     return pruned, new_pi, report
 
 
+def _shared(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a: the result shares its memory, and a write
+    through it raises instead of changing a."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def absorb_retention(params: MlpParams, pi: RetentionParams) -> MlpParams:
     """Fold retention scaling into the consuming weight matrices.
 
     Column u of the matrix reading layer l is scaled by that layer's
     retention probability, so a plain all-ones forward pass reproduces the
     expectation-scaled one.
+
+    Only what changes is copied. A matrix whose input layer's retention is
+    exactly 1 (a ``None`` gate of ``pi.scaled_gates()``; x * 1.0 == x) and
+    every bias are read-only views of ``params``' arrays; the other
+    matrices are new arrays. To train the result in place, copy it first
+    (``run_training`` does).
     """
     pi.validate(params)
-    weights = [params.weights[i] * pi[i][None, :] for i in range(params.n_layers)]
-    return MlpParams(weights, [b.copy() for b in params.biases], tuple(params.hidden_activations))
+    weights = [
+        _shared(w) if gate is None else w * gate[None, :]
+        for w, gate in zip(params.weights, pi.scaled_gates())
+    ]
+    biases = [_shared(b) for b in params.biases]
+    return MlpParams(weights, biases, tuple(params.hidden_activations))
 
 
 def svd_compact(params: MlpParams, bottleneck) -> MlpParams:
@@ -121,6 +139,10 @@ def svd_compact(params: MlpParams, bottleneck) -> MlpParams:
     (sqrt(s) V^T, U sqrt(s)): a new zero-bias linear layer of width k
     followed by a layer carrying the original bias and activation. The
     result approximates the original and is meant to be fine-tuned.
+
+    The factors and the zero biases are new C-order arrays. Every other
+    matrix and bias is a read-only view of ``params``' array; copy the
+    result before training it in place (``run_training`` does).
     """
     n = params.n_layers
     targets = list(range(1, n - 1))  # matrices touching only hidden layers
@@ -151,11 +173,11 @@ def svd_compact(params: MlpParams, bottleneck) -> MlpParams:
             biases.append(np.zeros(rank_of[i]))
             produced_acts.append("linear")
             weights.append(np.ascontiguousarray(u * root[None, :]))  # (D_out, k)
-            biases.append(params.biases[i].copy())
+            biases.append(_shared(params.biases[i]))
             produced_acts.append(act)
         else:
-            weights.append(params.weights[i].copy())
-            biases.append(params.biases[i].copy())
+            weights.append(_shared(params.weights[i]))
+            biases.append(_shared(params.biases[i]))
             produced_acts.append(act)
     assert produced_acts[-1] is None
     out = MlpParams(weights, biases, tuple(produced_acts[:-1]))

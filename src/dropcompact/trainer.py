@@ -218,16 +218,14 @@ def sgd_step(
     lr: float,
     momentum: float,
     l2: float,
-    scratch: Gradients | None = None,
+    scratch: Gradients,
 ) -> tuple[MlpParams, Gradients]:
     """v <- momentum*v - lr*(g + l2*W); W <- W + v. Biases skip L2.
 
-    The products go in place through ``scratch`` (parameter-shaped buffers,
-    allocated here when not given), in the operation order of the formula,
-    so the result is bit-identical to it.
+    The products go in place through ``scratch`` (parameter-shaped
+    buffers), in the operation order of the formula, so the result is
+    bit-identical to it.
     """
-    if scratch is None:
-        scratch = Gradients.zeros_like(params)
     steps = chain(
         zip(params.weights, grads.weights, velocity.weights, scratch.weights, repeat(l2)),
         zip(params.biases, grads.biases, velocity.biases, scratch.biases, repeat(0.0)),
@@ -283,20 +281,16 @@ def train_weights_epoch(
     data: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     rng: Rng,
-    velocity: Gradients | None = None,
-    lr: float | None = None,
-    rows: np.ndarray | None = None,
+    velocity: Gradients,
+    lr: float,
+    rows: np.ndarray,
 ) -> tuple[MlpParams, float]:
-    """One shuffled pass of masked minibatch SGD over ``rows`` of ``data``
-    (every row when None); returns the mean loss."""
-    if rows is None:
-        rows = np.arange(data[1].shape[0])
+    """One shuffled pass of masked minibatch SGD at step size ``lr`` over
+    ``rows`` of ``data``, carrying the momentum ``velocity`` in place;
+    returns the mean loss."""
     t = rows.size
     if t == 0:
         raise ValueError("empty training data")
-    if velocity is None:
-        velocity = Gradients.zeros_like(params)
-    step_lr = cfg.lr if lr is None else lr
     scratch = Gradients.zeros_like(params)
     total = 0.0
     for xb, yb in _minibatches(data, rows, rng, cfg.batch_size):
@@ -311,7 +305,7 @@ def train_weights_epoch(
                 for acc, new in zip(grads.weights + grads.biases, g.weights + g.biases):
                     acc += new
         grads.scale(1.0 / (yb.size * cfg.samples_per_example))
-        sgd_step(params, grads, velocity, step_lr, cfg.momentum, cfg.l2, scratch)
+        sgd_step(params, grads, velocity, lr, cfg.momentum, cfg.l2, scratch)
     return params, total / (t * cfg.samples_per_example)
 
 

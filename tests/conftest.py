@@ -11,6 +11,7 @@ import gzip
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,20 @@ def load_mnist_dir_oracle(data_dir):
         inputs.append(pixels.reshape(n, rows * cols).astype(np.float64) / 255.0)
         labels.append(_idx_payload(path(f"{prefix}-labels-idx1-ubyte"), 8)[1].astype(np.int64))
     return np.concatenate(inputs), np.concatenate(labels)
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+def traced_peak(fn, *args) -> int:
+    """The peak of the memory fn(*args) allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import io
 import json
 import os
 import struct
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from dropcompact import checkpoint
 from dropcompact.checkpoint import (
     Checkpoint,
@@ -158,16 +158,6 @@ def big_checkpoint():
 
 def array_bytes(ckpt) -> int:
     return sum(a.nbytes for a in [*ckpt.params.weights, *ckpt.params.biases, *ckpt.pi])
-
-
-def traced_peak(fn, *args) -> int:
-    """The peak of the memory fn(*args) allocated, in bytes."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestPayloadMemory:

@@ -113,6 +113,17 @@ class TestTrain:
         cfg = write_config(tmp_path / "c.ini")
         assert main(["train", "--config", cfg, "--data-dir", str(tmp_path / "nowhere")]) == 3
 
+    @pytest.mark.parametrize("contents", [[], ["notes.txt"]])
+    def test_failed_run_keeps_an_out_dir_that_existed(self, tmp_path, contents):
+        cfg = write_config(tmp_path / "c.ini")
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in contents:
+            (out / name).write_text("kept\n")
+        assert main(["train", "--config", cfg, "--data-dir", str(tmp_path / "nowhere"),
+                     "--out", str(out)]) == 3
+        assert sorted(os.listdir(out)) == contents
+
     def test_zero_epochs_untrained_checkpoint(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", epochs=0, dev_size=0)
         out = tmp_path / "run0"
@@ -586,6 +597,8 @@ class TestExitCodes:
         "train-clamp-0": (["train", "--config", "{tmp}/clamp.ini", "--data-dir", "{tmp}/none"], 2),
         "train-unallocatable": (["train", "--config", "{tmp}/huge.ini", "--data-dir", "{data}",
                                  "--out", "{tmp}/o"], 2),
+        "train-missing-data": (["train", "--config", "{tmp}/ok.ini", "--data-dir", "{tmp}/none",
+                                "--out", "{tmp}/o/run"], 3),
         # an --out that is an existing file, or lies under one
         "out-file-train": (["train", "--config", "{tmp}/ok.ini", "--data-dir", "{data}",
                             "--out", "{tmp}/taken"], 2),
@@ -632,3 +645,5 @@ class TestExitCodes:
         lines = capsys.readouterr().err.strip().splitlines()
         prefix = {2: "config error: ", 3: "data error: "}[code]
         assert len(lines) == 1 and lines[0].startswith(prefix), lines
+        # no case's --out existed before, and a failing command leaves none behind
+        assert not os.path.exists(os.path.join(inputs["tmp"], "o"))

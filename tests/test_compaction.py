@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from dropcompact.compaction import (
     EmptyLayerError,
     absorb_retention,
@@ -11,6 +12,7 @@ from dropcompact.compaction import (
 from dropcompact.linalg import rng_stream
 from dropcompact.network import backward_batch, forward_batch, init_mlp
 from dropcompact.retention import RetentionParams
+from dropcompact.trainer import TrainConfig, run_training
 
 
 def ones_pi(params):
@@ -19,6 +21,14 @@ def ones_pi(params):
 
 def batch_expected_logits(params, pi, xs):
     return forward_batch(params, xs, list(pi)).logits
+
+
+def arrays(params):
+    return [*params.weights, *params.biases]
+
+
+def shares_any(a, params) -> bool:
+    return any(np.shares_memory(a, b) for b in arrays(params))
 
 
 class TestPrune:
@@ -115,6 +125,46 @@ class TestAbsorb:
         got = batch_expected_logits(absorbed, ones_pi(params), xs)
         assert np.abs(want - got).max() < 1e-12
 
+    def test_shares_what_it_does_not_scale(self):
+        params = init_mlp((3, 5, 4, 2), "relu", seed=9)
+        pi = RetentionParams([np.ones(3), np.full(5, 0.5), np.ones(4)])
+        absorbed = absorb_retention(params, pi)
+        kept = [absorbed.weights[0], absorbed.weights[2], *absorbed.biases]
+        for a, src in zip(kept, [params.weights[0], params.weights[2], *params.biases]):
+            assert np.shares_memory(a, src) and not a.flags.writeable
+        assert not shares_any(absorbed.weights[1], params)
+
+    def test_write_into_shared_array_raises(self):
+        params = init_mlp((3, 5, 2), "relu", seed=8)
+        absorbed = absorb_retention(params, ones_pi(params))
+        for a in arrays(absorbed):
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
+        assert np.array_equal(absorbed.weights[0], params.weights[0])
+
+    def test_training_an_absorbed_net_leaves_its_source(self, small_teacher_ds):
+        cfg = TrainConfig(regime="plain", layer_dims=(64, 16, 10), epochs=1, batch_size=64,
+                          lr=0.02, momentum=0.9, seed=24, dev_size=0)
+        params = init_mlp(cfg.layer_dims, "relu", seed=24)
+        before = [a.tobytes() for a in arrays(params)]
+        absorbed = absorb_retention(params, ones_pi(params))
+        assert all(np.shares_memory(a, b) for a, b in zip(arrays(absorbed), arrays(params)))
+        res = run_training(small_teacher_ds, cfg, init_params=absorbed)
+        assert not np.array_equal(res.final_params.weights[0], params.weights[0])
+        assert [a.tobytes() for a in arrays(params)] == before
+
+    def test_absorbing_a_pruned_binary_net_allocates_no_child(self):
+        # a binary retention keeping every other hidden unit: after pruning every
+        # retention entry is exactly 1, so the absorb step allocates views and
+        # small checks, bounded at 1% of the child's bytes, not a second child
+        parent = init_mlp((512, 1024, 1024, 100), "relu", seed=25)
+        every_other = (np.arange(1024) % 2 == 0).astype(float)
+        pi = RetentionParams([np.ones(512), every_other, every_other])
+        pruned, kept_pi, _ = prune_units(parent, pi, 0.5)
+        child_bytes = sum(a.nbytes for a in arrays(pruned))
+        assert child_bytes > 4 << 20
+        assert traced_peak(absorb_retention, pruned, kept_pi) < 0.01 * child_bytes
+
     def test_binary_pi_prune_then_absorb_matches(self):
         for seed in range(5):
             params = init_mlp((7, 9, 8, 5), "relu", seed=seed)
@@ -195,6 +245,20 @@ class TestSvdCompact:
         params = init_mlp((6, 8, 4), "relu", seed=20)
         with pytest.raises(ValueError, match="no hidden-to-hidden"):
             svd_compact(params, 2)
+
+    def test_shares_what_it_does_not_factorize(self):
+        params = init_mlp((6, 8, 8, 8, 4), "relu", seed=26)
+        compacted = svd_compact(params, [3, 8])
+        # produced layers: W0, (factor, W1 with its bias), (factor, W2 with its bias), W3
+        for i, src in ((0, 0), (5, 3)):
+            w = compacted.weights[i]
+            assert np.shares_memory(w, params.weights[src]) and not w.flags.writeable
+        for i, src in ((0, 0), (2, 1), (4, 2), (5, 3)):
+            b = compacted.biases[i]
+            assert np.shares_memory(b, params.biases[src]) and not b.flags.writeable
+        for i in (1, 2, 3, 4):
+            w = compacted.weights[i]
+            assert not shares_any(w, params) and w.flags.writeable and w.flags.c_contiguous
 
     def test_factorized_net_is_trainable(self):
         params = init_mlp((5, 6, 6, 3), "relu", seed=21)

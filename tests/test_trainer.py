@@ -33,32 +33,35 @@ class TestSgdStep:
         params = scalar_net(1.0)
         grads = Gradients([np.array([[0.5]])], [np.array([0.25])])
         vel = Gradients.zeros_like(params)
-        sgd_step(params, grads, vel, lr=0.1, momentum=0.0, l2=0.0)
+        sgd_step(params, grads, vel, lr=0.1, momentum=0.0, l2=0.0,
+                 scratch=Gradients.zeros_like(params))
         assert params.weights[0][0, 0] == pytest.approx(1.0 - 0.05)
         assert params.biases[0][0] == pytest.approx(-0.025)
 
     def test_zero_grad_fixed_point(self):
         params = scalar_net(0.7)
         vel = Gradients.zeros_like(params)
-        sgd_step(params, Gradients.zeros_like(params), vel, 0.1, 0.9, 0.0)
+        sgd_step(params, Gradients.zeros_like(params), vel, 0.1, 0.9, 0.0,
+                 Gradients.zeros_like(params))
         assert params.weights[0][0, 0] == 0.7
 
     def test_two_step_momentum_recurrence(self):
         # f(w) = w^2/2 from w=1, lr 0.1, momentum 0.9: w -> 0.9 -> 0.72
         params = scalar_net(1.0)
-        vel = Gradients.zeros_like(params)
+        vel, scratch = Gradients.zeros_like(params), Gradients.zeros_like(params)
         g = Gradients([np.array([[params.weights[0][0, 0]]])], [np.zeros(1)])
-        sgd_step(params, g, vel, 0.1, 0.9, 0.0)
+        sgd_step(params, g, vel, 0.1, 0.9, 0.0, scratch)
         assert params.weights[0][0, 0] == pytest.approx(0.9)
         g = Gradients([np.array([[params.weights[0][0, 0]]])], [np.zeros(1)])
-        sgd_step(params, g, vel, 0.1, 0.9, 0.0)
+        sgd_step(params, g, vel, 0.1, 0.9, 0.0, scratch)
         assert params.weights[0][0, 0] == pytest.approx(0.72)
 
     def test_l2_applies_to_weights_not_biases(self):
         params = scalar_net(2.0)
         params.biases[0][0] = 3.0
         vel = Gradients.zeros_like(params)
-        sgd_step(params, Gradients.zeros_like(params), vel, 0.1, 0.0, l2=0.5)
+        sgd_step(params, Gradients.zeros_like(params), vel, 0.1, 0.0, l2=0.5,
+                 scratch=Gradients.zeros_like(params))
         assert params.weights[0][0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
         assert params.biases[0][0] == 3.0
 
@@ -68,13 +71,13 @@ class TestSgdStep:
         params = init_mlp((7, 5, 3), "relu", seed=12)
         ref = params.copy()
         vel, ref_vel = Gradients.zeros_like(params), Gradients.zeros_like(params)
+        scratch = Gradients.zeros_like(params)  # reused across steps, as in training
         rng = rng_stream(13, "sgd")
-        for step in range(3):
+        for _ in range(3):
             g = Gradients(
                 [rng.normal(size=w.shape) for w in params.weights],
                 [rng.normal(size=b.shape) for b in params.biases],
             )
-            scratch = Gradients.zeros_like(params) if step else None
             sgd_step(params, g, vel, 0.03, 0.9, l2, scratch)
             for w, gw, v in zip(ref.weights, g.weights, ref_vel.weights):
                 v *= 0.9
@@ -92,7 +95,8 @@ class TestSgdStep:
         params = scalar_net(1.0)
         bad = Gradients([np.zeros((2, 2))], [np.zeros(1)])
         with pytest.raises(ValueError):
-            sgd_step(params, bad, Gradients.zeros_like(params), 0.1, 0.0, 0.0)
+            sgd_step(params, bad, Gradients.zeros_like(params), 0.1, 0.0, 0.0,
+                     Gradients.zeros_like(params))
 
 
 class TestSchedules:
@@ -248,7 +252,8 @@ class TestTrainEpoch:
         before = [w.copy() for w in params.weights]
         _, loss = train_weights_epoch(params, initial_retention(params, cfg),
                                       (ds.features, ds.labels), cfg, rng_stream(0, "e"),
-                                      lr=0.0, rows=ds.splits["train"])
+                                      velocity=Gradients.zeros_like(params), lr=0.0,
+                                      rows=ds.splits["train"])
         assert loss > 0
         for b, w in zip(before, params.weights):
             assert np.array_equal(b, w)
@@ -387,7 +392,7 @@ class TestPixelDataset:
             data = (ds.features, ds.labels)
             params, loss = train_weights_epoch(
                 init.copy(), pi, data, cfg, rng_stream(cfg.seed, "weights", 0),
-                rows=ds.splits["train"],
+                velocity=Gradients.zeros_like(init), lr=cfg.lr, rows=ds.splits["train"],
             )
             scores = [evaluate(params, pi, data, rows=ds.splits[tag]) for tag in ("dev", "test")]
             runs.append((params.weights + params.biases, loss, scores))
