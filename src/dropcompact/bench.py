@@ -21,6 +21,7 @@ from .retention import RetentionParams
 
 MIN_REPS = 30
 WARMUP_PASSES = 10
+ACTIVATION = "relu"  # of the hidden layers of the timed model
 
 
 @dataclass
@@ -60,19 +61,18 @@ def time_forward(
     batch: int = 1,
     reps: int = 100,
     seed: int = 0,
-    activation: str = "relu",
-    warmup: int = WARMUP_PASSES,
 ) -> BenchResult:
-    """Median/min/p95 latency of one forward pass at the given batch size."""
+    """Median/min/p95 latency of one forward pass at the given batch size,
+    after WARMUP_PASSES untimed passes."""
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}")
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    params = network.init_mlp(shape, activation, seed)
+    params = network.init_mlp(shape, ACTIVATION, seed)
     dims = params.layer_dims
     run = _make_runner(params, rng_stream(seed, "bench-x").random((batch, dims[0])))
 
-    for _ in range(warmup):
+    for _ in range(WARMUP_PASSES):
         run()
     times = np.empty(reps)
     for i in range(reps):

@@ -264,7 +264,6 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.regime is not None:
         cfg = replace(cfg, regime=args.regime)
-    cfg.validate()
 
     init_params = init_pi = None
     if args.resume:
@@ -361,15 +360,12 @@ def cmd_compact(args) -> int:
         }
         print(f"prune: {report.summary()}")
     else:
-        absorbed = absorb_retention(ck.params, ck.pi)
         if args.rank is not None:
             ranks = args.rank
         else:
-            dims = absorbed.layer_dims
-            ranks = [
-                math.ceil(dims[i] / 8) for i in range(1, absorbed.n_layers - 1)
-            ]
-        params = svd_compact(absorbed, ranks)
+            dims = ck.params.layer_dims
+            ranks = [math.ceil(dims[i] / 8) for i in range(1, ck.params.n_layers - 1)]
+        params = svd_compact(ck.params, ck.pi, ranks)
         after = count_weights(params)
         rank_list = [int(ranks)] if np.isscalar(ranks) else [int(r) for r in ranks]
         history_entry = {

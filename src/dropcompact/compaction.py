@@ -109,6 +109,12 @@ def _shared(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _absorbed(w: np.ndarray, gate: np.ndarray | None) -> np.ndarray:
+    """w with column u scaled by gate[u]; a read-only view of w for a None
+    gate (retention exactly 1)."""
+    return _shared(w) if gate is None else w * gate[None, :]
+
+
 def absorb_retention(params: MlpParams, pi: RetentionParams) -> MlpParams:
     """Fold retention scaling into the consuming weight matrices.
 
@@ -123,27 +129,28 @@ def absorb_retention(params: MlpParams, pi: RetentionParams) -> MlpParams:
     (``run_training`` does).
     """
     pi.validate(params)
-    weights = [
-        _shared(w) if gate is None else w * gate[None, :]
-        for w, gate in zip(params.weights, pi.scaled_gates())
-    ]
+    weights = [_absorbed(w, gate) for w, gate in zip(params.weights, pi.scaled_gates())]
     biases = [_shared(b) for b in params.biases]
     return MlpParams(weights, biases, tuple(params.hidden_activations))
 
 
-def svd_compact(params: MlpParams, bottleneck) -> MlpParams:
-    """Replace each hidden-to-hidden matrix by a rank-k linear bottleneck.
+def svd_compact(params: MlpParams, pi: RetentionParams, bottleneck) -> MlpParams:
+    """Fold ``pi`` into the weights as ``absorb_retention`` does, and
+    replace each hidden-to-hidden matrix by a rank-k linear bottleneck.
 
     ``bottleneck`` is one rank or a sequence with one rank per
-    hidden-to-hidden matrix. Each matrix W becomes the pair
-    (sqrt(s) V^T, U sqrt(s)): a new zero-bias linear layer of width k
-    followed by a layer carrying the original bias and activation. The
-    result approximates the original and is meant to be fine-tuned.
+    hidden-to-hidden matrix. Each matrix W, scaled only now, so that at
+    most one scaled copy is alive, becomes the pair (sqrt(s) V^T, U sqrt(s)):
+    a new zero-bias linear layer of width k followed by a layer carrying
+    the original bias and activation. The result approximates the
+    expectation-scaled original and is meant to be fine-tuned.
 
-    The factors and the zero biases are new C-order arrays. Every other
-    matrix and bias is a read-only view of ``params``' array; copy the
+    The factors and the zero biases are new C-order arrays; every other
+    matrix and bias is what ``absorb_retention`` would return. Copy the
     result before training it in place (``run_training`` does).
     """
+    pi.validate(params)
+    gates = pi.scaled_gates()
     n = params.n_layers
     targets = list(range(1, n - 1))  # matrices touching only hidden layers
     if not targets:
@@ -166,7 +173,7 @@ def svd_compact(params: MlpParams, bottleneck) -> MlpParams:
     for i in range(n):
         act = params.hidden_activations[i] if i < n - 1 else None
         if i in rank_of:
-            u, s, v = truncated_svd(params.weights[i], rank_of[i])
+            u, s, v = truncated_svd(_absorbed(params.weights[i], gates[i]), rank_of[i])
             root = np.sqrt(s)
             # (k, D_in) zero-bias linear factor; keep C-order for the trainer
             weights.append(np.ascontiguousarray(root[:, None] * v.T))
@@ -176,7 +183,7 @@ def svd_compact(params: MlpParams, bottleneck) -> MlpParams:
             biases.append(_shared(params.biases[i]))
             produced_acts.append(act)
         else:
-            weights.append(_shared(params.weights[i]))
+            weights.append(_absorbed(params.weights[i], gates[i]))
             biases.append(_shared(params.biases[i]))
             produced_acts.append(act)
     assert produced_acts[-1] is None

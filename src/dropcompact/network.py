@@ -111,11 +111,6 @@ class BatchTrace:
     activations: list[np.ndarray]
     logits: np.ndarray
 
-    @property
-    def probs(self) -> np.ndarray:
-        """Class probabilities, computed afresh on each access."""
-        return softmax(self.logits)
-
 
 def init_mlp(layer_dims, hidden_activation: str, seed: int) -> MlpParams:
     """Glorot-uniform weights, zero biases; one RNG stream per layer."""
@@ -132,18 +127,13 @@ def init_mlp(layer_dims, hidden_activation: str, seed: int) -> MlpParams:
     return params
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_softmax_pick(logits: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """log p(k) per row via log-sum-exp, without forming probabilities.
 
-    Overwrites ``logits`` (with exp(logits - row max)), so it allocates
-    nothing logits-sized; read anything else from them first."""
+    Overwrites ``logits`` with exp(logits - row max), so it allocates
+    nothing logits-sized; read anything else from them first. Dividing
+    what it leaves by its row sum gives the class probabilities, the one
+    softmax of the package (``backward_batch``, the retention sweep)."""
     # the reductions .max and .sum dispatch to (so the same bits), called
     # without the Python wrappers they pass through on the way
     m = np.maximum.reduce(logits, axis=-1)
@@ -202,8 +192,9 @@ def backward_batch(params: MlpParams, x, ks, gates) -> tuple[np.ndarray, Gradien
     ks = np.asarray(ks)
     if ks.min() < 0 or ks.max() >= params.num_classes:
         raise ValueError("class index out of range")
-    delta = trace.probs
-    losses = -log_softmax_pick(trace.logits, ks)  # overwrites trace.logits
+    losses = -log_softmax_pick(trace.logits, ks)
+    delta = trace.logits  # exp(logits - row max), made the probabilities in place
+    delta /= np.add.reduce(delta, axis=-1)[:, None]
 
     # every entry is overwritten by np.dot(out=) or sum(out=) below
     grads = Gradients(

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import Rng, bernoulli_matrix
-from .network import MlpParams, forward_batch
+from .network import MlpParams, forward_batch, log_softmax_pick
 
 GUARD_EPS = 1e-6
 PROB_FLOOR = 1e-30
@@ -62,21 +62,20 @@ class RetentionParams:
     def __getitem__(self, i):
         return self.layers[i]
 
-    def validate(self, params: MlpParams | None = None) -> None:
+    def validate(self, params: MlpParams) -> None:
+        """Raise ValueError unless there is one non-empty vector per gated
+        layer of ``params``, each as wide as its layer, with every entry in
+        [0, 1]."""
+        dims = params.layer_dims
+        if len(self.layers) != params.n_layers:
+            raise ValueError(f"need {params.n_layers} retention vectors, got {len(self.layers)}")
         for i, v in enumerate(self.layers):
             if v.ndim != 1 or v.size == 0:
                 raise ValueError(f"retention vector {i} must be a non-empty 1-D array")
+            if v.shape != (dims[i],):
+                raise ValueError(f"retention vector {i} shape {v.shape} vs width {dims[i]}")
             if not ((v >= 0.0) & (v <= 1.0)).all():  # a NaN fails both
                 raise ValueError(f"retention vector {i} leaves [0, 1]")
-        if params is not None:
-            dims = params.layer_dims
-            if len(self.layers) != params.n_layers:
-                raise ValueError(
-                    f"need {params.n_layers} retention vectors, got {len(self.layers)}"
-                )
-            for i, v in enumerate(self.layers):
-                if v.shape != (dims[i],):
-                    raise ValueError(f"retention vector {i} shape {v.shape} vs width {dims[i]}")
 
     def scaled_gates(self) -> list[np.ndarray | None]:
         """Gates of the expectation-scaled pass: each retention vector, or
@@ -182,8 +181,11 @@ def prior_score_vector(p: np.ndarray, hyper: PriorHyper, active: np.ndarray) -> 
 
 
 def _label_probs(params, gates, x, ks) -> np.ndarray:
-    trace = forward_batch(params, x, list(gates), trace=False)
-    return trace.probs[np.arange(x.shape[0]), ks]
+    """p(k) per row under the given gates: the exp(logits - row max) that
+    log_softmax_pick leaves in the logits, over its row sum."""
+    e = forward_batch(params, x, list(gates), trace=False).logits
+    log_softmax_pick(e, ks)
+    return e[np.arange(x.shape[0]), ks] / np.add.reduce(e, axis=-1)
 
 
 def retention_update(
@@ -222,9 +224,10 @@ def retention_update(
 
     if n_layers > 1 and mask_blocks[0] is None and scaled_gates[0] is None:
         # Both passes start from the same ungated input, so layer 0 runs
-        # once; the tail nets then do the same operations as full passes.
-        z = x @ params.weights[0].T
-        z += params.biases[0]
+        # once, as the one-matrix head net; the tail nets then do the same
+        # operations as full passes.
+        head = MlpParams(params.weights[:1], params.biases[:1], ())
+        z = forward_batch(head, x, [None], trace=False).logits
         h = kernels.gate_act(z, None, params.hidden_activations[0], z)
         tail = MlpParams(params.weights[1:], params.biases[1:], params.hidden_activations[1:])
         p_masked = _label_probs(tail, mask_blocks[1:], h, ks)

@@ -53,6 +53,7 @@ log = logging.getLogger("dropcompact")
 
 REGIMES = ("plain", "dropout", "annealed", "compaction")
 HISTOGRAM_BINS = 20
+EVAL_BATCH = 1024  # rows evaluate scores per forward pass
 NO_SCORE = (math.nan, math.nan)  # (error, loss) of a split that is absent
 
 
@@ -61,9 +62,11 @@ class NonFiniteError(FloatingPointError):
     the epoch and the phase."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Flat experiment configuration; every field maps to one config-file key."""
+    """Flat experiment configuration; every field maps to one config-file key.
+    Checked when built (``dataclasses.replace`` included): a bad field
+    raises ValueError."""
 
     regime: str = "plain"
     layer_dims: tuple[int, ...] = (784, 100, 100, 10)
@@ -93,7 +96,7 @@ class TrainConfig:
     seed: int = 0
     dev_size: int = 10000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, float) and not math.isfinite(v):
@@ -141,9 +144,7 @@ class TrainConfig:
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             kwargs[key] = _coerce(key, value, known[key])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
         out = {}
@@ -313,13 +314,12 @@ def evaluate(
     params: MlpParams,
     pi: RetentionParams,
     split: tuple[np.ndarray, np.ndarray],
-    batch_size: int = 1024,
     rows: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(error rate %, mean cross-entropy) under the expectation-scaled pass.
 
-    Scores ``rows`` of ``split`` (every row when None), gathered one chunk
-    at a time, so a split given by its row index is never copied whole.
+    Scores ``rows`` of ``split`` (every row when None), gathered EVAL_BATCH
+    rows at a time, so a split given by its row index is never copied whole.
     The rows may be raw dataset features: each chunk goes through
     ``as_float`` as it is evaluated. The pass keeps no trace and skips the
     multiply of every all-ones gate, and the loss overwrites the logits, so
@@ -331,8 +331,8 @@ def evaluate(
     gates = pi.scaled_gates()
     wrong = 0
     loss_sum = 0.0
-    for start in range(0, n, batch_size):
-        stop = start + batch_size
+    for start in range(0, n, EVAL_BATCH):
+        stop = start + EVAL_BATCH
         chunk = slice(start, stop) if rows is None else rows[start:stop]
         yb = y[chunk]
         logits = forward_batch(params, as_float(x[chunk]), gates, trace=False).logits
@@ -353,11 +353,11 @@ def plateau_lr(history: list[float], lr: float, threshold: float = 0.005) -> flo
     return lr * 0.5 if improvement < threshold else lr
 
 
-def retention_histogram(pi: RetentionParams, bins: int = HISTOGRAM_BINS) -> tuple[int, ...]:
-    """Histogram of hidden-layer retention values over [0, 1]; all zeros
-    for a net without a hidden layer."""
+def retention_histogram(pi: RetentionParams) -> tuple[int, ...]:
+    """Histogram of hidden-layer retention values in HISTOGRAM_BINS equal
+    bins over [0, 1]; all zeros for a net without a hidden layer."""
     values = np.concatenate([np.empty(0), *pi.layers[1:]])
-    counts, _ = np.histogram(values, bins=bins, range=(0.0, 1.0))
+    counts, _ = np.histogram(values, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return tuple(int(c) for c in counts)
 
 
@@ -402,7 +402,6 @@ def run_training(
 ) -> TrainResult:
     """Full training run: weight epochs, optional retention sweeps and
     pruning, dev-based model selection and early stopping."""
-    cfg.validate()
     if dataset.count("train") == 0:
         raise ValueError("dataset has no train split")
     has_dev = dataset.count("dev") > 0

@@ -69,6 +69,13 @@ def scalar_forward_oracle(params: MlpParams, x, gates):
     return hs, logits, [e / s for e in exps]
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def finite_diff_grads(loss_fn, params: MlpParams, h=1e-6):
     """Central finite differences of loss_fn() w.r.t. every weight and bias."""
     grads_w, grads_b = [], []
@@ -138,7 +145,7 @@ def prior_score(pi_value: float, hyper) -> float:
 
 
 def _label_prob(params, gates, x, k) -> float:
-    return float(forward_batch(params, x[None, :], list(gates)).probs[0, k])
+    return float(softmax(forward_batch(params, x[None, :], list(gates)).logits)[0, k])
 
 
 def importance_weight(params, pi, x, k, masks, clamp=100.0) -> float:
@@ -161,8 +168,8 @@ def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats=None):
     for p in pi:
         p_eff = np.where(p <= GUARD_EPS, 0.0, np.where(p >= 1.0 - GUARD_EPS, 1.0, p))
         mask_blocks.append(bernoulli_matrix(p_eff, x.shape[0], rng))
-    p_masked = forward_batch(params, x, mask_blocks).probs[rows, ks]
-    p_scaled = forward_batch(params, x, list(pi)).probs[rows, ks]
+    p_masked = softmax(forward_batch(params, x, mask_blocks).logits)[rows, ks]
+    p_scaled = softmax(forward_batch(params, x, list(pi)).logits)[rows, ks]
     floored = int((p_masked < PROB_FLOOR).sum() + (p_scaled < PROB_FLOOR).sum())
     w = np.maximum(p_masked, PROB_FLOOR) / np.maximum(p_scaled, PROB_FLOOR)
     clamped = int((w > cfg.importance_clamp).sum())

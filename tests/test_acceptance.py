@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grads, grad_close, make_teacher_dataset, mask_score
+from conftest import finite_diff_grads, grad_close, make_teacher_dataset, mask_score, softmax
 from dropcompact import kernels
 from dropcompact.bench import flop_count, time_forward
 from dropcompact.compaction import absorb_retention, count_weights, prune_units, svd_compact
@@ -32,6 +32,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def check(cid: str, desc: str, cond: bool):
     print(f"ACCEPTANCE {cid} {'PASS' if cond else 'FAIL'}: {desc}")
     assert cond, f"{cid}: {desc}"
+
+
+def svd_full_retention(net, k):
+    """svd_compact of a net whose every retention is 1."""
+    return svd_compact(net, RetentionParams.constant(net, 1.0), k)
 
 
 def _mnist_dir():
@@ -91,7 +96,7 @@ class TestCriterion1Mnist:
         check("1b", "large baseline counts 477600 weights", count_weights(large) == 477600)
         check(
             "1c", "large SVD k=50 counts 357600 weights",
-            count_weights(svd_compact(large, 50)) == 357600,
+            count_weights(svd_full_retention(large, 50)) == 357600,
         )
         # the reported large-compaction mean (~481277) is reachable by the
         # same counting formula at near-half survival of a 784-800-800-10 net
@@ -125,7 +130,7 @@ class TestCriterion1Mnist:
 
     def test_svd_mnist(self, mnist):
         res = run_training(mnist, mnist_small_plain_cfg())
-        compacted = svd_compact(res.best_params, 7)
+        compacted = svd_compact(res.best_params, res.best_pi, 7)
         check("1j", "SVD bottleneck k=7 counts exactly 40400 weights",
               count_weights(compacted) == 40400)
         ft_cfg = TrainConfig(
@@ -227,8 +232,8 @@ class TestCriterion4EstimatorOracle:
             for layer in (1, 2):
                 m = masks[layer]
                 prob *= float(np.prod(np.where(m == 1.0, pi[layer], 1.0 - pi[layer])))
-            num = forward_batch(params, x[None], masks).probs[0, k]
-            den = forward_batch(params, x[None], list(pi)).probs[0, k]
+            num = softmax(forward_batch(params, x[None], masks).logits)[0, k]
+            den = softmax(forward_batch(params, x[None], list(pi)).logits)[0, k]
             w = min(max(num, 1e-30) / max(den, 1e-30), 100.0)
             scores = mask_score(masks, pi)
             acc += prob * (w - control) * np.concatenate([scores[1], scores[2]])
@@ -241,8 +246,8 @@ class TestCriterion4EstimatorOracle:
         xs = np.tile(x, (n, 1))
         ks = np.full(n, k)
         masks = sample_mask_block(pi, n, rng)
-        p_m = forward_batch(params, xs, masks).probs[np.arange(n), ks]
-        p_e = forward_batch(params, xs, list(pi)).probs[np.arange(n), ks]
+        p_m = softmax(forward_batch(params, xs, masks).logits)[np.arange(n), ks]
+        p_e = softmax(forward_batch(params, xs, list(pi)).logits)[np.arange(n), ks]
         w = np.clip(np.maximum(p_m, 1e-30) / np.maximum(p_e, 1e-30), 0.0, 100.0)
         scores = np.concatenate(
             [mask_score([masks[layer]], RetentionParams([pi[layer]]))[0] for layer in (1, 2)],
@@ -324,9 +329,9 @@ class TestCriterion6CompactionEquivalence:
         counts = {
             42200: count_weights(small),
             477600: count_weights(large),
-            40400: count_weights(svd_compact(small, 7)),
-            357600: count_weights(svd_compact(large, 50)),
-            82000: count_weights(svd_compact(h100, 13)),
+            40400: count_weights(svd_full_retention(small, 7)),
+            357600: count_weights(svd_full_retention(large, 50)),
+            82000: count_weights(svd_full_retention(h100, 13)),
         }
         check("6", f"all five cited weight counts hold exactly {sorted(counts)}",
               all(k == v for k, v in counts.items()))

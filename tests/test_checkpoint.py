@@ -346,6 +346,20 @@ class TestCheckpointFuzz:
         if code == 2:
             assert len(lines) == 1 and lines[0].startswith("config error: "), lines
 
+    def test_every_truncation_eval(self, fuzz_inputs):
+        src, blob = fuzz_inputs
+        path = src / "truncated.dckp"
+        wrong = {}
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            try:
+                code, lines = run_main(["eval", "--checkpoint", str(path), "--data-dir", str(src)])
+            except Exception as e:  # recorded with its size, as a finding
+                code, lines = None, [repr(e)]
+            if code != 2 or len(lines) != 1 or not lines[0].startswith("config error: "):
+                wrong[size] = (code, lines)
+        assert wrong == {}
+
     @settings(max_examples=60, deadline=None)
     @given(
         entry=st.integers(0, 4),

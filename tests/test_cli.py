@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import dataclasses
 import gzip
+import io
 import hashlib
 import os
 import shutil
@@ -8,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_teacher_dataset
 from dropcompact.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -15,7 +20,7 @@ from dropcompact.cli import config_hash, main, parse_config_file, write_metrics_
 from dropcompact.data import quantize_pixels, write_idx_images, write_idx_labels
 from dropcompact.network import init_mlp
 from dropcompact.retention import RetentionParams
-from dropcompact.trainer import TrainConfig, run_training
+from dropcompact.trainer import REGIMES, TrainConfig, run_training
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -647,3 +652,81 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith(prefix), lines
         # no case's --out existed before, and a failing command leaves none behind
         assert not os.path.exists(os.path.join(inputs["tmp"], "o"))
+
+
+# keys whose values set a valid run's cost, each drawn from a small range
+SMALL_KEYS = {
+    "epochs": st.integers(0, 3),
+    "layer_dims": st.tuples(
+        st.sampled_from([6, 6, 6, 5]), st.lists(st.integers(0, 8), max_size=3), st.integers(3, 5)
+    ).map(lambda d: ",".join(map(str, [d[0], *d[1], d[2]]))),
+    "batch_size": st.integers(1, 16),
+    "samples_per_example": st.integers(1, 3),
+    "dev_size": st.integers(0, 12),
+}
+# a value of the key's type, mostly in its valid range
+PLAUSIBLE = {
+    bool: st.sampled_from(["on", "off"]),
+    int: st.integers(1, 20).map(str),
+    float: st.floats(0.0, 1.0).map(repr),
+    "regime": st.sampled_from(REGIMES),
+    "hidden_activation": st.sampled_from(["relu", "sigmoid"]),
+    "gamma_mode": st.sampled_from(["multiple_of_t", "absolute"]),
+}
+ANY_VALUE = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+DEFAULTS = TrainConfig()
+OTHER_KEYS = sorted({f.name for f in dataclasses.fields(TrainConfig)} - set(SMALL_KEYS))
+
+
+@st.composite
+def config_texts(draw):
+    """Config text: every small-range key, some other keys with a plausible
+    value or any value, and now and then a line of any text."""
+    lines = [f"{k} = {draw(v)}" for k, v in SMALL_KEYS.items()]
+    for key in draw(st.lists(st.sampled_from(OTHER_KEYS), max_size=6, unique=True)):
+        kind = key if key in PLAUSIBLE else type(getattr(DEFAULTS, key))
+        value = ANY_VALUE if draw(st.integers(0, 3)) == 0 else PLAUSIBLE[kind]
+        lines.append(f"{key} = {draw(value)}")
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=20)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_idx_dir(tmp_path_factory):
+    """An IDX directory of 16 train and 8 test 2x3-pixel images, 3 classes."""
+    root = tmp_path_factory.mktemp("tiny_idx")
+    rng = np.random.default_rng(5)
+    for stem, n in (("train", 16), ("t10k", 8)):
+        write_idx_images(str(root / f"{stem}-images-idx3-ubyte"),
+                         rng.integers(0, 256, size=(n, 2, 3), dtype=np.uint8))
+        write_idx_labels(str(root / f"{stem}-labels-idx1-ubyte"), np.arange(n) % 3)
+    return root
+
+
+class TestConfigFuzz:
+    """Any config text through train exits with a documented code and at
+    most one line on stderr, never with a traceback."""
+
+    PREFIX = {2: "config error: ", 3: "data error: ", 4: "structural error: ",
+              5: "numeric error: "}
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=config_texts())
+    def test_train_exit_codes(self, tiny_idx_dir, tmp_path_factory, text):
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "c.ini").write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", str(work / "c.ini"), "--data-dir", str(tiny_idx_dir),
+                         "--out", str(work / "out")])
+        lines = err.getvalue().strip().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert code in self.PREFIX and len(lines) == 1, (code, lines)
+            assert lines[0].startswith(self.PREFIX[code]), lines

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from dropcompact.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from dropcompact.cli import main
 from dropcompact.compaction import (
     EmptyLayerError,
     absorb_retention,
@@ -189,7 +191,7 @@ class TestAbsorb:
 class TestSvdCompact:
     def test_full_rank_identical_outputs(self):
         params = init_mlp((6, 8, 8, 4), "relu", seed=13)
-        compacted = svd_compact(params, 8)
+        compacted = svd_compact(params, ones_pi(params), 8)
         assert compacted.layer_dims == (6, 8, 8, 8, 4)
         assert compacted.hidden_activations == ("relu", "linear", "relu")
         xs = rng_stream(14, "s").normal(size=(50, 6))
@@ -200,19 +202,19 @@ class TestSvdCompact:
     def test_small_net_table_count(self):
         params = init_mlp((784, 50, 50, 10), "relu", seed=15)
         assert count_weights(params) == 42200
-        compacted = svd_compact(params, 7)
+        compacted = svd_compact(params, ones_pi(params), 7)
         assert compacted.layer_dims == (784, 50, 7, 50, 10)
         assert count_weights(compacted) == 40400
 
     def test_h100_table_count(self):
         params = init_mlp((784, 100, 100, 10), "relu", seed=16)
-        compacted = svd_compact(params, 13)
+        compacted = svd_compact(params, ones_pi(params), 13)
         assert count_weights(compacted) == 82000
 
     def test_large_net_table_count(self):
         params = init_mlp((784, 400, 400, 10), "relu", seed=17)
         assert count_weights(params) == 477600
-        compacted = svd_compact(params, 50)
+        compacted = svd_compact(params, ones_pi(params), 50)
         assert count_weights(compacted) == 357600
 
     def test_decreasing_rank_monotone(self, small_teacher_ds):
@@ -226,7 +228,7 @@ class TestSvdCompact:
         ds = small_teacher_ds
         counts, losses = [], []
         for k in (16, 8, 4, 2):
-            compacted = svd_compact(res.final_params, k)
+            compacted = svd_compact(res.final_params, res.final_pi, k)
             counts.append(count_weights(compacted))
             _, loss = evaluate(compacted, ones_pi(compacted), (ds.features, ds.labels),
                                rows=ds.splits["train"])
@@ -237,18 +239,18 @@ class TestSvdCompact:
     def test_rank_out_of_range(self):
         params = init_mlp((6, 8, 8, 4), "relu", seed=19)
         with pytest.raises(ValueError):
-            svd_compact(params, 9)
+            svd_compact(params, ones_pi(params), 9)
         with pytest.raises(ValueError):
-            svd_compact(params, 0)
+            svd_compact(params, ones_pi(params), 0)
 
     def test_no_hidden_to_hidden_matrix(self):
         params = init_mlp((6, 8, 4), "relu", seed=20)
         with pytest.raises(ValueError, match="no hidden-to-hidden"):
-            svd_compact(params, 2)
+            svd_compact(params, ones_pi(params), 2)
 
     def test_shares_what_it_does_not_factorize(self):
         params = init_mlp((6, 8, 8, 8, 4), "relu", seed=26)
-        compacted = svd_compact(params, [3, 8])
+        compacted = svd_compact(params, ones_pi(params), [3, 8])
         # produced layers: W0, (factor, W1 with its bias), (factor, W2 with its bias), W3
         for i, src in ((0, 0), (5, 3)):
             w = compacted.weights[i]
@@ -260,9 +262,29 @@ class TestSvdCompact:
             w = compacted.weights[i]
             assert not shares_any(w, params) and w.flags.writeable and w.flags.c_contiguous
 
+    def test_cli_peak_holds_one_scaled_matrix(self, tmp_path):
+        # 32-512x4-40 keeping every other hidden unit, so every matrix that
+        # reads a hidden layer is scaled. `compact --mode svd` may hold the
+        # loaded parent, its result, one scaled 512x512 matrix and the u and
+        # vt of its SVD, plus 1 MiB (headers, the digest's read chunk); with
+        # every scaled copy alive at once it held about two matrices more
+        width = 512
+        parent = init_mlp((32, width, width, width, width, 40), "relu", seed=27)
+        every_other = (np.arange(width) % 2 == 0).astype(float)
+        pi = RetentionParams([np.ones(32)] + [every_other] * 4)
+        path = str(tmp_path / "parent.dckp")
+        save_checkpoint(path, Checkpoint(params=parent, pi=pi, config={}, seed=0, epoch=0))
+        argv = ["compact", "--checkpoint", path, "--mode", "svd", "--rank", "32",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0  # one-time allocations (imports, caches) fall outside the trace
+        child = load_checkpoint(str(tmp_path / "out" / "checkpoint_compacted.dckp")).params
+        matrix = width * width * 8
+        bound = sum(a.nbytes for a in arrays(parent) + arrays(child)) + 3 * matrix + (1 << 20)
+        assert traced_peak(main, argv) < bound
+
     def test_factorized_net_is_trainable(self):
         params = init_mlp((5, 6, 6, 3), "relu", seed=21)
-        compacted = svd_compact(params, 3)
+        compacted = svd_compact(params, ones_pi(params), 3)
         x = rng_stream(22, "t").normal(size=5)
         masks = [np.ones(d) for d in compacted.layer_dims[:-1]]
         losses, grads = backward_batch(compacted, x[None], np.array([1]), masks)

@@ -12,6 +12,10 @@
   its own definition. Members are matched by name alone, so a name that
   several classes or modules share (``lr``, ``count``) counts as read
   wherever any of them is read.
+- Every parameter default of a package function or method is overridden
+  by some call in those caller files, matched by the callee's name: a
+  default that every caller keeps is a knob only tests turn, and belongs
+  in a module constant that tests patch.
 - No module but ``data.py`` reads an attribute named ``inputs``: for a
   pixel dataset ``Dataset.inputs`` builds a float64 copy of every row, so
   the package gathers rows from ``Dataset.features`` and converts only those.
@@ -138,6 +142,58 @@ def test_every_class_member_is_read():
                 ):
                     unread.append(f"{os.path.relpath(path, REPO_ROOT)}:{cls.name}.{name}")
     assert unread == []
+
+
+def _package_functions():
+    """(path, definition, leading parameters a call does not pass) of every
+    top-level function and non-dunder method; a method's self or cls is the
+    one it skips (the package has no staticmethod)."""
+    for path in PACKAGE_FILES:
+        for stmt in _tree(path).body:
+            if isinstance(stmt, ast.FunctionDef):
+                yield path, stmt, 0
+            elif isinstance(stmt, ast.ClassDef):
+                for fn in stmt.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                        yield path, fn, 1
+
+
+def _defaults(fn: ast.FunctionDef):
+    """(position, name) of each parameter with a default; the position is
+    None for a keyword-only one."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield i, arg.arg
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call: ast.Call, position, name: str, skipped: int) -> bool:
+    """Whether call gives the parameter a value (a * or ** argument may)."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and skipped + len(call.args) > position
+
+
+def test_every_parameter_default_is_overridden():
+    calls: dict[str, list[ast.Call]] = {}
+    for path in CALLER_FILES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    kept = [
+        f"{os.path.relpath(path, REPO_ROOT)}:{fn.name}({name})"
+        for path, fn, skipped in _package_functions()
+        for position, name in _defaults(fn)
+        if not any(_passes(c, position, name, skipped) for c in calls.get(fn.name, []))
+    ]
+    assert kept == []
 
 
 def test_only_data_reads_inputs():

@@ -11,6 +11,7 @@ from conftest import (
     mask_score,
     prior_score,
     retention_update_oracle,
+    softmax,
 )
 from dropcompact import retention
 from dropcompact.linalg import bernoulli_matrix, rng_stream
@@ -356,8 +357,8 @@ class TestRetentionUpdate:
         ks = np.full(n, k)
         # one-draw-per-example estimate via block sampling, mirroring the update
         masks = sample_mask_block(pi, n, rng)
-        p_m = forward_batch(params, xs, masks).probs[np.arange(n), ks]
-        p_e = forward_batch(params, xs, list(pi)).probs[np.arange(n), ks]
+        p_m = softmax(forward_batch(params, xs, masks).logits)[np.arange(n), ks]
+        p_e = softmax(forward_batch(params, xs, list(pi)).logits)[np.arange(n), ks]
         w = np.clip(p_m / p_e, 0.0, 100.0)
         for i, layer in enumerate((1, 2)):
             scores = mask_score([masks[layer]], RetentionParams([pi[layer]]))[0]
@@ -422,8 +423,8 @@ class TestControlVariate:
         xs = np.tile(x, (n, 1))
         ks = np.full(n, k)
         masks = sample_mask_block(pi, n, rng)
-        p_m = forward_batch(params, xs, masks).probs[np.arange(n), ks]
-        p_e = forward_batch(params, xs, list(pi)).probs[np.arange(n), ks]
+        p_m = softmax(forward_batch(params, xs, masks).logits)[np.arange(n), ks]
+        p_e = softmax(forward_batch(params, xs, list(pi)).logits)[np.arange(n), ks]
         w = np.clip(p_m / p_e, 0.0, 100.0)
         scores = np.concatenate(
             [mask_score([masks[layer]], RetentionParams([pi[layer]]))[0] for layer in (1, 2)],

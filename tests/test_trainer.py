@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -213,13 +215,14 @@ class TestEvaluateMatchesOracle:
         else:
             x = rng.normal(size=(total, 6))
         y = rng.integers(0, 5, total)
-        if through_rows:
-            rows = rng.choice(total, n, replace=False)
-            got = evaluate(params, pi, (x, y), batch_size, rows=rows)
-            want = evaluate_oracle(params, pi, (x[rows], y[rows]), batch_size)
-        else:
-            got = evaluate(params, pi, (x[:n], y[:n]), batch_size)
-            want = evaluate_oracle(params, pi, (x[:n], y[:n]), batch_size)
+        with mock.patch.object(trainer, "EVAL_BATCH", batch_size):
+            if through_rows:
+                rows = rng.choice(total, n, replace=False)
+                got = evaluate(params, pi, (x, y), rows=rows)
+                want = evaluate_oracle(params, pi, (x[rows], y[rows]), batch_size)
+            else:
+                got = evaluate(params, pi, (x[:n], y[:n]))
+                want = evaluate_oracle(params, pi, (x[:n], y[:n]), batch_size)
         assert got == want
 
 
@@ -598,13 +601,17 @@ class TestConfig:
 
     def test_validation_bounds(self):
         with pytest.raises(ValueError):
-            TrainConfig(momentum=1.0).validate()
+            TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
-            TrainConfig(lr=0.0).validate()
+            TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(regime="bogus").validate()
+            TrainConfig(regime="bogus")
         with pytest.raises(ValueError):
-            TrainConfig(prior_alpha=1.5).validate()
+            TrainConfig(prior_alpha=1.5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(TrainConfig(), batch_size=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig().lr = 0.0
 
     @pytest.mark.parametrize(
         "bad",
@@ -621,7 +628,7 @@ class TestConfig:
     )
     def test_validation_rejects(self, bad):
         with pytest.raises(ValueError):
-            TrainConfig(**bad).validate()
+            TrainConfig(**bad)
 
     def test_from_dict_reads_every_key_as_text(self):
         want = TrainConfig(regime="compaction", layer_dims=(8, 4, 3), plateau_halving=True)
