@@ -240,10 +240,10 @@ def _load_checkpoint_arg(path: str) -> Checkpoint:
         raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
 
 
-def _checkpoint_from_result(cfg: TrainConfig, result, epoch: int, best: bool) -> Checkpoint:
-    params = result.best_params if best else result.final_params
-    pi = result.best_pi if best else result.final_pi
-    rep = result.best
+def _checkpoint_from_state(cfg: TrainConfig, state, epoch: int, best: bool) -> Checkpoint:
+    params = state.best_params if best else state.params
+    pi = state.best_pi if best else state.pi
+    rep = state.best
     best_metrics = (
         {"epoch": rep.epoch, "dev_err": rep.dev_err, "dev_loss": rep.dev_loss} if rep else {}
     )
@@ -277,20 +277,20 @@ def cmd_train(args) -> int:
         # a non-finite value stops the run with NonFiniteError, so numpy's
         # overflow warnings on the way there would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            result = run_training(dataset, cfg, init_params=init_params, init_pi=init_pi)
+            state = run_training(dataset, cfg, init_params=init_params, init_pi=init_pi)
 
         run_id = f"{cfg.regime}-s{cfg.seed}-{config_hash(cfg)[:8]}"
-        last_epoch = result.reports[-1].epoch if result.reports else -1
+        last_epoch = state.reports[-1].epoch if state.reports else -1
         save_checkpoint(
             os.path.join(out, "checkpoint_final.dckp"),
-            _checkpoint_from_result(cfg, result, last_epoch, best=False),
+            _checkpoint_from_state(cfg, state, last_epoch, best=False),
         )
         save_checkpoint(
             os.path.join(out, "checkpoint_best.dckp"),
-            _checkpoint_from_result(cfg, result, result.best_epoch, best=True),
+            _checkpoint_from_state(cfg, state, state.best_epoch, best=True),
         )
-        write_metrics_csv(os.path.join(out, "metrics.csv"), run_id, cfg.regime, result.reports)
-        write_histogram_csv(os.path.join(out, "retention_hist.csv"), result.reports)
+        write_metrics_csv(os.path.join(out, "metrics.csv"), run_id, cfg.regime, state.reports)
+        write_histogram_csv(os.path.join(out, "retention_hist.csv"), state.reports)
         manifest = {
             "run_id": run_id,
             "config_hash": config_hash(cfg),
@@ -303,11 +303,11 @@ def cmd_train(args) -> int:
         manifest.update(_data_digests(dataset))
         write_manifest(os.path.join(out, "manifest.txt"), manifest)
 
-        best = result.best
+        best = state.best
         if best:
             print(
-                f"run {run_id}: {len(result.reports)} epochs,"
-                f" final weights {result.reports[-1].n_weights},"
+                f"run {run_id}: {len(state.reports)} epochs,"
+                f" final weights {state.reports[-1].n_weights},"
                 f" best dev {best.dev_err:.2f}%/{best.dev_loss:.4f} at epoch {best.epoch}"
             )
         else:

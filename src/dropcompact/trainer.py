@@ -8,6 +8,10 @@ retention 1, so only input_retention gates it). Weight updates are SGD with
 momentum and L2 on weights only; evaluation always uses the
 expectation-scaled deterministic pass.
 
+A run is a TrainState that ``run_epoch`` advances one epoch at a time;
+``run_training`` builds the first state and steps it until the epochs or
+the patience run out.
+
 Randomness is split into named per-epoch streams (shuffling + mask draws
 for weight epochs, a separate stream for retention sweeps) so regimes that
 should coincide do so bit-for-bit under a shared seed.
@@ -35,6 +39,7 @@ from .linalg import Rng, rng_stream
 from .network import (
     Gradients,
     MlpParams,
+    _all_finite,
     backward_batch,
     forward_batch,
     init_mlp,
@@ -186,12 +191,17 @@ class EpochReport:
 
 
 @dataclass
-class TrainResult:
-    final_params: MlpParams
-    final_pi: RetentionParams
+class TrainState:
+    """A run between two epochs; ``run_epoch`` advances it in place."""
+
+    params: MlpParams
+    pi: RetentionParams
+    velocity: Gradients  # the momentum of sgd_step, shaped like params
+    lr: float
+    best: EpochReport | None  # None until an epoch has run
     best_params: MlpParams
     best_pi: RetentionParams
-    best: EpochReport | None  # None when no epoch ran
+    since_best: int  # epochs since the best one
     reports: list[EpochReport]
 
     @property
@@ -220,8 +230,8 @@ def sgd_step(
     momentum: float,
     l2: float,
     scratch: Gradients,
-) -> tuple[MlpParams, Gradients]:
-    """v <- momentum*v - lr*(g + l2*W); W <- W + v. Biases skip L2.
+) -> None:
+    """In place: v <- momentum*v - lr*(g + l2*W); W <- W + v. Biases skip L2.
 
     The products go in place through ``scratch`` (parameter-shaped
     buffers), in the operation order of the formula, so the result is
@@ -243,7 +253,6 @@ def sgd_step(
             np.multiply(g, lr, out=t)
         v -= t
         w += v
-    return params, velocity
 
 
 def anneal_retention(epoch: int, cfg: TrainConfig) -> float:
@@ -285,10 +294,10 @@ def train_weights_epoch(
     velocity: Gradients,
     lr: float,
     rows: np.ndarray,
-) -> tuple[MlpParams, float]:
+) -> float:
     """One shuffled pass of masked minibatch SGD at step size ``lr`` over
-    ``rows`` of ``data``, carrying the momentum ``velocity`` in place;
-    returns the mean loss."""
+    ``rows`` of ``data``, training ``params`` and carrying the momentum
+    ``velocity`` in place; returns the mean loss."""
     t = rows.size
     if t == 0:
         raise ValueError("empty training data")
@@ -307,7 +316,7 @@ def train_weights_epoch(
                     acc += new
         grads.scale(1.0 / (yb.size * cfg.samples_per_example))
         sgd_step(params, grads, velocity, lr, cfg.momentum, cfg.l2, scratch)
-    return params, total / (t * cfg.samples_per_example)
+    return total / (t * cfg.samples_per_example)
 
 
 def evaluate(
@@ -361,11 +370,6 @@ def retention_histogram(pi: RetentionParams) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-def _prior_for(cfg: TrainConfig, train_size: int) -> PriorHyper:
-    gamma = cfg.gamma * train_size if cfg.gamma_mode == "multiple_of_t" else cfg.gamma
-    return PriorHyper(cfg.prior_alpha, cfg.prior_beta, gamma)
-
-
 def _any_active(pi: RetentionParams) -> bool:
     """Whether any hidden unit's retention is still inside (eps, 1 - eps)."""
     return any(pi.active(layer).any() for layer in range(1, len(pi)))
@@ -375,8 +379,8 @@ def _check_finite(epoch: int, phase: str, **values) -> None:
     """Raise NonFiniteError unless every value (a float, or a list of
     arrays) is finite."""
     for name, value in values.items():
-        arrays = value if isinstance(value, list) else [value]
-        if not all(np.isfinite(a).all() for a in arrays):
+        arrays = value if isinstance(value, list) else [np.asarray(value)]
+        if not all(_all_finite(a) for a in arrays):
             raise NonFiniteError(
                 f"non-finite {name.replace('_', ' ')} in epoch {epoch}, {phase} phase"
             )
@@ -394,18 +398,119 @@ def check_data_fits(dataset: Dataset, layer_dims) -> None:
         )
 
 
+def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig) -> EpochReport:
+    """Epoch ``epoch`` of ``cfg``'s regime on ``dataset``: a weight pass, for
+    compaction a retention sweep and the removal of dead units, the dev and
+    test scores, and the best-epoch, patience and plateau bookkeeping.
+    Advances ``state`` in place and returns the epoch's report."""
+    # every split is gathered from the full features through its row index;
+    # the prior's scale and the sweep's permutation are over the train count
+    data = (dataset.features, dataset.labels)
+    train_rows = dataset.splits["train"]
+    if cfg.regime == "annealed":
+        level = anneal_retention(epoch, cfg)
+        state.pi = RetentionParams(
+            [state.pi[0]] + [np.full(v.shape, level) for v in state.pi.layers[1:]]
+        )
+
+    train_loss = train_weights_epoch(
+        state.params,
+        state.pi,
+        data,
+        cfg,
+        rng_stream(cfg.seed, "weights", epoch),
+        velocity=state.velocity,
+        lr=state.lr,
+        rows=train_rows,
+    )
+    _check_finite(
+        epoch, "weights", train_loss=train_loss,
+        parameters=state.params.weights + state.params.biases,
+    )
+
+    if cfg.regime == "compaction":
+        gamma = cfg.gamma * train_rows.size if cfg.gamma_mode == "multiple_of_t" else cfg.gamma
+        hyper = PriorHyper(cfg.prior_alpha, cfg.prior_beta, gamma)
+        rcfg = RetentionUpdateConfig(cfg.retention_lr, cfg.control_variate, cfg.importance_clamp)
+        # With every hidden unit frozen each update is p + lr * 0 == p,
+        # and the sweep's stream feeds nothing else: the sweep ends at
+        # the first batch that finds no active unit.
+        stats = RetentionStats()
+        rng_r = rng_stream(cfg.seed, "retention", epoch)
+        rb = cfg.retention_batch_size or cfg.batch_size
+        for batch in _minibatches(data, train_rows, rng_r, rb):
+            if not _any_active(state.pi):
+                break
+            state.pi = retention_update(state.pi, state.params, batch, hyper, rcfg, rng_r, stats)
+        if stats.clamped:
+            log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
+
+        if any((v < cfg.prune_threshold).any() for v in state.pi.layers[1:]):
+            state.params, state.pi, pruned = prune_units(
+                state.params, state.pi, cfg.prune_threshold
+            )
+            state.velocity = Gradients(
+                *slice_units(state.velocity.weights, state.velocity.biases, pruned.kept_indices)
+            )
+            log.info("epoch %d: pruned to %s", epoch, pruned.summary())
+
+    params, pi = state.params, state.pi
+    _check_finite(epoch, "retention", retention=pi.layers)
+
+    scores = {
+        tag: evaluate(params, pi, data, rows=dataset.splits[tag])
+        for tag in ("dev", "test")
+        if dataset.count(tag)
+    }
+    _check_finite(epoch, "evaluation", **{f"{tag}_loss": s[1] for tag, s in scores.items()})
+    dev_err, dev_loss = scores.get("dev", NO_SCORE)
+    test_err, test_loss = scores.get("test", NO_SCORE)
+    report = EpochReport(
+        epoch=epoch,
+        train_loss=train_loss,
+        dev_loss=dev_loss,
+        dev_err=dev_err,
+        test_loss=test_loss,
+        test_err=test_err,
+        unit_counts=tuple(params.layer_dims[1:-1]),
+        n_weights=count_weights(params),
+        histogram=retention_histogram(pi),
+        lr=state.lr,
+    )
+    state.reports.append(report)
+    log.info(
+        "epoch %d [%s]: train %.4f dev %.4f/%.2f%% units %s lr %.2e",
+        epoch,
+        cfg.regime,
+        train_loss,
+        dev_loss,
+        dev_err,
+        "x".join(map(str, params.layer_dims[1:-1])),
+        state.lr,
+    )
+
+    best = state.best
+    if beats_best((dev_err, dev_loss), (best.dev_err, best.dev_loss) if best else NO_SCORE):
+        state.best, state.best_params, state.best_pi = report, params.copy(), pi
+        state.since_best = 0
+    else:
+        state.since_best += 1
+    if cfg.plateau_halving:
+        state.lr = plateau_lr([r.dev_err for r in state.reports], state.lr, cfg.plateau_threshold)
+    return report
+
+
 def run_training(
     dataset: Dataset,
     cfg: TrainConfig,
     init_params: MlpParams | None = None,
     init_pi: RetentionParams | None = None,
-) -> TrainResult:
-    """Full training run: weight epochs, optional retention sweeps and
-    pruning, dev-based model selection and early stopping."""
+) -> TrainState:
+    """Full training run: ``run_epoch`` until ``cfg.epochs`` have run or
+    ``cfg.patience`` epochs in a row have not beaten the best one."""
     if dataset.count("train") == 0:
         raise ValueError("dataset has no train split")
-    has_dev = dataset.count("dev") > 0
-    if cfg.regime == "compaction" and not has_dev:
+    if cfg.regime == "compaction" and not dataset.count("dev"):
         raise ValueError("compaction regime requires a non-empty dev split")
     check_data_fits(dataset, cfg.layer_dims)
 
@@ -414,118 +519,11 @@ def run_training(
     )
     pi = init_pi or initial_retention(params, cfg)
     pi.validate(params)
-    velocity = Gradients.zeros_like(params)
-
-    # every split is gathered from the full features through its row index;
-    # the prior's scale and the sweep's permutation are over the train count
-    data = (dataset.features, dataset.labels)
-    train_rows = dataset.splits["train"]
-
-    hyper = _prior_for(cfg, train_rows.size)
-    rcfg = RetentionUpdateConfig(
-        cfg.retention_lr, cfg.control_variate, cfg.importance_clamp
-    )
-
-    lr = cfg.lr
-    reports: list[EpochReport] = []
-    best: EpochReport | None = None
-    best_params, best_pi = params.copy(), pi
-    since_best = 0
-
+    # best_params starts as params itself: the first epoch always beats
+    # NO_SCORE and replaces it with a copy
+    state = TrainState(params, pi, Gradients.zeros_like(params), cfg.lr, None, params, pi, 0, [])
     for epoch in range(cfg.epochs):
-        if cfg.regime == "annealed":
-            level = anneal_retention(epoch, cfg)
-            pi = RetentionParams([pi[0]] + [np.full(v.shape, level) for v in pi.layers[1:]])
-
-        params, train_loss = train_weights_epoch(
-            params,
-            pi,
-            data,
-            cfg,
-            rng_stream(cfg.seed, "weights", epoch),
-            velocity=velocity,
-            lr=lr,
-            rows=train_rows,
-        )
-        _check_finite(
-            epoch, "weights", train_loss=train_loss, parameters=params.weights + params.biases
-        )
-
-        if cfg.regime == "compaction":
-            # With every hidden unit frozen each update is p + lr * 0 == p,
-            # and the sweep's stream feeds nothing else: the sweep ends at
-            # the first batch that finds no active unit.
-            stats = RetentionStats()
-            rng_r = rng_stream(cfg.seed, "retention", epoch)
-            rb = cfg.retention_batch_size or cfg.batch_size
-            for batch in _minibatches(data, train_rows, rng_r, rb):
-                if not _any_active(pi):
-                    break
-                pi = retention_update(pi, params, batch, hyper, rcfg, rng_r, stats)
-            if stats.clamped:
-                log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
-
-            prunable = any(
-                (pi[layer] < cfg.prune_threshold).any() for layer in range(1, len(pi))
-            )
-            if prunable:
-                params, pi, report = prune_units(params, pi, cfg.prune_threshold)
-                velocity = Gradients(
-                    *slice_units(velocity.weights, velocity.biases, report.kept_indices)
-                )
-                log.info("epoch %d: pruned to %s", epoch, report.summary())
-
-        _check_finite(epoch, "retention", retention=pi.layers)
-
-        scores = {
-            tag: evaluate(params, pi, data, rows=dataset.splits[tag])
-            for tag in ("dev", "test")
-            if dataset.count(tag)
-        }
-        _check_finite(epoch, "evaluation", **{f"{tag}_loss": s[1] for tag, s in scores.items()})
-        dev_err, dev_loss = scores.get("dev", NO_SCORE)
-        test_err, test_loss = scores.get("test", NO_SCORE)
-        reports.append(
-            EpochReport(
-                epoch=epoch,
-                train_loss=train_loss,
-                dev_loss=dev_loss,
-                dev_err=dev_err,
-                test_loss=test_loss,
-                test_err=test_err,
-                unit_counts=tuple(params.layer_dims[1:-1]),
-                n_weights=count_weights(params),
-                histogram=retention_histogram(pi),
-                lr=lr,
-            )
-        )
-        log.info(
-            "epoch %d [%s]: train %.4f dev %.4f/%.2f%% units %s lr %.2e",
-            epoch,
-            cfg.regime,
-            train_loss,
-            dev_loss,
-            dev_err,
-            "x".join(map(str, params.layer_dims[1:-1])),
-            lr,
-        )
-
-        if beats_best((dev_err, dev_loss), (best.dev_err, best.dev_loss) if best else NO_SCORE):
-            best = reports[-1]
-            best_params, best_pi = params.copy(), pi
-            since_best = 0
-        else:
-            since_best += 1
-        if cfg.plateau_halving:
-            lr = plateau_lr([r.dev_err for r in reports], lr, cfg.plateau_threshold)
-        if since_best >= cfg.patience:
+        run_epoch(state, epoch, dataset, cfg)
+        if state.since_best >= cfg.patience:
             break
-
-    return TrainResult(
-        final_params=params,
-        final_pi=pi,
-        best_params=best_params,
-        best_pi=best_pi,
-        best=best,
-        reports=reports,
-    )
+    return state

@@ -146,7 +146,7 @@ class TestCriterion1Mnist:
 class TestCriterion2RetentionConvergence:
     def _convergence_run(self, ds, cfg):
         res = run_training(ds, cfg)
-        values = np.concatenate([res.final_pi[l] for l in range(1, len(res.final_pi))])
+        values = np.concatenate([res.pi[l] for l in range(1, len(res.pi))])
         conv = float(((values <= 1e-3) | (values >= 1.0 - 1e-3)).mean())
         mid = [sum(r.histogram[1:-1]) for r in res.reports]
         onset = next((i for i, m in enumerate(mid) if m < 0.99 * mid[0]), len(mid) - 1)
@@ -380,7 +380,7 @@ class TestCriterion8RegimeDegeneracy:
             TrainConfig(regime="compaction", retention_init=0.5, gamma=0.0,
                         gamma_mode="absolute", retention_lr=0.0, **base),
         )
-        same_params = self._params_equal(drop.final_params, comp.final_params)
+        same_params = self._params_equal(drop.params, comp.params)
         same_reports = [repr(r) for r in drop.reports] == [repr(r) for r in comp.reports]
         check("8", "compaction with zeroed prior/updates is bit-identical to dropout 0.5",
               same_params and same_reports)
@@ -396,7 +396,7 @@ class TestCriterion8RegimeDegeneracy:
             TrainConfig(regime="dropout", dropout_retention=1.0, input_retention=1.0, **base),
         )
         check("8", "plain regime is bit-identical to an all-ones-mask dropout run",
-              self._params_equal(plain.final_params, ones.final_params))
+              self._params_equal(plain.params, ones.params))
 
 
 class TestCriterion9PriorControlsSize:
@@ -415,7 +415,7 @@ class TestCriterion9PriorControlsSize:
         )
         units = [
             sum(run_training(small_teacher_ds, TrainConfig(gamma=g, **base))
-                .final_params.layer_dims[1:-1])
+                .params.layer_dims[1:-1])
             for g in self.GAMMAS
         ]
         check("9", f"seed {seed}: hidden units {units} over gamma {self.GAMMAS} do not grow",

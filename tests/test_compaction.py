@@ -152,7 +152,7 @@ class TestAbsorb:
         absorbed = absorb_retention(params, ones_pi(params))
         assert all(np.shares_memory(a, b) for a, b in zip(arrays(absorbed), arrays(params)))
         res = run_training(small_teacher_ds, cfg, init_params=absorbed)
-        assert not np.array_equal(res.final_params.weights[0], params.weights[0])
+        assert not np.array_equal(res.params.weights[0], params.weights[0])
         assert [a.tobytes() for a in arrays(params)] == before
 
     def test_absorbing_a_pruned_binary_net_allocates_no_child(self):
@@ -228,7 +228,7 @@ class TestSvdCompact:
         ds = small_teacher_ds
         counts, losses = [], []
         for k in (16, 8, 4, 2):
-            compacted = svd_compact(res.final_params, res.final_pi, k)
+            compacted = svd_compact(res.params, res.pi, k)
             counts.append(count_weights(compacted))
             _, loss = evaluate(compacted, ones_pi(compacted), (ds.features, ds.labels),
                                rows=ds.splits["train"])

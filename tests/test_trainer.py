@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 from unittest import mock
@@ -16,10 +17,12 @@ from dropcompact.retention import RetentionParams
 from dropcompact.trainer import (
     NonFiniteError,
     TrainConfig,
+    TrainState,
     anneal_retention,
     evaluate,
     initial_retention,
     plateau_lr,
+    run_epoch,
     run_training,
     sgd_step,
     train_weights_epoch,
@@ -253,10 +256,10 @@ class TestTrainEpoch:
         cfg = TrainConfig(regime="plain", layer_dims=(4, 5, 2), epochs=1, batch_size=8, lr=1e-9)
         params = init_mlp((4, 5, 2), "relu", seed=2)
         before = [w.copy() for w in params.weights]
-        _, loss = train_weights_epoch(params, initial_retention(params, cfg),
-                                      (ds.features, ds.labels), cfg, rng_stream(0, "e"),
-                                      velocity=Gradients.zeros_like(params), lr=0.0,
-                                      rows=ds.splits["train"])
+        loss = train_weights_epoch(params, initial_retention(params, cfg),
+                                   (ds.features, ds.labels), cfg, rng_stream(0, "e"),
+                                   velocity=Gradients.zeros_like(params), lr=0.0,
+                                   rows=ds.splits["train"])
         assert loss > 0
         for b, w in zip(before, params.weights):
             assert np.array_equal(b, w)
@@ -268,7 +271,7 @@ class TestTrainEpoch:
             lr=0.05, momentum=0.9, seed=3, dev_size=0, patience=100,
         )
         res = run_training(ds, cfg)
-        err, _ = evaluate(res.final_params, res.final_pi, (ds.features, ds.labels),
+        err, _ = evaluate(res.params, res.pi, (ds.features, ds.labels),
                           rows=ds.splits["train"])
         assert err == 0.0
 
@@ -279,7 +282,7 @@ class TestTrainEpoch:
                     lr=0.02, momentum=0.9, seed=4, dev_size=0)
         one = run_training(ds, TrainConfig(samples_per_example=1, **base))
         two = run_training(ds, TrainConfig(samples_per_example=2, **base))
-        for a, b in zip(one.final_params.weights, two.final_params.weights):
+        for a, b in zip(one.params.weights, two.params.weights):
             assert np.array_equal(a, b)
 
     def test_fixed_seed_bit_identical(self):
@@ -288,7 +291,7 @@ class TestTrainEpoch:
                           batch_size=16, lr=0.01, seed=7, dev_size=0)
         a = run_training(ds, cfg)
         b = run_training(ds, cfg)
-        for wa, wb in zip(a.final_params.weights, b.final_params.weights):
+        for wa, wb in zip(a.params.weights, b.params.weights):
             assert np.array_equal(wa, wb)
         assert [repr(r) for r in a.reports] == [repr(r) for r in b.reports]
 
@@ -305,7 +308,7 @@ class TestRunTraining:
         cfg = TrainConfig(regime="plain", layer_dims=(4, 6, 2), epochs=0, seed=5)
         res = run_training(ds, cfg)
         want = init_mlp((4, 6, 2), "relu", seed=5)
-        for a, b in zip(res.final_params.weights, want.weights):
+        for a, b in zip(res.params.weights, want.weights):
             assert np.array_equal(a, b)
         assert res.reports == []
 
@@ -371,7 +374,7 @@ class TestRunTraining:
         res = run_training(small_teacher_ds, cfg)
         # by the final epoch retention is 1.0: histogram mass in the top bin
         assert res.reports[-1].histogram[-1] == 10
-        assert res.final_pi[1].min() == 1.0
+        assert res.pi[1].min() == 1.0
 
 
 class TestPixelDataset:
@@ -393,8 +396,9 @@ class TestPixelDataset:
         runs = []
         for ds in (pixel_ds, twin):
             data = (ds.features, ds.labels)
-            params, loss = train_weights_epoch(
-                init.copy(), pi, data, cfg, rng_stream(cfg.seed, "weights", 0),
+            params = init.copy()
+            loss = train_weights_epoch(
+                params, pi, data, cfg, rng_stream(cfg.seed, "weights", 0),
                 velocity=Gradients.zeros_like(init), lr=cfg.lr, rows=ds.splits["train"],
             )
             scores = [evaluate(params, pi, data, rows=ds.splits[tag]) for tag in ("dev", "test")]
@@ -433,6 +437,54 @@ class TestPixelDataset:
         finally:
             tracemalloc.stop()
         assert peak < dev_bytes, (peak, dev_bytes)
+
+
+class TestRunEpoch:
+    """A state copied after epoch k and driven on by hand ends, byte for
+    byte, where one run_training call ends: nothing a later epoch reads
+    lives outside the TrainState."""
+
+    BASE = dict(
+        layer_dims=(64, 12, 10, 10), epochs=5, batch_size=64, lr=0.01, momentum=0.9,
+        seed=15, dev_size=0, patience=50,
+    )
+
+    @staticmethod
+    def _bytes(state: TrainState):
+        arrays = (
+            state.params.weights + state.params.biases + state.pi.layers
+            + state.velocity.weights + state.velocity.biases
+        )
+        return [a.tobytes() for a in arrays]
+
+    @pytest.mark.parametrize("k, extra", [
+        (2, dict(regime="plain")),
+        (2, dict(regime="dropout")),
+        (1, dict(regime="annealed", annealing_epochs=4)),  # mid-ramp
+        (1, dict(regime="compaction", retention_lr=4e-5)),  # prunes in epochs 1 and 2
+        (2, dict(regime="plain", plateau_halving=True, plateau_threshold=0.05)),
+    ], ids=["plain", "dropout", "annealed", "compaction", "plateau"])
+    def test_copy_after_epoch_k_finishes_like_one_run(self, small_teacher_ds, k, extra):
+        cfg = TrainConfig(**self.BASE, **extra)
+        params = init_mlp(cfg.layer_dims, cfg.hidden_activation, cfg.seed)
+        pi = initial_retention(params, cfg)
+        state = TrainState(params, pi, Gradients.zeros_like(params), cfg.lr, None, params, pi, 0, [])
+        for epoch in range(k + 1):
+            run_epoch(state, epoch, small_teacher_ds, cfg)
+        resumed = copy.deepcopy(state)
+        for epoch in range(k + 1, cfg.epochs):
+            run_epoch(resumed, epoch, small_teacher_ds, cfg)
+        whole = run_training(small_teacher_ds, cfg)
+
+        assert self._bytes(resumed) == self._bytes(whole)
+        assert [repr(r) for r in resumed.reports] == [repr(r) for r in whole.reports]
+        assert resumed.best_epoch == whole.best_epoch
+        # each case exercises what it is named for before and after k
+        if cfg.regime == "compaction":
+            units = [r.unit_counts for r in whole.reports]
+            assert units[0] > units[k] > units[k + 1]
+        if cfg.plateau_halving:
+            assert whole.reports[k].lr > whole.reports[k + 1].lr > whole.reports[-1].lr
 
 
 class TestFrozenSweepSkip:
@@ -485,7 +537,7 @@ class TestFrozenSweepSkip:
         res = run_training(small_teacher_ds, cfg, init_params=params, init_pi=pi)
         assert calls == {}
         assert pruned == {0: True}
-        assert res.final_params.layer_dims == (64, 6, 7, 10)
+        assert res.params.layer_dims == (64, 6, 7, 10)
 
     def test_sweeps_stop_once_frozen(self, small_teacher_ds, monkeypatch):
         calls, pruned, stats = self._count_calls(monkeypatch)
@@ -497,7 +549,7 @@ class TestFrozenSweepSkip:
         assert calls[0] == [False] * (n - 1) + [True]
         assert 0 in pruned
         assert stats[0].examples == n * 64
-        assert not any(res.final_pi.active(layer).any() for layer in (1, 2))
+        assert not any(res.pi.active(layer).any() for layer in (1, 2))
 
 
 class TestRegimeDegeneracy:
@@ -514,7 +566,7 @@ class TestRegimeDegeneracy:
                 gamma_mode="absolute", retention_lr=0.0, **base,
             ),
         )
-        for wa, wb in zip(a.final_params.weights, b.final_params.weights):
+        for wa, wb in zip(a.params.weights, b.params.weights):
             assert np.array_equal(wa, wb)
         for ra, rb in zip(a.reports, b.reports):
             assert (ra.train_loss, ra.dev_loss, ra.dev_err) == (rb.train_loss, rb.dev_loss, rb.dev_err)
@@ -529,7 +581,7 @@ class TestRegimeDegeneracy:
             small_teacher_ds,
             TrainConfig(regime="dropout", dropout_retention=1.0, input_retention=1.0, **base),
         )
-        for wa, wb in zip(a.final_params.weights, b.final_params.weights):
+        for wa, wb in zip(a.params.weights, b.params.weights):
             assert np.array_equal(wa, wb)
 
     def test_plain_trains_with_input_retention(self, small_teacher_ds):
@@ -577,7 +629,7 @@ class TestBestEpochRule:
                           lr=0.01, seed=7, dev_size=0, patience=1)
         res = run_training(ds, cfg)
         assert len(res.reports) == 3 and res.best is res.reports[-1]
-        assert np.array_equal(res.best_params.weights[0], res.final_params.weights[0])
+        assert np.array_equal(res.best_params.weights[0], res.params.weights[0])
 
 
 class TestConfig:
