@@ -35,7 +35,7 @@ class CheckpointError(ValueError):
     """Container is malformed or has an unsupported version."""
 
 
-# header fields and their JSON types; the last two default to empty when absent
+# header fields and their JSON types
 _HEADER_FIELDS = {
     "layer_dims": list,
     "hidden_activations": list,
@@ -116,8 +116,6 @@ def _parse_header(blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]
         raise CheckpointError(f"corrupt checkpoint header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
-    header.setdefault("best_metrics", {})
-    header.setdefault("compaction_history", [])
     for key, kind in _HEADER_FIELDS.items():
         if not isinstance(header.get(key), kind):
             raise CheckpointError(

@@ -44,7 +44,6 @@ from .retention import RetentionParams
 from .trainer import (
     EpochReport,
     HISTOGRAM_BINS,
-    REGIMES,
     NonFiniteError,
     TrainConfig,
     beats_best,
@@ -197,6 +196,8 @@ def _load_dataset(data_dir: str, cfg: TrainConfig) -> Dataset:
         ds = load_mnist_dir(data_dir)
     except (OSError, EOFError, zlib.error) as e:  # the last two from a damaged .gz
         raise DataError(str(e)) from e
+    if cfg.dev_size > 0 and ds.count("train") == 0:
+        raise DataError(f"train split is empty: no dev split of {cfg.dev_size} to take")
     return split_train_dev(ds, cfg.dev_size, cfg.seed) if cfg.dev_size > 0 else ds
 
 
@@ -262,8 +263,6 @@ def cmd_train(args) -> int:
     cfg = TrainConfig.from_dict(parse_config_file(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.regime is not None:
-        cfg = replace(cfg, regime=args.regime)
 
     init_params = init_pi = None
     if args.resume:
@@ -274,6 +273,8 @@ def cmd_train(args) -> int:
     out = args.out or "."
     with _out_dir_removed_on_failure(out):
         dataset = _load_dataset(args.data_dir, cfg)
+        if dataset.count("train") == 0:
+            raise DataError("train split is empty")
         # a non-finite value stops the run with NonFiniteError, so numpy's
         # overflow warnings on the way there would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -304,14 +305,15 @@ def cmd_train(args) -> int:
         write_manifest(os.path.join(out, "manifest.txt"), manifest)
 
         best = state.best
-        if best:
-            print(
-                f"run {run_id}: {len(state.reports)} epochs,"
-                f" final weights {state.reports[-1].n_weights},"
-                f" best dev {best.dev_err:.2f}%/{best.dev_loss:.4f} at epoch {best.epoch}"
-            )
-        else:
+        if not best:
             print(f"run {run_id}: 0 epochs (checkpoint holds the initialized model)")
+        else:
+            done = f"{len(state.reports)} epochs, final weights {state.reports[-1].n_weights}"
+            if dataset.count("dev"):
+                kept = f"best dev {best.dev_err:.2f}%/{best.dev_loss:.4f} at epoch {best.epoch}"
+            else:
+                kept = f"no dev split, kept the last epoch, {best.epoch}"
+            print(f"run {run_id}: {done}, {kept}")
     return EXIT_OK
 
 
@@ -539,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", default=None)
     t.add_argument("--resume", default=None, help="checkpoint to fine-tune from")
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--regime", choices=REGIMES)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a split")

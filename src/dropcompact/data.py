@@ -192,7 +192,7 @@ def write_idx_images(path: str, images: np.ndarray) -> None:
 
 def write_idx_labels(path: str, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() > 255:
+    if labels.size and (labels.min() < 0 or labels.max() > 255):
         raise ValueError("IDX labels must fit in a byte")
     with _open_maybe_gzip(path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))

@@ -129,32 +129,28 @@ class RetentionUpdateConfig:
 
 @dataclass
 class RetentionStats:
-    """Counters for the rare-event guards in the importance weight."""
+    """Counters for the rare-event guards in the importance weight, which
+    ``retention_update`` adds to in place."""
 
-    examples: int = 0
     clamped: int = 0
     floored: int = 0
-
-    def merge(self, other: "RetentionStats") -> None:
-        self.examples += other.examples
-        self.clamped += other.clamped
-        self.floored += other.floored
 
 
 def _mask_block(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray | None:
     """bernoulli_matrix(p, n_rows, rng), or None (an all-ones gate) when every
     probability is exactly 1.
 
-    For an all-ones layer a PCG64 stream is advanced by the n_rows * D
+    For an all-ones layer the PCG64 stream is advanced by the n_rows * D
     doubles the draw would have used (one 64-bit output each), so it ends
     where the draw would have left it, buffered 32-bit half-word included.
+    Every stream comes from ``rng_stream``; another bit generator is a
+    ValueError.
     """
-    if not _all_ones(p):
-        return bernoulli_matrix(p, n_rows, rng)
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
-        rng.random((n_rows, p.size))
-        return None
+        raise ValueError(f"mask draws need a PCG64 stream, got {type(bits).__name__}")
+    if not _all_ones(p):
+        return bernoulli_matrix(p, n_rows, rng)
     before = bits.state
     bits.advance(n_rows * p.size)
     if before["has_uint32"] or before["uinteger"]:
@@ -195,7 +191,7 @@ def retention_update(
     hyper: PriorHyper,
     cfg: RetentionUpdateConfig,
     rng: Rng,
-    stats: RetentionStats | None = None,
+    stats: RetentionStats,
 ) -> RetentionParams:
     """One clipped stochastic update of the retention probabilities.
 
@@ -203,7 +199,8 @@ def retention_update(
     adds (w - C) times the mask log-prob gradient under its own sampled
     mask, where w compares the masked forward pass against the
     expectation-scaled one. The result is clipped back into [0, 1].
-    Hidden layers 1..L-1 are updated; input retention stays fixed.
+    Hidden layers 1..L-1 are updated; input retention stays fixed. The
+    clamped and floored importance weights are added to ``stats``.
     """
     x, ks = batch
     x = np.asarray(x, dtype=np.float64)
@@ -235,12 +232,10 @@ def retention_update(
     else:
         p_masked = _label_probs(params, mask_blocks, x, ks)
         p_scaled = _label_probs(params, scaled_gates, x, ks)
-    floored = int((p_masked < PROB_FLOOR).sum() + (p_scaled < PROB_FLOOR).sum())
+    stats.floored += int((p_masked < PROB_FLOOR).sum() + (p_scaled < PROB_FLOOR).sum())
     w = np.maximum(p_masked, PROB_FLOOR) / np.maximum(p_scaled, PROB_FLOOR)
-    clamped = int((w > cfg.importance_clamp).sum())
+    stats.clamped += int((w > cfg.importance_clamp).sum())
     np.clip(w, 0.0, cfg.importance_clamp, out=w)
-    if stats is not None:
-        stats.merge(RetentionStats(examples=x.shape[0], clamped=clamped, floored=floored))
 
     payoff = w - cfg.control_variate
     new_layers = list(pi.layers)

@@ -187,7 +187,6 @@ class EpochReport:
     unit_counts: tuple[int, ...]
     n_weights: int
     histogram: tuple[int, ...]
-    lr: float
 
 
 @dataclass
@@ -475,7 +474,6 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
         unit_counts=tuple(params.layer_dims[1:-1]),
         n_weights=count_weights(params),
         histogram=retention_histogram(pi),
-        lr=state.lr,
     )
     state.reports.append(report)
     log.info(

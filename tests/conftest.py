@@ -24,7 +24,6 @@ from dropcompact.retention import (
     GUARD_EPS,
     PROB_FLOOR,
     RetentionParams,
-    RetentionStats,
     prior_score_vector,
 )
 
@@ -157,7 +156,7 @@ def importance_weight(params, pi, x, k, masks, clamp=100.0) -> float:
     return float(min(num / den, clamp))
 
 
-def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats=None):
+def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats):
     """retention_update with a Bernoulli draw for every layer and two full
     forward passes; the package's version must match it bit for bit."""
     x, ks = batch
@@ -170,12 +169,10 @@ def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats=None):
         mask_blocks.append(bernoulli_matrix(p_eff, x.shape[0], rng))
     p_masked = softmax(forward_batch(params, x, mask_blocks).logits)[rows, ks]
     p_scaled = softmax(forward_batch(params, x, list(pi)).logits)[rows, ks]
-    floored = int((p_masked < PROB_FLOOR).sum() + (p_scaled < PROB_FLOOR).sum())
+    stats.floored += int((p_masked < PROB_FLOOR).sum() + (p_scaled < PROB_FLOOR).sum())
     w = np.maximum(p_masked, PROB_FLOOR) / np.maximum(p_scaled, PROB_FLOOR)
-    clamped = int((w > cfg.importance_clamp).sum())
+    stats.clamped += int((w > cfg.importance_clamp).sum())
     np.clip(w, 0.0, cfg.importance_clamp, out=w)
-    if stats is not None:
-        stats.merge(RetentionStats(examples=x.shape[0], clamped=clamped, floored=floored))
     payoff = w - cfg.control_variate
     new_layers = [v.copy() for v in pi.layers]
     for layer in range(1, params.n_layers):

@@ -123,7 +123,8 @@ class TestMalformed:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("key", ["layer_dims", "arrays", "config", "hidden_activations"])
+    @pytest.mark.parametrize("key", ["layer_dims", "arrays", "config", "hidden_activations",
+                                     "best_metrics", "compaction_history"])
     def test_missing_header_field_rejected(self, blob, tmp_path, key):
         path = tmp_path / "c.dckp"
         path.write_bytes(_edit_header(blob, lambda h: h.pop(key)))
@@ -230,7 +231,7 @@ def eval_inputs(ckpt, tmp_path):
 
 
 class TestAtomicWrites:
-    REPORT = EpochReport(0, 0.5, 0.4, 3.0, 0.45, 3.5, (5,), 45, (0,) * 19 + (5,), 0.01)
+    REPORT = EpochReport(0, 0.5, 0.4, 3.0, 0.45, 3.5, (5,), 45, (0,) * 19 + (5,))
     # name -> (file written, call writing it into directory d from the inputs in s)
     WRITERS = {
         "checkpoint": ("out", lambda d, s, ck: save_checkpoint(str(d / "out"), ck)),
@@ -327,6 +328,17 @@ def fuzz_inputs(tmp_path_factory):
     src = tmp_path_factory.mktemp("ckpt_fuzz")
     write_eval_inputs(src, small_checkpoint())
     return src, (src / "c.dckp").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["best_metrics", "compaction_history"])
+def test_eval_of_header_without_bookkeeping_exits_2(fuzz_inputs, key):
+    # every save_checkpoint writes both fields, so a header without one is damaged
+    src, blob = fuzz_inputs
+    path = src / f"no_{key}.dckp"
+    path.write_bytes(_edit_header(blob, lambda h: h.pop(key)))
+    code, lines = run_main(["eval", "--checkpoint", str(path), "--data-dir", str(src)])
+    assert code == 2 and len(lines) == 1, (code, lines)
+    assert lines[0].startswith("config error: ") and key in lines[0], lines
 
 
 class TestCheckpointFuzz:

@@ -153,16 +153,31 @@ class TestTrain:
                      "--out", str(tmp_path / "c")]) == 0
         assert main(["report", str(out / "metrics.csv")]) == 0
 
-    def test_seed_and_regime_overrides(self, data_dir, tmp_path):
-        cfg = write_config(tmp_path / "c.ini")
+    def test_seed_overrides_config(self, data_dir, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", regime="dropout")
         out = tmp_path / "ovr"
         assert main(
-            ["train", "--config", cfg, "--data-dir", data_dir, "--out", str(out),
-             "--seed", "9", "--regime", "dropout"]
+            ["train", "--config", cfg, "--data-dir", data_dir, "--out", str(out), "--seed", "9"]
         ) == 0
         rows = read_csv_rows(out / "metrics.csv")
         assert rows[0]["regime"] == "dropout"
         assert "-s9-" in rows[0]["run_id"]
+
+    def test_no_regime_flag(self, data_dir, tmp_path, capsys):
+        # the config's regime key is the one way to set it
+        cfg = write_config(tmp_path / "c.ini")
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--config", cfg, "--data-dir", data_dir, "--regime", "dropout"])
+        assert e.value.code == 2
+        assert "--regime" in capsys.readouterr().err
+
+    def test_run_without_dev_split_says_it_kept_the_last_epoch(self, data_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", epochs=2, dev_size=0)
+        assert main(["train", "--config", cfg, "--data-dir", data_dir,
+                     "--out", str(tmp_path / "run")]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.endswith("2 epochs, final weights 708, no dev split, kept the last epoch, 1")
+        assert "nan" not in line
 
 
 @pytest.fixture(scope="session")
@@ -604,6 +619,13 @@ class TestExitCodes:
                                  "--out", "{tmp}/o"], 2),
         "train-missing-data": (["train", "--config", "{tmp}/ok.ini", "--data-dir", "{tmp}/none",
                                 "--out", "{tmp}/o/run"], 3),
+        # a train image file of 0 images, with and without a dev split to take from it
+        "train-empty-train": (["train", "--config", "{tmp}/ok.ini", "--data-dir", "{tmp}/empty",
+                               "--out", "{tmp}/o/run"], 3),
+        "train-empty-train-no-dev": (["train", "--config", "{tmp}/no_dev.ini",
+                                      "--data-dir", "{tmp}/empty", "--out", "{tmp}/o/run"], 3),
+        "train-dev-size-1000": (["train", "--config", "{tmp}/dev_1000.ini", "--data-dir", "{data}",
+                                 "--out", "{tmp}/o/run"], 2),
         # an --out that is an existing file, or lies under one
         "out-file-train": (["train", "--config", "{tmp}/ok.ini", "--data-dir", "{data}",
                             "--out", "{tmp}/taken"], 2),
@@ -638,6 +660,12 @@ class TestExitCodes:
         # so its allocation fails at once
         write_config(tmp_path / "huge.ini", layer_dims=f"49,{2**52},10")
         write_config(tmp_path / "ok.ini", epochs=1)
+        write_config(tmp_path / "no_dev.ini", epochs=1, dev_size=0)
+        write_config(tmp_path / "dev_1000.ini", epochs=1, dev_size=1000)  # data_dir's train size
+        shutil.copytree(data_dir, tmp_path / "empty")
+        write_idx_images(str(tmp_path / "empty" / "train-images-idx3-ubyte"),
+                         np.zeros((0, 7, 7), dtype=np.uint8))
+        write_idx_labels(str(tmp_path / "empty" / "train-labels-idx1-ubyte"), [])
         write_metrics(tmp_path / "ok.csv", "r", "plain", [(0, 5.0, 6.0, 0.3)])
         (tmp_path / "taken").write_text("a file, not a directory\n")
         return dict(odd_checkpoints, tmp=str(tmp_path), data=data_dir,

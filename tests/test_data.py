@@ -76,6 +76,13 @@ class TestIdxRoundTrip:
         x = loaded.inputs[loaded.splits["train"]]
         assert np.array_equal(quantize_pixels(x).reshape(7, 4, 4), images)
 
+    def test_zero_labels_roundtrip(self, tmp_path):
+        path = str(tmp_path / "labels")
+        write_idx_labels(path, np.zeros(0, dtype=np.int64))
+        assert (tmp_path / "labels").read_bytes() == struct.pack(">II", 0x801, 0)
+        loaded = load_idx_labels(path)
+        assert loaded.dtype == np.int64 and loaded.shape == (0,)
+
     def test_magic_mismatch_names_field(self, idx_files, tmp_path):
         with pytest.raises(IdxParseError, match="magic mismatch"):
             load_with(idx_files, TRAIN_IMAGES, idx_files[TRAIN_LABELS])

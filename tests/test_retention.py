@@ -18,6 +18,7 @@ from dropcompact.linalg import bernoulli_matrix, rng_stream
 from dropcompact.network import forward_batch, init_mlp
 from dropcompact.retention import (
     GUARD_EPS,
+    PROB_FLOOR,
     PriorHyper,
     RetentionParams,
     RetentionStats,
@@ -134,14 +135,12 @@ class TestFrozenLayerDraws:
         assert rng.integers(0, 1 << 20) == ref.integers(0, 1 << 20)
         assert np.array_equal(rng.random(9), ref.random(9))
 
-    def test_other_bit_generators_draw(self):
-        rng = np.random.Generator(np.random.MT19937(4))
-        ref = np.random.Generator(np.random.MT19937(4))
-        got = sample_mask_block(self.PI, 6, rng)
-        want = [bernoulli_matrix(v, 6, ref) for v in self.PI]
-        assert got[0] is None and np.array_equal(got[3], want[3])
-        state, ref_state = rng.bit_generator.state["state"], ref.bit_generator.state["state"]
-        assert np.array_equal(state["key"], ref_state["key"]) and state["pos"] == ref_state["pos"]
+    def test_other_bit_generators_rejected(self):
+        # only a PCG64 stream can be advanced past an all-ones layer's draws;
+        # a layer that draws refuses one too, so the rule holds for any retention
+        for pi in (self.PI, RetentionParams(self.PI.layers[1:2])):
+            with pytest.raises(ValueError, match="PCG64"):
+                sample_mask_block(pi, 6, np.random.Generator(np.random.MT19937(4)))
 
     def test_no_bernoulli_call_for_all_ones_layers(self, monkeypatch):
         calls = []
@@ -200,8 +199,8 @@ class TestRetentionUpdateMatchesOracle:
         x, ks = rng_stream(36, "x").normal(size=(5, 6)), np.arange(5) % 3
         cfg, hyper = RetentionUpdateConfig(learning_rate=0.1), PriorHyper(0.9, 0.9, 1.0)
         rng, ref_rng = rng_stream(37, "ru"), rng_stream(37, "ru")
-        got = retention_update(pi, params, (x, ks), hyper, cfg, rng)
-        want = retention_update_oracle(pi, params, (x, ks), hyper, cfg, ref_rng)
+        got = retention_update(pi, params, (x, ks), hyper, cfg, rng, RetentionStats())
+        want = retention_update_oracle(pi, params, (x, ks), hyper, cfg, ref_rng, RetentionStats())
         assert np.array_equal(got[0], want[0])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -326,7 +325,9 @@ class TestRetentionUpdate:
         cfg = RetentionUpdateConfig(learning_rate=0.1, control_variate=1.0)
         hyper = PriorHyper(0.9, 0.9, 0.0)
         x = rng_stream(4, "ru").normal(size=(8, 2))
-        new = retention_update(pi, params, (x, np.zeros(8, dtype=int)), hyper, cfg, rng_stream(5, "ru"))
+        new = retention_update(
+            pi, params, (x, np.zeros(8, dtype=int)), hyper, cfg, rng_stream(5, "ru"), RetentionStats()
+        )
         assert np.array_equal(new[1], pi[1])
 
     def test_prior_only_pushes_down_below_half(self):
@@ -336,7 +337,9 @@ class TestRetentionUpdate:
         cfg = RetentionUpdateConfig(learning_rate=1e-3)
         hyper = PriorHyper(0.9, 0.9, 5.0)
         x = rng_stream(6, "ru").normal(size=(4, 2))
-        new = retention_update(pi, params, (x, np.zeros(4, dtype=int)), hyper, cfg, rng_stream(7, "ru"))
+        new = retention_update(
+            pi, params, (x, np.zeros(4, dtype=int)), hyper, cfg, rng_stream(7, "ru"), RetentionStats()
+        )
         assert np.all(new[1] < 0.25)
 
     def test_empty_batch_rejected(self, estimator_fixture):
@@ -345,7 +348,7 @@ class TestRetentionUpdate:
         with pytest.raises(ValueError, match="non-empty"):
             retention_update(
                 pi, params, (np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                PriorHyper(0.9, 0.9, 1.0), cfg, rng_stream(8, "ru"),
+                PriorHyper(0.9, 0.9, 1.0), cfg, rng_stream(8, "ru"), RetentionStats(),
             )
 
     def test_monte_carlo_matches_enumeration(self, estimator_fixture):
@@ -367,16 +370,21 @@ class TestRetentionUpdate:
             se = terms.std(axis=0, ddof=1) / np.sqrt(n)
             assert np.all(np.abs(mean - exact[i]) < 3.5 * se)
 
-    def test_stats_counts_examples(self, estimator_fixture):
-        params, pi, x, k = estimator_fixture
-        stats = RetentionStats()
-        cfg = RetentionUpdateConfig(learning_rate=1e-4)
-        xs = np.tile(x, (16, 1))
-        retention_update(
-            pi, params, (xs, np.full(16, k)), PriorHyper(0.9, 0.9, 1.0), cfg,
-            rng_stream(10, "ru"), stats,
-        )
-        assert stats.examples == 16
+    def test_stats_add_clamped_and_floored_in_place(self):
+        params = init_mlp((4, 6, 3), "relu", seed=12)
+        params.weights[1] *= 1e3  # most labels get a probability below PROB_FLOOR
+        pi = RetentionParams([np.ones(4), np.ones(6)])  # no draws, so every w is exactly 1
+        cfg = RetentionUpdateConfig(learning_rate=0.1, importance_clamp=0.5)
+        stats, floored, data = RetentionStats(), 0, rng_stream(12, "x")
+        for _ in range(2):
+            x, ks = data.normal(size=(10, 4)), data.integers(0, 3, size=10)
+            p = softmax(forward_batch(params, x, [None, None]).logits)[np.arange(10), ks]
+            floored += 2 * int((p < PROB_FLOOR).sum())  # the masked and the scaled pass
+            retention_update(
+                pi, params, (x, ks), PriorHyper(0.9, 0.9, 1.0), cfg, rng_stream(13, "ru"), stats
+            )
+        assert 0 < floored < 40
+        assert stats == RetentionStats(clamped=20, floored=floored)
 
     def test_frozen_units_stay_frozen(self, estimator_fixture):
         params, pi, x, k = estimator_fixture
@@ -385,7 +393,7 @@ class TestRetentionUpdate:
         xs = np.tile(x, (8, 1))
         new = retention_update(
             frozen, params, (xs, np.full(8, k)), PriorHyper(0.9, 0.9, 10.0), cfg,
-            rng_stream(11, "ru"),
+            rng_stream(11, "ru"), RetentionStats(),
         )
         assert new[1][0] == 0.0 and new[1][1] == 1.0
         assert np.array_equal(new[2], np.ones(3))
@@ -402,7 +410,7 @@ class TestRetentionUpdate:
         xs = np.tile(x, (4, 1))
         new = retention_update(
             pi, params, (xs, np.full(4, 1)), PriorHyper(0.9, 0.9, 100.0), cfg,
-            rng_stream(seed, "clip"),
+            rng_stream(seed, "clip"), RetentionStats(),
         )
         for layer in range(len(new)):
             assert new[layer].min() >= 0.0 and new[layer].max() <= 1.0
