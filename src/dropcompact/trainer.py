@@ -152,10 +152,14 @@ class TrainConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
+        """The fields whose value differs from the default (a tuple as a
+        list), so a config names a run by what it sets, and a field that
+        every config leaves at its default can go without moving that name."""
         out = {}
         for f in fields(self):
             v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
+            if v != f.default:
+                out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
 
 

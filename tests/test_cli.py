@@ -410,7 +410,8 @@ class TestGoldenMetricsBytes:
     input with retention exactly 1; the annealed run's hidden retention
     goes 0.5, 0.75, 1, 1 over its epochs; the plain run gates only its
     input. The digests were taken with numpy 2.4 and its bundled OpenBLAS
-    on x86-64; another BLAS may round differently.
+    on x86-64; another BLAS may round differently. Each run_id carries the
+    hash of the config's non-default keys.
     """
 
     BASE = dict(
@@ -418,10 +419,10 @@ class TestGoldenMetricsBytes:
         momentum=0.9, l2=1e-4, seed=5, dev_size=0, patience=50,
     )
     GOLDEN = {
-        "compaction": "12236d4517a393080fa765ce8e8c120fbb1690f567724dc5bca40d1c91dec52c",
-        "dropout": "957e74b223e1eae802d603e7033bd560ae52859aaad660c2e0df497a7011a926",
-        "annealed": "71bce2e857975c821af39a391c754390d1d82e04afaac0ecb9da7b2e176b4f3d",
-        "plain": "9245b130140d596f32f359534211226a7676c5b1d7c41bfef1931d8118049588",
+        "compaction": "0f00c27d21aa22fcd83e6a48333cf169c78097849cba09980b03222f4ee89785",
+        "dropout": "4987a9539caa2e70ad275a89e5c149f253dfa12bf39442c655d111a858bc03df",
+        "annealed": "b78ecca2703c5c6d896bd8fd9e93c87354a04300317004eef3c393d132f1f5f2",
+        "plain": "197a5cfe675fd5e2a847b663b08bedb21a354490ba641977ea147dc87e689625",
     }
 
     @pytest.mark.parametrize(
@@ -455,23 +456,23 @@ class TestGoldenOutputBytes:
     GOLDEN = {
         "eval": {
             "eval.csv": "1ecc2eb2b6a0843a7a93eccc58848bffb14912614c373d2d134f94036073277b",
-            "eval_manifest.txt": "a424f35b7e1807a1cc726f898162437f4a3e681e8a9996f53e5f971ecfb793bc",
+            "eval_manifest.txt": "a5d08212d741358b28da57c1921444a2d9f28e8c21a163e15384f608deb4492f",
         },
         "compact-prune": {
             "checkpoint_compacted.dckp":
-                "11d7df19e2e4e470c2f8e42482e76e1187a1cd9bbe9d1eb2920eeff443402abd",
+                "f3e8523fe999f6fbc68df97422cc5a7a3023de2ed63cdac0464260aa2a516306",
             "compaction_report.json":
                 "f409798d174398d1bba3ae02e6209dd9af932b8d1a59c01b8b8262fb7bdc6844",
             "compact_manifest.txt":
-                "d549248388264646248921c00aaef50a15b2553598ad5365f9ce58ca716015c6",
+                "02da8573dd87b7f8ac01a93cb46f23ef9e9106fcca0a29666067eb65bd3598af",
         },
         "compact-svd": {
             "checkpoint_compacted.dckp":
-                "6ddb10d630c4c4314021cb9bdff395e20462458b55e688f0c7d108182bcf809e",
+                "931cbf32ce966a3c5057a7d0ea6181e3fcbbc1a974246afaa984676751a45c09",
             "compaction_report.json":
                 "7d79ec39d1003a63e234dd827931923840dbdb8732b4a59f922706ad38659ed6",
             "compact_manifest.txt":
-                "075bd795a024624139fb6dcaec4a138c35de4a3c4403531106a81b4bf86041e8",
+                "7ee66880a545cbeb07d089111c7e365ecf731f829c9be254e1fcdda33de0019c",
         },
         "report": {
             "plot_data.csv": "fa965bf75dd43dead4fabdb1715778bbf069453e3173845bbae734f5e5a9b131",
@@ -542,25 +543,26 @@ SHIPPED_CONFIGS = sorted(
 
 
 class TestShippedConfigHash:
-    """config_hash names a run in run_id and the manifest; pinned per shipped config."""
+    """config_hash names a run in run_id and the manifest by the keys a
+    config sets away from their defaults; pinned per shipped config."""
 
     GOLDEN = {
         "configs/mnist_large_compaction.ini":
-            "a3d95e48c5fff5cc4c1dada1d6a6fac96429ff7492153609774733fce0190f2f",
+            "d9660c03299de7a758038e8b6734c15934c1de84e4328fa104fe3ed998131152",
         "configs/mnist_large_plain.ini":
-            "5c5822ea5207f79f52a6def82caf77e9fef3a8d6397893403402e00fa182c35d",
+            "a7dbb835c76749f13e7396371c420117c14887c1fa3d54a01bd76fa73ced00d9",
         "configs/mnist_small_annealed.ini":
-            "1244f41f14b057e7d92828262b9ed266945d8a74ebfacbde3e5dbeb8c1a6fb37",
+            "83734a14806534e3a8e2208637187656e85432eabba3e9fd6fc72143148c2d66",
         "configs/mnist_small_compaction.ini":
-            "e84c35490ebcbea217113cb74d96489cf2117db3026b1246751a5779537cea62",
+            "20cf3e1dc05f2bdd54b6c99af232a92d63e1883d0c5822162e1f0aaa8b657f6f",
         "configs/mnist_small_dropout.ini":
-            "64949d61cdeb3db79df80c439317c28fb0365424a54c9e4e6c14fb7fe93504b8",
+            "7c1dec49823a1be4805a79393428357738674975717a9c69bc3f71bb230df2e6",
         "configs/mnist_small_plain.ini":
-            "b6b0eb190840b7779d9bad36d0bdb2ba0b11f1acaae0c634d622e581c4197c7f",
+            "173749ad18158f63c5667435f0d764c275e27df8dc3b26eb5aee417c4e2056b7",
         "configs/mnist_small_svd_finetune.ini":
-            "1fb37761ead67fb4777de8c65e444545ad482aaf2484bba777397f9c2e82d4a8",
+            "3ac0d09fd414de15eec0ba0118094ef98795a97712c355f03a72d8aecffae6a4",
         "perfbench/configs/train_compaction.ini":
-            "6d4832398e225d7e12697216231ca6ae9bfdf6d9be8d73ccfe70c822d32477bd",
+            "8dfba79847f53e8e5573f6bc0d2549b9770da6bf77faeb10b4668b1688e32592",
     }
 
     @pytest.mark.parametrize("rel", SHIPPED_CONFIGS)
