@@ -319,7 +319,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ck = _load_checkpoint_arg(args.checkpoint)
-    dataset = _load_dataset(args.data_dir, TrainConfig.from_dict(ck.config))
+    # the split needs only these two keys; an older checkpoint's config may
+    # also hold keys that TrainConfig no longer has
+    split_keys = {k: ck.config[k] for k in ("dev_size", "seed") if k in ck.config}
+    dataset = _load_dataset(args.data_dir, TrainConfig.from_dict(split_keys))
     if dataset.count(args.split) == 0:
         raise DataError(f"split {args.split!r} is empty or missing")
     check_data_fits(dataset, ck.params.layer_dims)

@@ -222,6 +222,33 @@ class TestEval:
              "--data-dir", data_dir, "--split", "bogus"]
         ) == 3
 
+    # a checkpoint header's config as written while TrainConfig had 27
+    # fields: every key, here at the default of that time
+    CONFIG_WITH_27_KEYS = {
+        "regime": "plain", "layer_dims": [784, 100, 100, 10], "hidden_activation": "relu",
+        "epochs": 20, "batch_size": 128, "lr": 0.001, "momentum": 0.9, "l2": 0.0,
+        "annealing_epochs": 4, "dropout_retention": 0.5, "input_retention": 1.0,
+        "retention_init": 0.5, "prior_alpha": 0.9, "prior_beta": 0.9,
+        "gamma_mode": "multiple_of_t", "gamma": 1.0, "retention_lr": 2e-7,
+        "control_variate": 1.0, "importance_clamp": 100.0, "retention_batch_size": 0,
+        "samples_per_example": 1, "prune_threshold": 0.05, "patience": 8,
+        "plateau_halving": False, "plateau_threshold": 0.005, "seed": 0, "dev_size": 10000,
+    }
+
+    def test_checkpoint_with_all_27_keys_evals_alike(self, trained, data_dir, tmp_path):
+        ck = load_checkpoint(str(trained / "checkpoint_best.dckp"))
+        full = {**self.CONFIG_WITH_27_KEYS, **ck.config}
+        assert len(full) == 27 and len(ck.config) < 27
+        written = []
+        for name, config in (("full", full), ("set", ck.config)):
+            path = tmp_path / name / "checkpoint_best.dckp"
+            path.parent.mkdir()
+            save_checkpoint(str(path), dataclasses.replace(ck, config=config))
+            assert main(["eval", "--checkpoint", str(path), "--data-dir", data_dir,
+                         "--split", "test", "--out", str(tmp_path / name)]) == 0
+            written.append((tmp_path / name / "eval.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_version_mismatch_exit_2(self, trained, data_dir, tmp_path):
         src = (trained / "checkpoint_best.dckp").read_bytes()
         bad = tmp_path / "bad.dckp"
