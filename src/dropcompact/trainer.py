@@ -93,7 +93,6 @@ class TrainConfig:
     control_variate: float = 1.0
     importance_clamp: float = 100.0
     retention_batch_size: int = 0  # 0: reuse batch_size
-    samples_per_example: int = 1
     prune_threshold: float = 0.05
     patience: int = 8
     plateau_halving: bool = False
@@ -132,8 +131,8 @@ class TrainConfig:
             raise ValueError("gamma and retention_lr must be non-negative")
         if not 0.0 <= self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in [0, 1)")
-        if self.samples_per_example < 1 or self.patience < 1:
-            raise ValueError("samples_per_example and patience must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
         if self.importance_clamp <= 0:
             raise ValueError("importance_clamp must be positive")
         if self.retention_batch_size < 0 or self.dev_size < 0:
@@ -307,19 +306,12 @@ def train_weights_epoch(
     scratch = Gradients.zeros_like(params)
     total = 0.0
     for xb, yb in _minibatches(data, rows, rng, cfg.batch_size):
-        grads: Gradients | None = None
-        for _ in range(cfg.samples_per_example):
-            gates = sample_mask_block(pi, yb.size, rng)
-            losses, g = backward_batch(params, xb, yb, gates)
-            total += float(losses.sum())
-            if grads is None:
-                grads = g
-            else:
-                for acc, new in zip(grads.weights + grads.biases, g.weights + g.biases):
-                    acc += new
-        grads.scale(1.0 / (yb.size * cfg.samples_per_example))
+        gates = sample_mask_block(pi, yb.size, rng)
+        losses, grads = backward_batch(params, xb, yb, gates)
+        total += float(losses.sum())
+        grads.scale(1.0 / yb.size)
         sgd_step(params, grads, velocity, lr, cfg.momentum, cfg.l2, scratch)
-    return total / (t * cfg.samples_per_example)
+    return total / t
 
 
 def evaluate(

@@ -718,7 +718,6 @@ SMALL_KEYS = {
         st.sampled_from([6, 6, 6, 5]), st.lists(st.integers(0, 8), max_size=3), st.integers(3, 5)
     ).map(lambda d: ",".join(map(str, [d[0], *d[1], d[2]]))),
     "batch_size": st.integers(1, 16),
-    "samples_per_example": st.integers(1, 3),
     "dev_size": st.integers(0, 12),
 }
 # a value of the key's type, mostly in its valid range

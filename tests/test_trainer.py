@@ -275,16 +275,6 @@ class TestTrainEpoch:
                           rows=ds.splits["train"])
         assert err == 0.0
 
-    def test_multi_sample_plain_equals_single(self):
-        # identical all-ones masks make the sample average a no-op
-        ds = synth_blobs(40, 2, 5, separation=4.0, seed=6)
-        base = dict(regime="plain", layer_dims=(5, 8, 2), epochs=2, batch_size=16,
-                    lr=0.02, momentum=0.9, seed=4, dev_size=0)
-        one = run_training(ds, TrainConfig(samples_per_example=1, **base))
-        two = run_training(ds, TrainConfig(samples_per_example=2, **base))
-        for a, b in zip(one.params.weights, two.params.weights):
-            assert np.array_equal(a, b)
-
     def test_fixed_seed_bit_identical(self):
         ds = synth_blobs(40, 3, 5, separation=4.0, seed=2)
         cfg = TrainConfig(regime="dropout", layer_dims=(5, 12, 3), epochs=3,
