@@ -92,7 +92,6 @@ class TrainConfig:
     retention_lr: float = 2e-7
     control_variate: float = 1.0
     importance_clamp: float = 100.0
-    retention_batch_size: int = 0  # 0: reuse batch_size
     prune_threshold: float = 0.05
     patience: int = 8
     plateau_halving: bool = False
@@ -135,8 +134,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.importance_clamp <= 0:
             raise ValueError("importance_clamp must be positive")
-        if self.retention_batch_size < 0 or self.dev_size < 0:
-            raise ValueError("retention_batch_size and dev_size must be >= 0")
+        if self.dev_size < 0:
+            raise ValueError("dev_size must be >= 0")
         PriorHyper(self.prior_alpha, self.prior_beta, max(self.gamma, 0.0))  # checks alpha, beta
 
     @classmethod
@@ -432,8 +431,7 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
         # the first batch that finds no active unit.
         stats = RetentionStats()
         rng_r = rng_stream(cfg.seed, "retention", epoch)
-        rb = cfg.retention_batch_size or cfg.batch_size
-        for batch in _minibatches(data, train_rows, rng_r, rb):
+        for batch in _minibatches(data, train_rows, rng_r, cfg.batch_size):
             if not _any_active(state.pi):
                 break
             state.pi = retention_update(state.pi, state.params, batch, hyper, rcfg, rng_r, stats)

@@ -682,7 +682,7 @@ class TestExitCodes:
         )
         images.unlink()
         write_config(tmp_path / "lr_nan.ini", lr="nan")
-        write_config(tmp_path / "rb.ini", retention_batch_size=-5)
+        write_config(tmp_path / "rb.ini", retention_batch_size=-5)  # a deleted key
         write_config(tmp_path / "dev.ini", dev_size=-1)
         write_config(tmp_path / "clamp.ini", importance_clamp=0)
         # a 49 x 2**52 weight matrix is 1.5 EiB, beyond any address space,

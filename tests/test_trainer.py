@@ -665,7 +665,7 @@ class TestConfig:
             dict(momentum=float("nan")),
             dict(control_variate=float("nan")),
             dict(plateau_threshold=float("-inf")),
-            dict(retention_batch_size=-5),
+            dict(patience=0),
             dict(dev_size=-1),
             dict(importance_clamp=0.0),
         ],
