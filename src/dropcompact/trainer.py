@@ -94,8 +94,6 @@ class TrainConfig:
     importance_clamp: float = 100.0
     prune_threshold: float = 0.05
     patience: int = 8
-    plateau_halving: bool = False
-    plateau_threshold: float = 0.005
     seed: int = 0
     dev_size: int = 10000
 
@@ -146,7 +144,7 @@ class TrainConfig:
         for key, value in raw.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(key, value, known[key])
+            kwargs[key] = _coerce(value, known[key])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -161,18 +159,11 @@ class TrainConfig:
         return out
 
 
-def _coerce(key: str, value, kind):
-    """A config-file string as the type of field ``key``; other values as given."""
+def _coerce(value, kind):
+    """A config-file string as a field of type ``kind``; other values as given."""
     if not isinstance(value, str):
         return value
     text = value.strip()
-    if kind is bool:
-        low = text.lower()
-        if low in ("on", "true", "1", "yes"):
-            return True
-        if low in ("off", "false", "0", "no"):
-            return False
-        raise ValueError(f"bad boolean for {key!r}: {value!r}")
     if kind in (int, float, str):
         return kind(text)
     return tuple(int(p) for p in text.replace(",", " ").split())  # layer_dims
@@ -198,7 +189,6 @@ class TrainState:
     params: MlpParams
     pi: RetentionParams
     velocity: Gradients  # the momentum of sgd_step, shaped like params
-    lr: float
     best: EpochReport | None  # None until an epoch has run
     best_params: MlpParams
     best_pi: RetentionParams
@@ -345,17 +335,6 @@ def evaluate(
     return 100.0 * wrong / n, loss_sum / n
 
 
-def plateau_lr(history: list[float], lr: float, threshold: float = 0.005) -> float:
-    """Halve lr when the latest relative dev improvement is below threshold."""
-    if len(history) < 2:
-        return lr
-    prev, cur = history[-2], history[-1]
-    if prev <= 0:
-        return lr * 0.5 if cur >= prev else lr
-    improvement = (prev - cur) / prev
-    return lr * 0.5 if improvement < threshold else lr
-
-
 def retention_histogram(pi: RetentionParams) -> tuple[int, ...]:
     """Histogram of hidden-layer retention values in HISTOGRAM_BINS equal
     bins over [0, 1]; all zeros for a net without a hidden layer."""
@@ -395,7 +374,7 @@ def check_data_fits(dataset: Dataset, layer_dims) -> None:
 def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig) -> EpochReport:
     """Epoch ``epoch`` of ``cfg``'s regime on ``dataset``: a weight pass, for
     compaction a retention sweep and the removal of dead units, the dev and
-    test scores, and the best-epoch, patience and plateau bookkeeping.
+    test scores, and the best-epoch and patience bookkeeping.
     Advances ``state`` in place and returns the epoch's report."""
     # every split is gathered from the full features through its row index;
     # the prior's scale and the sweep's permutation are over the train count
@@ -414,7 +393,7 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
         cfg,
         rng_stream(cfg.seed, "weights", epoch),
         velocity=state.velocity,
-        lr=state.lr,
+        lr=cfg.lr,
         rows=train_rows,
     )
     _check_finite(
@@ -471,14 +450,13 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
     )
     state.reports.append(report)
     log.info(
-        "epoch %d [%s]: train %.4f dev %.4f/%.2f%% units %s lr %.2e",
+        "epoch %d [%s]: train %.4f dev %.4f/%.2f%% units %s",
         epoch,
         cfg.regime,
         train_loss,
         dev_loss,
         dev_err,
         "x".join(map(str, params.layer_dims[1:-1])),
-        state.lr,
     )
 
     best = state.best
@@ -487,8 +465,6 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
         state.since_best = 0
     else:
         state.since_best += 1
-    if cfg.plateau_halving:
-        state.lr = plateau_lr([r.dev_err for r in state.reports], state.lr, cfg.plateau_threshold)
     return report
 
 
@@ -513,7 +489,7 @@ def run_training(
     pi.validate(params)
     # best_params starts as params itself: the first epoch always beats
     # NO_SCORE and replaces it with a copy
-    state = TrainState(params, pi, Gradients.zeros_like(params), cfg.lr, None, params, pi, 0, [])
+    state = TrainState(params, pi, Gradients.zeros_like(params), None, params, pi, 0, [])
     for epoch in range(cfg.epochs):
         run_epoch(state, epoch, dataset, cfg)
         if state.since_best >= cfg.patience:

@@ -722,7 +722,6 @@ SMALL_KEYS = {
 }
 # a value of the key's type, mostly in its valid range
 PLAUSIBLE = {
-    bool: st.sampled_from(["on", "off"]),
     int: st.integers(1, 20).map(str),
     float: st.floats(0.0, 1.0).map(repr),
     "regime": st.sampled_from(REGIMES),

@@ -21,7 +21,6 @@ from dropcompact.trainer import (
     anneal_retention,
     evaluate,
     initial_retention,
-    plateau_lr,
     run_epoch,
     run_training,
     sgd_step,
@@ -112,22 +111,6 @@ class TestSchedules:
         assert anneal_retention(4, cfg) == 1.0
         assert anneal_retention(9, cfg) == 1.0
 
-    def test_plateau_above_threshold_unchanged(self):
-        assert plateau_lr([10.0, 9.5], 0.4) == 0.4  # 5% improvement
-
-    def test_plateau_below_threshold_halves(self):
-        assert plateau_lr([10.0, 9.99], 0.4) == 0.2  # 0.1% improvement
-
-    def test_three_consecutive_plateaus_eighth(self):
-        lr = 0.8
-        hist = [10.0]
-        for _ in range(3):
-            hist.append(hist[-1] * 0.9999)
-            lr = plateau_lr(hist, lr)
-        assert lr == pytest.approx(0.1)
-
-    def test_single_entry_no_change(self):
-        assert plateau_lr([5.0], 0.4) == 0.4
 
 
 class TestEvaluate:
@@ -452,16 +435,14 @@ class TestRunEpoch:
         (2, dict(regime="dropout")),
         (1, dict(regime="annealed", annealing_epochs=4)),  # mid-ramp
         (1, dict(regime="compaction", retention_lr=4e-5)),  # prunes in epochs 1 and 2
-        (2, dict(regime="plain", plateau_halving=True, plateau_threshold=0.05)),
-    ], ids=["plain", "dropout", "annealed", "compaction", "plateau"])
+    ], ids=["plain", "dropout", "annealed", "compaction"])
     def test_copy_after_epoch_k_finishes_like_one_run(self, small_teacher_ds, k, extra):
         cfg = TrainConfig(**self.BASE, **extra)
         params = init_mlp(cfg.layer_dims, cfg.hidden_activation, cfg.seed)
         pi = initial_retention(params, cfg)
-        state = TrainState(params, pi, Gradients.zeros_like(params), cfg.lr, None, params, pi, 0, [])
+        state = TrainState(params, pi, Gradients.zeros_like(params), None, params, pi, 0, [])
         for epoch in range(k + 1):
             run_epoch(state, epoch, small_teacher_ds, cfg)
-        lr_after_k = state.lr
         resumed = copy.deepcopy(state)
         for epoch in range(k + 1, cfg.epochs):
             run_epoch(resumed, epoch, small_teacher_ds, cfg)
@@ -470,13 +451,10 @@ class TestRunEpoch:
         assert self._bytes(resumed) == self._bytes(whole)
         assert [repr(r) for r in resumed.reports] == [repr(r) for r in whole.reports]
         assert resumed.best_epoch == whole.best_epoch
-        assert resumed.lr == whole.lr
         # each case exercises what it is named for before and after k
         if cfg.regime == "compaction":
             units = [r.unit_counts for r in whole.reports]
             assert units[0] > units[k] > units[k + 1]
-        if cfg.plateau_halving:
-            assert cfg.lr > lr_after_k > whole.lr
 
 
 class TestFrozenSweepSkip:
@@ -636,11 +614,11 @@ class TestConfig:
                 "layer_dims": "784, 100, 100, 10",
                 "lr": "0.001",
                 "epochs": "5",
-                "plateau_halving": "on",
+                "gamma_mode": " absolute ",
             }
         )
         assert cfg.layer_dims == (784, 100, 100, 10)
-        assert cfg.plateau_halving is True
+        assert cfg.lr == 0.001 and cfg.gamma_mode == "absolute"
         assert cfg.epochs == 5
 
     def test_validation_bounds(self):
@@ -664,7 +642,7 @@ class TestConfig:
             dict(lr=float("inf")),
             dict(momentum=float("nan")),
             dict(control_variate=float("nan")),
-            dict(plateau_threshold=float("-inf")),
+            dict(gamma=float("-inf")),
             dict(patience=0),
             dict(dev_size=-1),
             dict(importance_clamp=0.0),
@@ -675,13 +653,11 @@ class TestConfig:
             TrainConfig(**bad)
 
     def test_from_dict_reads_every_key_as_text(self):
-        want = TrainConfig(regime="compaction", layer_dims=(8, 4, 3), plateau_halving=True)
+        want = TrainConfig(regime="compaction", layer_dims=(8, 4, 3), gamma_mode="absolute")
+        values = {f.name: getattr(want, f.name) for f in dataclasses.fields(want)}
         text = {
-            k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
-            for k, v in want.to_dict().items()
+            k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in values.items()
         }
         got = TrainConfig.from_dict(text)
         assert got == want
-        assert {k: type(v) for k, v in got.to_dict().items()} == {
-            k: type(v) for k, v in want.to_dict().items()
-        }
+        assert {k: type(getattr(got, k)) for k in values} == {k: type(v) for k, v in values.items()}
