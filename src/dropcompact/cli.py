@@ -3,8 +3,8 @@
 Subcommands: train, eval, compact, bench, report. Configuration is a flat
 key=value text file with a fixed key set (unknown keys fail fast). Every
 training run writes checkpoints, a per-epoch metrics CSV, a retention
-histogram CSV and a manifest recording the config hash, seed and data
-digests, so identical manifests imply identical metrics bytes. Every
+histogram CSV and a manifest recording the config hash, code version, seed
+and data digests, so identical manifests imply identical metrics bytes. Every
 output file is written through ``checkpoint.atomic_open``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 structural error,
@@ -138,8 +138,21 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def config_hash(cfg: TrainConfig) -> str:
+    """sha256 of the canonical JSON of the keys cfg sets away from their defaults."""
     blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def code_version() -> str:
+    """sha256 of the package's .py files in name order, each as its name,
+    a NUL byte and its contents. A changed default changes it, where it
+    leaves config_hash as it was."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as f:
+            h.update(name.encode("utf-8") + b"\0" + f.read())
+    return h.hexdigest()
 
 
 def _fmt(v: float) -> str:
@@ -295,6 +308,7 @@ def cmd_train(args) -> int:
         manifest = {
             "run_id": run_id,
             "config_hash": config_hash(cfg),
+            "code_version": code_version(),
             "seed": cfg.seed,
             "backend": kernels.backend_name(),
             "regime": cfg.regime,
@@ -478,7 +492,7 @@ def cmd_report(args) -> int:
     runs: dict[str, list[dict]] = {}
     for path in args.metrics:
         try:
-            with open(path, newline="") as f:
+            with open(path, newline="", encoding="utf-8-sig") as f:  # a leading BOM is dropped
                 reader = csv.DictReader(f)
                 names = tuple(reader.fieldnames or ())
                 if names[: len(METRICS_FIXED)] != METRICS_FIXED:

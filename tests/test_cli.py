@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import glob
 import gzip
 import io
 import hashlib
@@ -11,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_teacher_dataset
@@ -162,6 +163,25 @@ class TestTrain:
         rows = read_csv_rows(out / "metrics.csv")
         assert rows[0]["regime"] == "dropout"
         assert "-s9-" in rows[0]["run_id"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("samples_per_example", 1), ("retention_batch_size", 0),
+        ("plateau_halving", "off"), ("plateau_threshold", 0.005),
+    ])
+    def test_deleted_key_is_a_config_error(self, data_dir, tmp_path, capsys, key, value):
+        # each at its old default, so only the key itself can be at fault
+        cfg = write_config(tmp_path / "c.ini", **{key: value})
+        assert main(["train", "--config", cfg, "--data-dir", data_dir]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and key in lines[0], lines
+
+    def test_manifest_records_code_version(self, trained):
+        digest = hashlib.sha256()
+        for path in sorted(glob.glob(os.path.join(REPO_ROOT, "src", "dropcompact", "*.py"))):
+            with open(path, "rb") as f:
+                digest.update(os.path.basename(path).encode() + b"\0" + f.read())
+        lines = (trained / "manifest.txt").read_text().splitlines()
+        assert f"code_version={digest.hexdigest()}" in lines
 
     def test_no_regime_flag(self, data_dir, tmp_path, capsys):
         # the config's regime key is the one way to set it
@@ -360,6 +380,17 @@ class TestReport:
         assert main(["report", str(a), str(b), "--out", str(out)]) == 0
         rows = read_csv_rows(out / "plot_data.csv")
         assert sorted(r["regime"] for r in rows) == ["compaction", "plain"]
+
+    def test_metrics_saved_with_bom_report_alike(self, tmp_path):
+        plain, bom = tmp_path / "plain" / "metrics.csv", tmp_path / "bom" / "metrics.csv"
+        plain.parent.mkdir()
+        bom.parent.mkdir()
+        write_metrics(plain, "r1", "plain", [(0, 5.0, 6.0, 0.3), (1, 4.0, 5.0, 0.2)])
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path in (plain, bom):
+            assert main(["report", str(path), "--out", str(path.parent / "rep")]) == 0
+        written = [(p.parent / "rep" / "plot_data.csv").read_bytes() for p in (plain, bom)]
+        assert written[0] == written[1]
 
     def test_manifest_records_every_input(self, tmp_path):
         """Inputs that share a basename are keyed by their path relative to
@@ -596,6 +627,49 @@ class TestShippedConfigHash:
     def test_config_hash(self, rel):
         cfg = TrainConfig.from_dict(parse_config_file(os.path.join(REPO_ROOT, rel)))
         assert config_hash(cfg) == self.GOLDEN[rel]
+
+    FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(rel=st.sampled_from(SHIPPED_CONFIGS), data=st.data())
+    def test_default_lines_leave_the_hash(self, tmp_path_factory, rel, data):
+        path = os.path.join(REPO_ROOT, rel)
+        omitted = sorted(set(self.FIELDS) - set(parse_config_file(path)))
+        keys = data.draw(st.lists(st.sampled_from(omitted), unique=True))
+        lines = [
+            f"{k} = {','.join(map(str, d)) if isinstance(d, tuple) else d}\n"
+            for k in keys for d in [self.FIELDS[k].default]
+        ]
+        copy = tmp_path_factory.mktemp("defaults") / "c.ini"
+        with open(path, encoding="utf-8") as f:
+            copy.write_text(f.read() + "".join(lines), encoding="utf-8")
+        want = TrainConfig.from_dict(parse_config_file(path))
+        got = TrainConfig.from_dict(parse_config_file(str(copy)))
+        assert got.to_dict() == want.to_dict()
+        assert config_hash(got) == config_hash(want) == self.GOLDEN[rel]
+
+    VALUES = {
+        int: st.integers(0, 10**6),
+        float: st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1e3)),
+        "regime": st.sampled_from(REGIMES),
+        "hidden_activation": st.sampled_from(["relu", "sigmoid"]),
+        "gamma_mode": st.sampled_from(["multiple_of_t", "absolute"]),
+        "layer_dims": st.lists(st.integers(1, 2000), min_size=2, max_size=5).map(tuple),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(rel=st.sampled_from(SHIPPED_CONFIGS), data=st.data())
+    def test_one_changed_key_moves_the_hash(self, rel, data):
+        cfg = TrainConfig.from_dict(parse_config_file(os.path.join(REPO_ROOT, rel)))
+        key = data.draw(st.sampled_from(sorted(self.FIELDS)))
+        kind = key if key in self.VALUES else type(self.FIELDS[key].default)
+        value = data.draw(self.VALUES[kind])
+        assume(value != getattr(cfg, key))
+        try:
+            changed = dataclasses.replace(cfg, **{key: value})
+        except ValueError:
+            assume(False)
+        assert config_hash(changed) != config_hash(cfg)
 
     @pytest.mark.parametrize("rel", SHIPPED_CONFIGS)
     def test_copy_saved_with_bom_parses_alike(self, rel, tmp_path):

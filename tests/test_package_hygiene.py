@@ -19,10 +19,13 @@
 - No module but ``data.py`` reads an attribute named ``inputs``: for a
   pixel dataset ``Dataset.inputs`` builds a float64 copy of every row, so
   the package gathers rows from ``Dataset.features`` and converts only those.
+- README's "Config keys" table names exactly the fields of ``TrainConfig``,
+  so a key cannot be added or deleted without its row.
 """
 
 import ast
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -205,3 +208,19 @@ def test_only_data_reads_inputs():
         if isinstance(node, ast.Attribute) and node.attr == "inputs"
     ]
     assert reads == []
+
+
+def test_readme_config_table_names_every_field():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    named = {
+        key
+        for line in section.splitlines() if line.startswith("| `")
+        for key in re.findall(r"`(\w+)`", line.split("|")[1])
+    }
+    config = next(
+        stmt for stmt in _tree(PACKAGE / "trainer.py").body
+        if isinstance(stmt, ast.ClassDef) and stmt.name == "TrainConfig"
+    )
+    fields = {stmt.target.id for stmt in config.body if isinstance(stmt, ast.AnnAssign)}
+    assert named == fields
