@@ -22,12 +22,16 @@ retention, build a new one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
 from .linalg import Rng, bernoulli_matrix
 from .network import MlpParams, forward_batch, log_softmax_pick
+
+if TYPE_CHECKING:  # trainer imports this module
+    from .trainer import TrainConfig
 
 GUARD_EPS = 1e-6
 PROB_FLOOR = 1e-30
@@ -99,35 +103,6 @@ class RetentionParams:
 
 
 @dataclass
-class PriorHyper:
-    """Powered-beta hyperparameters: density proportional to
-    (p^(alpha-1) (1-p)^(beta-1))^gamma, never normalized."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta <= 1.0):
-            raise ValueError("alpha and beta must lie in (0, 1] for the bimodal regime")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be non-negative")
-
-
-@dataclass
-class RetentionUpdateConfig:
-    learning_rate: float
-    control_variate: float = 1.0
-    importance_clamp: float = 100.0
-
-    def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError("retention learning rate must be non-negative")
-        if self.importance_clamp <= 0.0:
-            raise ValueError("importance clamp must be positive")
-
-
-@dataclass
 class RetentionStats:
     """Counters for the rare-event guards in the importance weight, which
     ``retention_update`` adds to in place."""
@@ -167,11 +142,16 @@ def sample_mask_block(pi: RetentionParams, n_rows: int, rng: Rng) -> list[np.nda
     return [_mask_block(v, n_rows, rng) for v in pi]
 
 
-def prior_score_vector(p: np.ndarray, hyper: PriorHyper, active: np.ndarray) -> np.ndarray:
-    """Vectorized prior derivative with frozen entries zeroed."""
+def prior_score_vector(
+    p: np.ndarray, cfg: TrainConfig, prior_strength: float, active: np.ndarray
+) -> np.ndarray:
+    """Derivative of the powered-beta log-prior, density proportional to
+    (p^(alpha-1) (1-p)^(beta-1))^prior_strength and never normalized, with
+    frozen entries zeroed. alpha and beta are ``cfg.prior_alpha`` and
+    ``cfg.prior_beta``."""
     p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
-    score = hyper.gamma * (
-        (hyper.alpha - 1.0) / p_safe - (hyper.beta - 1.0) / (1.0 - p_safe)
+    score = prior_strength * (
+        (cfg.prior_alpha - 1.0) / p_safe - (cfg.prior_beta - 1.0) / (1.0 - p_safe)
     )
     return np.where(active, score, 0.0)
 
@@ -188,8 +168,8 @@ def retention_update(
     pi: RetentionParams,
     params: MlpParams,
     batch: tuple[np.ndarray, np.ndarray],
-    hyper: PriorHyper,
-    cfg: RetentionUpdateConfig,
+    cfg: TrainConfig,
+    prior_strength: float,
     rng: Rng,
     stats: RetentionStats,
 ) -> RetentionParams:
@@ -201,6 +181,10 @@ def retention_update(
     expectation-scaled one. The result is clipped back into [0, 1].
     Hidden layers 1..L-1 are updated; input retention stays fixed. The
     clamped and floored importance weights are added to ``stats``.
+
+    The step size, control variate C, importance clamp and the prior's
+    alpha and beta come from ``cfg``. ``prior_strength`` is the prior's
+    gamma as the run resolved it from ``cfg.gamma`` and ``cfg.gamma_mode``.
     """
     x, ks = batch
     x = np.asarray(x, dtype=np.float64)
@@ -244,12 +228,12 @@ def retention_update(
         act = active[layer]
         if not act.any():
             continue  # every term is 0: p + lr * 0 == p
-        delta = prior_score_vector(p, hyper, act)
+        delta = prior_score_vector(p, cfg, prior_strength, act)
         p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
         score = np.empty_like(mask_blocks[layer])
         kernels.mask_score_kernel(
             mask_blocks[layer], p_safe, act.astype(np.float64), score
         )
         delta = delta + payoff @ score
-        new_layers[layer] = np.clip(p + cfg.learning_rate * delta, 0.0, 1.0)
+        new_layers[layer] = np.clip(p + cfg.retention_lr * delta, 0.0, 1.0)
     return RetentionParams(new_layers)

@@ -45,14 +45,7 @@ from .network import (
     init_mlp,
     log_softmax_pick,
 )
-from .retention import (
-    PriorHyper,
-    RetentionParams,
-    RetentionStats,
-    RetentionUpdateConfig,
-    retention_update,
-    sample_mask_block,
-)
+from .retention import RetentionParams, RetentionStats, retention_update, sample_mask_block
 
 log = logging.getLogger("dropcompact")
 
@@ -122,6 +115,8 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if not (0.0 < self.prior_alpha <= 1.0 and 0.0 < self.prior_beta <= 1.0):
+            raise ValueError("prior_alpha and prior_beta must lie in (0, 1]")
         if self.gamma_mode not in ("multiple_of_t", "absolute"):
             raise ValueError(f"unknown gamma_mode {self.gamma_mode!r}")
         if self.gamma < 0 or self.retention_lr < 0:
@@ -134,17 +129,17 @@ class TrainConfig:
             raise ValueError("importance_clamp must be positive")
         if self.dev_size < 0:
             raise ValueError("dev_size must be >= 0")
-        PriorHyper(self.prior_alpha, self.prior_beta, max(self.gamma, 0.0))  # checks alpha, beta
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        """Build from string-keyed values (config file); unknown keys are errors."""
+        """Build from a config file's strings or a checkpoint header's JSON
+        values (see ``_coerce``); unknown keys are errors."""
         known = get_type_hints(cls)
         kwargs = {}
         for key, value in raw.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(value, known[key])
+            kwargs[key] = _coerce(key, value, known[key])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -159,14 +154,28 @@ class TrainConfig:
         return out
 
 
-def _coerce(value, kind):
-    """A config-file string as a field of type ``kind``; other values as given."""
-    if not isinstance(value, str):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _coerce(key: str, value, kind):
+    """Field ``key`` of type ``kind`` from a config-file string, or from a
+    value that already has that type: an int (not a bool) for an int field,
+    an int or a float for a float field (as a float), and a list or tuple of
+    ints for layer_dims (as a tuple). Any other value is a ValueError."""
+    if isinstance(value, str):
+        text = value.strip()
+        if kind in (int, float, str):
+            return kind(text)
+        return tuple(int(p) for p in text.replace(",", " ").split())  # layer_dims
+    if kind is int and _is_int(value):
         return value
-    text = value.strip()
-    if kind in (int, float, str):
-        return kind(text)
-    return tuple(int(p) for p in text.replace(",", " ").split())  # layer_dims
+    if kind is float and (_is_int(value) or isinstance(value, float)):
+        return float(value)
+    if kind not in (int, float, str) and isinstance(value, (list, tuple)):
+        if all(map(_is_int, value)):
+            return tuple(value)
+    raise ValueError(f"config key {key!r} cannot be {value!r}")
 
 
 @dataclass
@@ -283,10 +292,9 @@ def train_weights_epoch(
     cfg: TrainConfig,
     rng: Rng,
     velocity: Gradients,
-    lr: float,
     rows: np.ndarray,
 ) -> float:
-    """One shuffled pass of masked minibatch SGD at step size ``lr`` over
+    """One shuffled pass of masked minibatch SGD at step size ``cfg.lr`` over
     ``rows`` of ``data``, training ``params`` and carrying the momentum
     ``velocity`` in place; returns the mean loss."""
     t = rows.size
@@ -299,7 +307,7 @@ def train_weights_epoch(
         losses, grads = backward_batch(params, xb, yb, gates)
         total += float(losses.sum())
         grads.scale(1.0 / yb.size)
-        sgd_step(params, grads, velocity, lr, cfg.momentum, cfg.l2, scratch)
+        sgd_step(params, grads, velocity, cfg.lr, cfg.momentum, cfg.l2, scratch)
     return total / t
 
 
@@ -393,7 +401,6 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
         cfg,
         rng_stream(cfg.seed, "weights", epoch),
         velocity=state.velocity,
-        lr=cfg.lr,
         rows=train_rows,
     )
     _check_finite(
@@ -402,9 +409,7 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
     )
 
     if cfg.regime == "compaction":
-        gamma = cfg.gamma * train_rows.size if cfg.gamma_mode == "multiple_of_t" else cfg.gamma
-        hyper = PriorHyper(cfg.prior_alpha, cfg.prior_beta, gamma)
-        rcfg = RetentionUpdateConfig(cfg.retention_lr, cfg.control_variate, cfg.importance_clamp)
+        strength = cfg.gamma * train_rows.size if cfg.gamma_mode == "multiple_of_t" else cfg.gamma
         # With every hidden unit frozen each update is p + lr * 0 == p,
         # and the sweep's stream feeds nothing else: the sweep ends at
         # the first batch that finds no active unit.
@@ -413,7 +418,7 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
         for batch in _minibatches(data, train_rows, rng_r, cfg.batch_size):
             if not _any_active(state.pi):
                 break
-            state.pi = retention_update(state.pi, state.params, batch, hyper, rcfg, rng_r, stats)
+            state.pi = retention_update(state.pi, state.params, batch, cfg, strength, rng_r, stats)
         if stats.clamped:
             log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
 

@@ -134,13 +134,12 @@ def mask_score(masks, pi: RetentionParams) -> list[np.ndarray]:
     return out
 
 
-def prior_score(pi_value: float, hyper) -> float:
-    """Derivative of the unnormalized log-prior at one probability value."""
+def prior_score(pi_value: float, alpha: float, beta: float, gamma: float) -> float:
+    """Derivative of the unnormalized log-prior (p^(alpha-1) (1-p)^(beta-1))^gamma
+    at one probability value."""
     if not GUARD_EPS < pi_value < 1.0 - GUARD_EPS:
         raise FrozenUnitError(f"retention value {pi_value} is inside the guard band")
-    return hyper.gamma * (
-        (hyper.alpha - 1.0) / pi_value - (hyper.beta - 1.0) / (1.0 - pi_value)
-    )
+    return gamma * ((alpha - 1.0) / pi_value - (beta - 1.0) / (1.0 - pi_value))
 
 
 def _label_prob(params, gates, x, k) -> float:
@@ -156,7 +155,7 @@ def importance_weight(params, pi, x, k, masks, clamp=100.0) -> float:
     return float(min(num / den, clamp))
 
 
-def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats):
+def retention_update_oracle(pi, params, batch, cfg, prior_strength, rng, stats):
     """retention_update with a Bernoulli draw for every layer and two full
     forward passes; the package's version must match it bit for bit."""
     x, ks = batch
@@ -178,12 +177,12 @@ def retention_update_oracle(pi, params, batch, hyper, cfg, rng, stats):
     for layer in range(1, params.n_layers):
         p = pi[layer]
         act = pi.active(layer)
-        delta = prior_score_vector(p, hyper, act)
+        delta = prior_score_vector(p, cfg, prior_strength, act)
         p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
         score = np.empty_like(mask_blocks[layer])
         kernels.mask_score_kernel(mask_blocks[layer], p_safe, act.astype(np.float64), score)
         delta = delta + payoff @ score
-        new_layers[layer] = np.clip(p + cfg.learning_rate * delta, 0.0, 1.0)
+        new_layers[layer] = np.clip(p + cfg.retention_lr * delta, 0.0, 1.0)
     return RetentionParams(new_layers)
 
 

@@ -36,21 +36,20 @@ class TestFlopCount:
             flop_count((10,))
 
 
-@pytest.mark.parametrize("backend", [kernels.backend_name()])
 class TestTimeForward:
-    def test_result_invariants(self, backend):
+    def test_result_invariants(self):
         res = time_forward((32, 64, 10), batch=1, reps=MIN_REPS)
-        assert res.backend == backend
+        assert res.backend == kernels.backend_name()
         assert res.min_s <= res.median_s <= res.p95_s
         assert res.reps >= 30
         assert res.flops == flop_count((32, 64, 10))
         assert res.throughput > 0
 
-    def test_batch_mode(self, backend):
+    def test_batch_mode(self):
         res = time_forward((32, 64, 10), batch=16, reps=MIN_REPS)
         assert res.batch == 16
 
-    def test_timing_stability(self, backend):
+    def test_timing_stability(self):
         # per-pass time must dwarf timer/scheduler jitter for the 20% bound.
         # The two runs are built as time_forward builds them and timed call
         # by call in turn, so a drift of the machine's speed, which exceeded
@@ -70,7 +69,7 @@ class TestTimeForward:
         a, b = np.median(times, axis=0)
         assert abs(a - b) / max(a, b) < 0.2
 
-    def test_reps_floor_enforced(self, backend):
+    def test_reps_floor_enforced(self):
         with pytest.raises(ValueError):
             time_forward((8, 8, 2), reps=10)
 

@@ -672,6 +672,14 @@ class TestShippedConfigHash:
         assert config_hash(changed) != config_hash(cfg)
 
     @pytest.mark.parametrize("rel", SHIPPED_CONFIGS)
+    def test_to_dict_round_trips(self, rel):
+        # as a checkpoint header stores the config and eval reads it back
+        cfg = TrainConfig.from_dict(parse_config_file(os.path.join(REPO_ROOT, rel)))
+        back = TrainConfig.from_dict(cfg.to_dict())
+        assert back == cfg
+        assert config_hash(back) == config_hash(cfg)
+
+    @pytest.mark.parametrize("rel", SHIPPED_CONFIGS)
     def test_copy_saved_with_bom_parses_alike(self, rel, tmp_path):
         path = os.path.join(REPO_ROOT, rel)
         copy = tmp_path / "bom.ini"
@@ -682,15 +690,23 @@ class TestShippedConfigHash:
 
 @pytest.fixture(scope="session")
 def odd_checkpoints(tmp_path_factory):
-    """Checkpoints that load but do not fit data_dir or an SVD."""
+    """Checkpoints that load but do not fit data_dir or an SVD, or whose
+    header config holds a split key of the wrong type."""
     root = tmp_path_factory.mktemp("odd")
     paths = {}
-    for name, dims in (("wide", (784, 5, 10)), ("few_classes", (49, 5, 3)),
-                       ("one_hidden", (49, 5, 10))):
+    for name, dims, config in (
+        ("wide", (784, 5, 10), {"dev_size": 0}),
+        ("few_classes", (49, 5, 3), {"dev_size": 0}),
+        ("one_hidden", (49, 5, 10), {"dev_size": 0}),
+        ("dev_size_float", (49, 5, 10), {"dev_size": 1.5}),
+        ("dev_size_null", (49, 5, 10), {"dev_size": None}),
+        ("dev_size_object", (49, 5, 10), {"dev_size": {}}),
+        ("seed_float", (49, 5, 10), {"dev_size": 0, "seed": 1.5}),
+    ):
         params = init_mlp(dims, "relu", seed=1)
         paths[name] = str(root / f"{name}.dckp")
         save_checkpoint(paths[name], Checkpoint(
-            params=params, pi=RetentionParams.constant(params, 1.0), config={"dev_size": 0},
+            params=params, pi=RetentionParams.constant(params, 1.0), config=config,
             seed=1, epoch=0))
     return paths
 
@@ -711,6 +727,14 @@ class TestExitCodes:
         "eval-input-width": (["eval", "--checkpoint", "{wide}", "--data-dir", "{data}"], 2),
         "eval-classes": (["eval", "--checkpoint", "{few_classes}", "--data-dir", "{data}"], 2),
         "eval-truncated-gzip": (["eval", "--checkpoint", "{deep}", "--data-dir", "{tmp}/gz"], 3),
+        # a header config whose dev_size or seed is not an int
+        "eval-dev-size-float": (["eval", "--checkpoint", "{dev_size_float}",
+                                 "--data-dir", "{data}"], 2),
+        "eval-dev-size-null": (["eval", "--checkpoint", "{dev_size_null}",
+                                "--data-dir", "{data}"], 2),
+        "eval-dev-size-object": (["eval", "--checkpoint", "{dev_size_object}",
+                                  "--data-dir", "{data}"], 2),
+        "eval-seed-float": (["eval", "--checkpoint", "{seed_float}", "--data-dir", "{data}"], 2),
         "report-epoch-word": (["report", "{tmp}/epoch_word.csv"], 3),
         "report-short-row": (["report", "{tmp}/short_row.csv"], 3),
         "train-lr-nan": (["train", "--config", "{tmp}/lr_nan.ini", "--data-dir", "{tmp}/none"], 2),

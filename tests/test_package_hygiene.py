@@ -19,6 +19,9 @@
 - No module but ``data.py`` reads an attribute named ``inputs``: for a
   pixel dataset ``Dataset.inputs`` builds a float64 copy of every row, so
   the package gathers rows from ``Dataset.features`` and converts only those.
+- Every name in ``__init__.py``'s ``__all__`` is bound by an import there:
+  a stale name breaks only ``from dropcompact import *``, which no other
+  test runs.
 - README's "Config keys" table names exactly the fields of ``TrainConfig``,
   so a key cannot be added or deleted without its row.
 """
@@ -86,6 +89,17 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_every_exported_name_is_imported():
+    tree = _tree(PACKAGE / "__init__.py")
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Import, ast.ImportFrom))
+        for alias in stmt.names
+    }
+    assert sorted(_dunder_all(tree) - bound) == []
 
 
 def test_every_top_level_definition_has_a_caller():

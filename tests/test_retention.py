@@ -19,14 +19,12 @@ from dropcompact.network import forward_batch, init_mlp
 from dropcompact.retention import (
     GUARD_EPS,
     PROB_FLOOR,
-    PriorHyper,
     RetentionParams,
     RetentionStats,
-    RetentionUpdateConfig,
     retention_update,
     sample_mask_block,
 )
-from dropcompact.trainer import evaluate
+from dropcompact.trainer import TrainConfig, evaluate
 
 
 @pytest.fixture
@@ -179,15 +177,14 @@ class TestRetentionUpdateMatchesOracle:
         pi = RetentionParams([np.full(6, input_retention), np.array(h1), np.array(h2)])
         ref_pi = pi
         data = rng_stream(33, "data")
-        cfg = RetentionUpdateConfig(learning_rate=0.02, control_variate=1.0, importance_clamp=3.0)
-        hyper = PriorHyper(0.9, 0.9, 2.0)
+        cfg = TrainConfig(retention_lr=0.02, control_variate=1.0, importance_clamp=3.0)
         rng, ref_rng = rng_stream(34, "ru"), rng_stream(34, "ru")
         stats, ref_stats = RetentionStats(), RetentionStats()
         for _ in range(4):
             x = data.normal(size=(9, 6))
             ks = data.integers(0, 3, size=9)
-            pi = retention_update(pi, params, (x, ks), hyper, cfg, rng, stats)
-            ref_pi = retention_update_oracle(ref_pi, params, (x, ks), hyper, cfg, ref_rng, ref_stats)
+            pi = retention_update(pi, params, (x, ks), cfg, 2.0, rng, stats)
+            ref_pi = retention_update_oracle(ref_pi, params, (x, ks), cfg, 2.0, ref_rng, ref_stats)
             for got, want in zip(pi, ref_pi):
                 assert np.array_equal(got, want)
         assert stats == ref_stats
@@ -197,10 +194,10 @@ class TestRetentionUpdateMatchesOracle:
         params = init_mlp((6, 3), "relu", seed=35)
         pi = RetentionParams([np.ones(6)])
         x, ks = rng_stream(36, "x").normal(size=(5, 6)), np.arange(5) % 3
-        cfg, hyper = RetentionUpdateConfig(learning_rate=0.1), PriorHyper(0.9, 0.9, 1.0)
+        cfg = TrainConfig(retention_lr=0.1)
         rng, ref_rng = rng_stream(37, "ru"), rng_stream(37, "ru")
-        got = retention_update(pi, params, (x, ks), hyper, cfg, rng, RetentionStats())
-        want = retention_update_oracle(pi, params, (x, ks), hyper, cfg, ref_rng, RetentionStats())
+        got = retention_update(pi, params, (x, ks), cfg, 1.0, rng, RetentionStats())
+        want = retention_update_oracle(pi, params, (x, ks), cfg, 1.0, ref_rng, RetentionStats())
         assert np.array_equal(got[0], want[0])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -231,15 +228,14 @@ class TestMaskScore:
 
 class TestPriorScore:
     def test_symmetric_midpoint_zero(self):
-        assert prior_score(0.5, PriorHyper(0.9, 0.9, 3.0)) == 0.0
+        assert prior_score(0.5, 0.9, 0.9, 3.0) == 0.0
 
     def test_value_and_finite_difference(self):
-        hyper = PriorHyper(0.9, 0.9, 1.0)
-        got = prior_score(0.25, hyper)
+        got = prior_score(0.25, 0.9, 0.9, 1.0)
         assert got == pytest.approx(-0.4 + 0.1 / 0.75, abs=1e-12)
 
         def log_density(p):
-            return hyper.gamma * ((hyper.alpha - 1) * np.log(p) + (hyper.beta - 1) * np.log(1 - p))
+            return (0.9 - 1) * np.log(p) + (0.9 - 1) * np.log(1 - p)
 
         h = 1e-7
         fd = (log_density(0.25 + h) - log_density(0.25 - h)) / (2 * h)
@@ -247,22 +243,21 @@ class TestPriorScore:
 
     def test_linear_in_gamma(self):
         for p in (0.2, 0.5, 0.77):
-            one = prior_score(p, PriorHyper(0.9, 0.9, 1.0))
-            two = prior_score(p, PriorHyper(0.9, 0.9, 2.0))
+            one = prior_score(p, 0.9, 0.9, 1.0)
+            two = prior_score(p, 0.9, 0.9, 2.0)
             assert two == pytest.approx(2 * one, abs=1e-12)
 
     def test_sign_structure_bimodal(self):
-        hyper = PriorHyper(0.9, 0.9, 1.0)
         for p in (0.05, 0.2, 0.45):
-            assert prior_score(p, hyper) < 0
+            assert prior_score(p, 0.9, 0.9, 1.0) < 0
         for p in (0.55, 0.8, 0.95):
-            assert prior_score(p, hyper) > 0
+            assert prior_score(p, 0.9, 0.9, 1.0) > 0
 
     def test_guard_band_raises(self):
         with pytest.raises(FrozenUnitError):
-            prior_score(0.0, PriorHyper(0.9, 0.9, 1.0))
+            prior_score(0.0, 0.9, 0.9, 1.0)
         with pytest.raises(FrozenUnitError):
-            prior_score(1.0 - GUARD_EPS / 2, PriorHyper(0.9, 0.9, 1.0))
+            prior_score(1.0 - GUARD_EPS / 2, 0.9, 0.9, 1.0)
 
 
 class TestImportanceWeight:
@@ -304,29 +299,15 @@ class TestImportanceWeight:
         assert w <= 1.5
 
 
-class TestHyperparametersCheckedWhenBuilt:
-    @pytest.mark.parametrize("build", [
-        lambda: PriorHyper(1.5, 0.9, 1.0),
-        lambda: PriorHyper(0.9, 0.0, 1.0),
-        lambda: PriorHyper(0.9, 0.9, -1.0),
-        lambda: RetentionUpdateConfig(learning_rate=-0.1),
-        lambda: RetentionUpdateConfig(learning_rate=0.1, importance_clamp=0.0),
-    ], ids=["alpha", "beta", "gamma", "learning_rate", "importance_clamp"])
-    def test_invalid_value_raises(self, build):
-        with pytest.raises(ValueError):
-            build()
-
-
 class TestRetentionUpdate:
     def test_no_signal_no_change(self):
         params = init_mlp((2, 4, 2), "relu", seed=23)
         params.weights[1][:] = 0.0  # logits ignore every maskable unit
         pi = RetentionParams([np.ones(2), np.full(4, 0.35)])
-        cfg = RetentionUpdateConfig(learning_rate=0.1, control_variate=1.0)
-        hyper = PriorHyper(0.9, 0.9, 0.0)
+        cfg = TrainConfig(retention_lr=0.1, control_variate=1.0)
         x = rng_stream(4, "ru").normal(size=(8, 2))
         new = retention_update(
-            pi, params, (x, np.zeros(8, dtype=int)), hyper, cfg, rng_stream(5, "ru"), RetentionStats()
+            pi, params, (x, np.zeros(8, dtype=int)), cfg, 0.0, rng_stream(5, "ru"), RetentionStats()
         )
         assert np.array_equal(new[1], pi[1])
 
@@ -334,21 +315,20 @@ class TestRetentionUpdate:
         params = init_mlp((2, 4, 2), "relu", seed=25)
         params.weights[1][:] = 0.0  # kill the data term so only the prior acts
         pi = RetentionParams([np.ones(2), np.full(4, 0.25)])
-        cfg = RetentionUpdateConfig(learning_rate=1e-3)
-        hyper = PriorHyper(0.9, 0.9, 5.0)
+        cfg = TrainConfig(retention_lr=1e-3)
         x = rng_stream(6, "ru").normal(size=(4, 2))
         new = retention_update(
-            pi, params, (x, np.zeros(4, dtype=int)), hyper, cfg, rng_stream(7, "ru"), RetentionStats()
+            pi, params, (x, np.zeros(4, dtype=int)), cfg, 5.0, rng_stream(7, "ru"), RetentionStats()
         )
         assert np.all(new[1] < 0.25)
 
     def test_empty_batch_rejected(self, estimator_fixture):
         params, pi, x, k = estimator_fixture
-        cfg = RetentionUpdateConfig(learning_rate=1e-3)
+        cfg = TrainConfig(retention_lr=1e-3)
         with pytest.raises(ValueError, match="non-empty"):
             retention_update(
                 pi, params, (np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                PriorHyper(0.9, 0.9, 1.0), cfg, rng_stream(8, "ru"), RetentionStats(),
+                cfg, 1.0, rng_stream(8, "ru"), RetentionStats(),
             )
 
     def test_monte_carlo_matches_enumeration(self, estimator_fixture):
@@ -374,26 +354,23 @@ class TestRetentionUpdate:
         params = init_mlp((4, 6, 3), "relu", seed=12)
         params.weights[1] *= 1e3  # most labels get a probability below PROB_FLOOR
         pi = RetentionParams([np.ones(4), np.ones(6)])  # no draws, so every w is exactly 1
-        cfg = RetentionUpdateConfig(learning_rate=0.1, importance_clamp=0.5)
+        cfg = TrainConfig(retention_lr=0.1, importance_clamp=0.5)
         stats, floored, data = RetentionStats(), 0, rng_stream(12, "x")
         for _ in range(2):
             x, ks = data.normal(size=(10, 4)), data.integers(0, 3, size=10)
             p = softmax(forward_batch(params, x, [None, None]).logits)[np.arange(10), ks]
             floored += 2 * int((p < PROB_FLOOR).sum())  # the masked and the scaled pass
-            retention_update(
-                pi, params, (x, ks), PriorHyper(0.9, 0.9, 1.0), cfg, rng_stream(13, "ru"), stats
-            )
+            retention_update(pi, params, (x, ks), cfg, 1.0, rng_stream(13, "ru"), stats)
         assert 0 < floored < 40
         assert stats == RetentionStats(clamped=20, floored=floored)
 
     def test_frozen_units_stay_frozen(self, estimator_fixture):
         params, pi, x, k = estimator_fixture
         frozen = RetentionParams([np.ones(2), np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0, 1.0])])
-        cfg = RetentionUpdateConfig(learning_rate=0.5)
+        cfg = TrainConfig(retention_lr=0.5)
         xs = np.tile(x, (8, 1))
         new = retention_update(
-            frozen, params, (xs, np.full(8, k)), PriorHyper(0.9, 0.9, 10.0), cfg,
-            rng_stream(11, "ru"), RetentionStats(),
+            frozen, params, (xs, np.full(8, k)), cfg, 10.0, rng_stream(11, "ru"), RetentionStats()
         )
         assert new[1][0] == 0.0 and new[1][1] == 1.0
         assert np.array_equal(new[2], np.ones(3))
@@ -406,11 +383,10 @@ class TestRetentionUpdate:
             [np.ones(2), np.array([0.6, 0.5, 0.7]), np.array([0.4, 0.55, 0.65])]
         )
         x = rng_stream(5, "x").normal(size=2)
-        cfg = RetentionUpdateConfig(learning_rate=lr)
+        cfg = TrainConfig(retention_lr=lr)
         xs = np.tile(x, (4, 1))
         new = retention_update(
-            pi, params, (xs, np.full(4, 1)), PriorHyper(0.9, 0.9, 100.0), cfg,
-            rng_stream(seed, "clip"), RetentionStats(),
+            pi, params, (xs, np.full(4, 1)), cfg, 100.0, rng_stream(seed, "clip"), RetentionStats()
         )
         for layer in range(len(new)):
             assert new[layer].min() >= 0.0 and new[layer].max() <= 1.0

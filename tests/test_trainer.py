@@ -95,6 +95,20 @@ class TestSgdStep:
                         ref.weights + ref.biases + ref_vel.weights + ref_vel.biases):
             assert np.array_equal(a, b)
 
+    def test_zero_lr_keeps_params(self):
+        params = init_mlp((4, 5, 2), "relu", seed=2)
+        before = params.copy()
+        vel, scratch = Gradients.zeros_like(params), Gradients.zeros_like(params)
+        rng = rng_stream(2, "sgd")
+        for _ in range(3):
+            g = Gradients(
+                [rng.normal(size=w.shape) for w in params.weights],
+                [rng.normal(size=b.shape) for b in params.biases],
+            )
+            sgd_step(params, g, vel, 0.0, 0.9, 1e-4, scratch)
+        for a, b in zip(params.weights + params.biases, before.weights + before.biases):
+            assert np.array_equal(a, b)
+
     def test_shape_mismatch_rejected(self):
         params = scalar_net(1.0)
         bad = Gradients([np.zeros((2, 2))], [np.zeros(1)])
@@ -234,19 +248,6 @@ class TestEvaluateMemory:
 
 
 class TestTrainEpoch:
-    def test_zero_lr_keeps_params(self):
-        ds = synth_blobs(30, 2, 4, separation=3.0, seed=0)
-        cfg = TrainConfig(regime="plain", layer_dims=(4, 5, 2), epochs=1, batch_size=8, lr=1e-9)
-        params = init_mlp((4, 5, 2), "relu", seed=2)
-        before = [w.copy() for w in params.weights]
-        loss = train_weights_epoch(params, initial_retention(params, cfg),
-                                   (ds.features, ds.labels), cfg, rng_stream(0, "e"),
-                                   velocity=Gradients.zeros_like(params), lr=0.0,
-                                   rows=ds.splits["train"])
-        assert loss > 0
-        for b, w in zip(before, params.weights):
-            assert np.array_equal(b, w)
-
     def test_separable_blobs_reach_zero_error(self):
         ds = synth_blobs(50, 2, 6, separation=10.0, seed=1)
         cfg = TrainConfig(
@@ -372,7 +373,7 @@ class TestPixelDataset:
             params = init.copy()
             loss = train_weights_epoch(
                 params, pi, data, cfg, rng_stream(cfg.seed, "weights", 0),
-                velocity=Gradients.zeros_like(init), lr=cfg.lr, rows=ds.splits["train"],
+                velocity=Gradients.zeros_like(init), rows=ds.splits["train"],
             )
             scores = [evaluate(params, pi, data, rows=ds.splits[tag]) for tag in ("dev", "test")]
             runs.append((params.weights + params.biases, loss, scores))
@@ -646,6 +647,9 @@ class TestConfig:
             dict(patience=0),
             dict(dev_size=-1),
             dict(importance_clamp=0.0),
+            pytest.param(dict(prior_beta=0.0), id="prior_beta"),
+            pytest.param(dict(gamma=-1.0), id="gamma"),
+            pytest.param(dict(retention_lr=-0.1), id="retention_lr"),
         ],
     )
     def test_validation_rejects(self, bad):
