@@ -89,7 +89,6 @@ class Gradients:
 
     @classmethod
     def zeros_like(cls, params: MlpParams) -> "Gradients":
-        # plain np.zeros: gradient buffers must be C-order for np.dot(out=)
         return cls(
             [np.zeros(w.shape) for w in params.weights],
             [np.zeros(b.shape) for b in params.biases],
@@ -173,7 +172,7 @@ def forward_batch(params: MlpParams, x: np.ndarray, gates, trace: bool = True) -
     for i, act in enumerate(params.hidden_activations):
         z = h @ weights[i].T
         z += biases[i]
-        h = kernels.gate_act(z, gates[i + 1], act, z)
+        h = kernels.gate_act(z, gates[i + 1], act)
         if trace:
             activations.append(h)
     logits = h @ weights[-1].T
@@ -207,8 +206,6 @@ def backward_batch(params: MlpParams, x, ks, gates) -> tuple[np.ndarray, Gradien
         delta.sum(axis=0, out=grads.biases[i])
         if i == 0:
             break
-        e = delta @ params.weights[i]
-        dfac = np.empty_like(e)
-        kernels.act_grad(trace.activations[i], gates[i], params.hidden_activations[i - 1], dfac)
-        delta = e * dfac
+        act = params.hidden_activations[i - 1]
+        delta = kernels.act_grad(delta @ params.weights[i], trace.activations[i], gates[i], act)
     return losses, grads

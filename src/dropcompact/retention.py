@@ -9,10 +9,12 @@ payoff weight; it leaves the expected update unchanged and shrinks its
 variance.
 
 Units whose probability reaches the guard band around 0 or 1 are frozen:
-their mask is deterministic and they take no further updates (the score is
-singular at the boundary). A layer whose retention is exactly 1 draws no
-mask at all: its RNG stream is advanced past the draws instead, so every
-later draw is the one it would have been.
+they take no further updates (the score is singular at the boundary), and
+one rule, ``_mask_block``, draws every mask of the weight pass and of the
+retention sweep. It snaps a frozen unit's probability to 0 or 1, so its
+mask is deterministic. A layer whose every unit snaps to 1 draws no mask
+at all: its RNG stream is advanced past the draws instead, so every later
+draw is the one it would have been.
 
 A ``RetentionParams`` is a value: it holds read-only copies of its
 vectors, so the gates it derives from them are computed once. To change
@@ -112,8 +114,9 @@ class RetentionStats:
 
 
 def _mask_block(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray | None:
-    """bernoulli_matrix(p, n_rows, rng), or None (an all-ones gate) when every
-    probability is exactly 1.
+    """bernoulli_matrix(p, n_rows, rng) with the guard band snapped (p <=
+    GUARD_EPS to 0, p >= 1 - GUARD_EPS to 1), or None (an all-ones gate)
+    when every snapped probability is 1.
 
     For an all-ones layer the PCG64 stream is advanced by the n_rows * D
     doubles the draw would have used (one 64-bit output each), so it ends
@@ -124,6 +127,7 @@ def _mask_block(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray | None:
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise ValueError(f"mask draws need a PCG64 stream, got {type(bits).__name__}")
+    p = np.where(p <= GUARD_EPS, 0.0, np.where(p >= 1.0 - GUARD_EPS, 1.0, p))
     if not _all_ones(p):
         return bernoulli_matrix(p, n_rows, rng)
     before = bits.state
@@ -138,7 +142,7 @@ def _mask_block(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray | None:
 
 def sample_mask_block(pi: RetentionParams, n_rows: int, rng: Rng) -> list[np.ndarray | None]:
     """n_rows independent mask sets as one (n_rows, D_l) block per layer;
-    None for a layer whose retention is exactly 1."""
+    None for a layer whose every unit is frozen at 1."""
     return [_mask_block(v, n_rows, rng) for v in pi]
 
 
@@ -196,11 +200,7 @@ def retention_update(
     update_layers = range(1, n_layers)
     active = {layer: pi.active(layer) for layer in update_layers}
 
-    # masks for every gated layer; frozen units draw deterministically
-    mask_blocks = []
-    for p in pi:
-        p_eff = np.where(p <= GUARD_EPS, 0.0, np.where(p >= 1.0 - GUARD_EPS, 1.0, p))
-        mask_blocks.append(_mask_block(p_eff, x.shape[0], rng))
+    mask_blocks = sample_mask_block(pi, x.shape[0], rng)
     scaled_gates = pi.scaled_gates()
 
     if n_layers > 1 and mask_blocks[0] is None and scaled_gates[0] is None:
@@ -209,7 +209,7 @@ def retention_update(
         # operations as full passes.
         head = MlpParams(params.weights[:1], params.biases[:1], ())
         z = forward_batch(head, x, [None], trace=False).logits
-        h = kernels.gate_act(z, None, params.hidden_activations[0], z)
+        h = kernels.gate_act(z, None, params.hidden_activations[0])
         tail = MlpParams(params.weights[1:], params.biases[1:], params.hidden_activations[1:])
         p_masked = _label_probs(tail, mask_blocks[1:], h, ks)
         p_scaled = _label_probs(tail, scaled_gates[1:], h, ks)
@@ -230,10 +230,6 @@ def retention_update(
             continue  # every term is 0: p + lr * 0 == p
         delta = prior_score_vector(p, cfg, prior_strength, act)
         p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
-        score = np.empty_like(mask_blocks[layer])
-        kernels.mask_score_kernel(
-            mask_blocks[layer], p_safe, act.astype(np.float64), score
-        )
-        delta = delta + payoff @ score
+        delta = delta + payoff @ kernels.mask_score_kernel(mask_blocks[layer], p_safe, act)
         new_layers[layer] = np.clip(p + cfg.retention_lr * delta, 0.0, 1.0)
     return RetentionParams(new_layers)

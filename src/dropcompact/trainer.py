@@ -162,7 +162,8 @@ def _coerce(key: str, value, kind):
     """Field ``key`` of type ``kind`` from a config-file string, or from a
     value that already has that type: an int (not a bool) for an int field,
     an int or a float for a float field (as a float), and a list or tuple of
-    ints for layer_dims (as a tuple). Any other value is a ValueError."""
+    ints for layer_dims (as a tuple). Any other value, an int beyond the
+    float range for a float field included, is a ValueError."""
     if isinstance(value, str):
         text = value.strip()
         if kind in (int, float, str):
@@ -171,7 +172,10 @@ def _coerce(key: str, value, kind):
     if kind is int and _is_int(value):
         return value
     if kind is float and (_is_int(value) or isinstance(value, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            pass
     if kind not in (int, float, str) and isinstance(value, (list, tuple)):
         if all(map(_is_int, value)):
             return tuple(value)

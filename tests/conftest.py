@@ -16,7 +16,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dropcompact import kernels
 from dropcompact.data import Dataset, as_float, split_train_dev, write_idx_images, write_idx_labels
 from dropcompact.linalg import bernoulli_matrix, rng_stream
 from dropcompact.network import MlpParams, forward_batch, init_mlp
@@ -179,8 +178,8 @@ def retention_update_oracle(pi, params, batch, cfg, prior_strength, rng, stats):
         act = pi.active(layer)
         delta = prior_score_vector(p, cfg, prior_strength, act)
         p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
-        score = np.empty_like(mask_blocks[layer])
-        kernels.mask_score_kernel(mask_blocks[layer], p_safe, act.astype(np.float64), score)
+        m = mask_blocks[layer]
+        score = (m / p_safe - (1.0 - m) / (1.0 - p_safe)) * act
         delta = delta + payoff @ score
         new_layers[layer] = np.clip(p + cfg.retention_lr * delta, 0.0, 1.0)
     return RetentionParams(new_layers)
@@ -190,6 +189,16 @@ def retention_update_oracle(pi, params, batch, cfg, prior_strength, rng, stats):
 # evaluation oracle: the expectation-scaled evaluation as it was before the
 # pass stopped keeping a trace and the loss started overwriting the logits
 # ---------------------------------------------------------------------------
+
+def _activation(z, act):
+    """relu, sigmoid or linear (identity) of z."""
+    if act == "relu":
+        return np.maximum(z, 0.0)
+    if act == "sigmoid":
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z))
+    return z
+
 
 def evaluate_oracle(params: MlpParams, pi: RetentionParams, split, batch_size=1024):
     """(error rate %, mean cross-entropy) over pre-gathered (x, y), with
@@ -206,8 +215,7 @@ def evaluate_oracle(params: MlpParams, pi: RetentionParams, split, batch_size=10
         for i in range(params.n_layers - 1):
             z = h @ params.weights[i].T
             z += params.biases[i]
-            h = np.empty_like(z)
-            kernels.gate_act(z, gates[i + 1], params.hidden_activations[i], h)
+            h = _activation(z, params.hidden_activations[i]) * gates[i + 1]
         logits = h @ params.weights[-1].T
         logits += params.biases[-1]
         yb = y[start : start + batch_size]

@@ -109,8 +109,10 @@ class TestSampling:
 
 
 class TestFrozenLayerDraws:
-    """A layer with retention exactly 1 draws nothing and returns None, but
-    leaves the generator exactly where drawing it would have."""
+    """A frozen unit's mask is deterministic: 0 in the lower guard band, 1
+    in the upper one. A layer whose every unit is frozen at 1 draws nothing
+    and returns None, but leaves the generator exactly where drawing it
+    would have."""
 
     PI = RetentionParams(
         [np.ones(5), np.array([0.3, 0.9, 0.5]), np.ones(4), np.array([0.2, 1.0, 0.0, 0.7])]
@@ -150,6 +152,27 @@ class TestFrozenLayerDraws:
         monkeypatch.setattr(retention, "bernoulli_matrix", counting)
         sample_mask_block(self.PI, 5, rng_stream(0, "mb"))
         assert calls == [3, 4]
+
+    def test_upper_guard_band_layer_draws_nothing(self):
+        pi = RetentionParams([np.full(5, 1.0 - GUARD_EPS / 2), np.array([0.3, 0.9, 0.5])])
+        rng, ref = rng_stream(3, "mb"), rng_stream(3, "mb")
+        got = sample_mask_block(pi, 7, rng)
+        want = [bernoulli_matrix(v, 7, ref) for v in pi]
+        assert got[0] is None
+        assert np.array_equal(got[1], want[1])
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_guard_band_units_snap(self):
+        p = np.array([GUARD_EPS / 2, 0.5, 1.0 - GUARD_EPS / 2])
+        # on this stream a draw from the unsnapped p puts a 1 in column 0 (row 308)
+        assert bernoulli_matrix(p, 400, rng_stream(1745, "band"))[:, 0].any()
+        rng, ref = rng_stream(1745, "band"), rng_stream(1745, "band")
+        (got,) = sample_mask_block(RetentionParams([p]), 400, rng)
+        want = bernoulli_matrix(p, 400, ref)
+        assert not got[:, 0].any()
+        assert got[:, 2].all()
+        assert np.array_equal(got[:, 1], want[:, 1])
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRetentionUpdateMatchesOracle:

@@ -622,6 +622,12 @@ class TestConfig:
         assert cfg.lr == 0.001 and cfg.gamma_mode == "absolute"
         assert cfg.epochs == 5
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "-huge"])
+    def test_from_dict_int_beyond_float_range(self, value):
+        # float() of such an int raises OverflowError, which no caller expects
+        with pytest.raises(ValueError, match="config key 'lr'"):
+            TrainConfig.from_dict({"lr": value})
+
     def test_validation_bounds(self):
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
