@@ -45,12 +45,10 @@ def act_grad(e, h, gate, act):
     return e
 
 
-def mask_score_kernel(masks, p, active):
-    """Bernoulli log-prob gradient m/p - (1-m)/(1-p), as a new array; 0
-    where the boolean mask ``active`` is False."""
+def mask_score_kernel(masks, p):
+    """Bernoulli log-prob gradient m/p - (1-m)/(1-p), as a new array."""
     score = masks / p
     score -= (1.0 - masks) / (1.0 - p)
-    score *= active
     return score
 
 

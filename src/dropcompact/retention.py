@@ -8,13 +8,14 @@ powered-beta log-prior. A constant control variate is subtracted from the
 payoff weight; it leaves the expected update unchanged and shrinks its
 variance.
 
-Units whose probability reaches the guard band around 0 or 1 are frozen:
-they take no further updates (the score is singular at the boundary), and
-one rule, ``_mask_block``, draws every mask of the weight pass and of the
-retention sweep. It snaps a frozen unit's probability to 0 or 1, so its
-mask is deterministic. A layer whose every unit snaps to 1 draws no mask
-at all: its RNG stream is advanced past the draws instead, so every later
-draw is the one it would have been.
+Units whose probability reaches the guard band around 0 or 1 are frozen
+(the score is singular at the boundary), by one rule for their masks and
+one for their values. ``_mask_block`` draws every mask of the weight pass
+and of the retention sweep; it snaps a frozen unit's probability to 0 or
+1, so its mask is deterministic. A layer whose every unit snaps to 1 draws
+no mask at all: its RNG stream is advanced past the draws instead, so
+every later draw is the one it would have been. ``retention_update`` holds
+a frozen unit's value: it takes no update.
 
 A ``RetentionParams`` is a value: it holds read-only copies of its
 vectors, so the gates it derives from them are computed once. To change
@@ -146,20 +147,6 @@ def sample_mask_block(pi: RetentionParams, n_rows: int, rng: Rng) -> list[np.nda
     return [_mask_block(v, n_rows, rng) for v in pi]
 
 
-def prior_score_vector(
-    p: np.ndarray, cfg: TrainConfig, prior_strength: float, active: np.ndarray
-) -> np.ndarray:
-    """Derivative of the powered-beta log-prior, density proportional to
-    (p^(alpha-1) (1-p)^(beta-1))^prior_strength and never normalized, with
-    frozen entries zeroed. alpha and beta are ``cfg.prior_alpha`` and
-    ``cfg.prior_beta``."""
-    p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
-    score = prior_strength * (
-        (cfg.prior_alpha - 1.0) / p_safe - (cfg.prior_beta - 1.0) / (1.0 - p_safe)
-    )
-    return np.where(active, score, 0.0)
-
-
 def _label_probs(params, gates, x, ks) -> np.ndarray:
     """p(k) per row under the given gates: the exp(logits - row max) that
     log_softmax_pick leaves in the logits, over its row sum."""
@@ -183,8 +170,9 @@ def retention_update(
     adds (w - C) times the mask log-prob gradient under its own sampled
     mask, where w compares the masked forward pass against the
     expectation-scaled one. The result is clipped back into [0, 1].
-    Hidden layers 1..L-1 are updated; input retention stays fixed. The
-    clamped and floored importance weights are added to ``stats``.
+    Hidden layers 1..L-1 are updated; input retention and frozen units
+    keep their values. The clamped and floored importance weights are
+    added to ``stats``.
 
     The step size, control variate C, importance clamp and the prior's
     alpha and beta come from ``cfg``. ``prior_strength`` is the prior's
@@ -196,14 +184,10 @@ def retention_update(
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("retention_update needs a non-empty (B, D) batch")
 
-    n_layers = params.n_layers
-    update_layers = range(1, n_layers)
-    active = {layer: pi.active(layer) for layer in update_layers}
-
     mask_blocks = sample_mask_block(pi, x.shape[0], rng)
     scaled_gates = pi.scaled_gates()
 
-    if n_layers > 1 and mask_blocks[0] is None and scaled_gates[0] is None:
+    if params.n_layers > 1 and mask_blocks[0] is None and scaled_gates[0] is None:
         # Both passes start from the same ungated input, so layer 0 runs
         # once, as the one-matrix head net; the tail nets then do the same
         # operations as full passes.
@@ -223,13 +207,17 @@ def retention_update(
 
     payoff = w - cfg.control_variate
     new_layers = list(pi.layers)
-    for layer in update_layers:
+    for layer in range(1, params.n_layers):
         p = pi[layer]
-        act = active[layer]
+        act = pi.active(layer)
         if not act.any():
-            continue  # every term is 0: p + lr * 0 == p
-        delta = prior_score_vector(p, cfg, prior_strength, act)
+            continue  # a fully frozen layer keeps its vector
         p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
-        delta = delta + payoff @ kernels.mask_score_kernel(mask_blocks[layer], p_safe, act)
-        new_layers[layer] = np.clip(p + cfg.retention_lr * delta, 0.0, 1.0)
+        # d/dp of the log-prior, density proportional to
+        # (p^(alpha-1) (1-p)^(beta-1))^gamma and never normalized
+        delta = prior_strength * (
+            (cfg.prior_alpha - 1.0) / p_safe - (cfg.prior_beta - 1.0) / (1.0 - p_safe)
+        )
+        delta = delta + payoff @ kernels.mask_score_kernel(mask_blocks[layer], p_safe)
+        new_layers[layer] = np.where(act, np.clip(p + cfg.retention_lr * delta, 0.0, 1.0), p)
     return RetentionParams(new_layers)

@@ -414,9 +414,9 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
 
     if cfg.regime == "compaction":
         strength = cfg.gamma * train_rows.size if cfg.gamma_mode == "multiple_of_t" else cfg.gamma
-        # With every hidden unit frozen each update is p + lr * 0 == p,
-        # and the sweep's stream feeds nothing else: the sweep ends at
-        # the first batch that finds no active unit.
+        # With every hidden unit frozen retention_update returns pi
+        # unchanged, and the sweep's stream feeds nothing else: the sweep
+        # ends at the first batch that finds no active unit.
         stats = RetentionStats()
         rng_r = rng_stream(cfg.seed, "retention", epoch)
         for batch in _minibatches(data, train_rows, rng_r, cfg.batch_size):

@@ -19,12 +19,7 @@ import pytest
 from dropcompact.data import Dataset, as_float, split_train_dev, write_idx_images, write_idx_labels
 from dropcompact.linalg import bernoulli_matrix, rng_stream
 from dropcompact.network import MlpParams, forward_batch, init_mlp
-from dropcompact.retention import (
-    GUARD_EPS,
-    PROB_FLOOR,
-    RetentionParams,
-    prior_score_vector,
-)
+from dropcompact.retention import GUARD_EPS, PROB_FLOOR, RetentionParams
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +171,11 @@ def retention_update_oracle(pi, params, batch, cfg, prior_strength, rng, stats):
     for layer in range(1, params.n_layers):
         p = pi[layer]
         act = pi.active(layer)
-        delta = prior_score_vector(p, cfg, prior_strength, act)
         p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
+        prior = prior_strength * (
+            (cfg.prior_alpha - 1.0) / p_safe - (cfg.prior_beta - 1.0) / (1.0 - p_safe)
+        )
+        delta = np.where(act, prior, 0.0)
         m = mask_blocks[layer]
         score = (m / p_safe - (1.0 - m) / (1.0 - p_safe)) * act
         delta = delta + payoff @ score

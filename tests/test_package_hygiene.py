@@ -24,6 +24,10 @@
   test runs.
 - README's "Config keys" table names exactly the fields of ``TrainConfig``,
   so a key cannot be added or deleted without its row.
+- ``tests/conftest.py`` imports only ``GUARD_EPS``, ``PROB_FLOOR`` and
+  ``RetentionParams`` from ``dropcompact.retention`` and nothing from
+  ``dropcompact.kernels``, so the bit oracles share no estimator code with
+  what they check.
 """
 
 import ast
@@ -238,3 +242,16 @@ def test_readme_config_table_names_every_field():
     )
     fields = {stmt.target.id for stmt in config.body if isinstance(stmt, ast.AnnAssign)}
     assert named == fields
+
+
+def test_conftest_oracles_share_no_estimator_code():
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(_tree(REPO_ROOT / "tests" / "conftest.py")):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):  # a whole module: every name in it
+            imported.update({a.name: {"*"} for a in node.names})
+    allowed = {"GUARD_EPS", "PROB_FLOOR", "RetentionParams"}
+    assert imported.get("dropcompact.retention", set()) <= allowed
+    assert "dropcompact.kernels" not in imported
+    assert not imported.get("dropcompact", set()) & {"kernels", "retention", "*"}

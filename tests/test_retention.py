@@ -344,6 +344,11 @@ class TestRetentionUpdate:
             pi, params, (x, np.zeros(4, dtype=int)), cfg, 5.0, rng_stream(7, "ru"), RetentionStats()
         )
         assert np.all(new[1] < 0.25)
+        # the payoff is exactly 0, so the step is the prior's derivative,
+        # checked against the scalar oracle that TestPriorScore ties to
+        # finite differences
+        step = (new[1] - pi[1]) / cfg.retention_lr
+        np.testing.assert_allclose(step, prior_score(0.25, 0.9, 0.9, 5.0), rtol=1e-9)
 
     def test_empty_batch_rejected(self, estimator_fixture):
         params, pi, x, k = estimator_fixture
