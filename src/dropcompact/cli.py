@@ -379,17 +379,14 @@ def cmd_compact(args) -> int:
         }
         print(f"prune: {report.summary()}")
     else:
-        if args.rank is not None:
-            ranks = args.rank
-        else:
-            dims = ck.params.layer_dims
-            ranks = [math.ceil(dims[i] / 8) for i in range(1, ck.params.n_layers - 1)]
+        # one rank per hidden-to-hidden matrix
+        ranks = [math.ceil(d / 8) if args.rank is None else args.rank
+                 for d in ck.params.layer_dims[1:-2]]
         params = svd_compact(ck.params, ck.pi, ranks)
         after = count_weights(params)
-        rank_list = [int(ranks)] if np.isscalar(ranks) else [int(r) for r in ranks]
         history_entry = {
             "mode": "svd",
-            "ranks": rank_list,
+            "ranks": ranks,
             "weights_before": before,
             "weights_after": after,
         }
@@ -444,47 +441,46 @@ def cmd_bench(args) -> int:
     batches = [int(b) for b in args.batch.split(",") if b.strip()]
     if not batches:
         raise ConfigError(f"bad --batch {args.batch!r}")
-    if args.out:
-        _make_out_dir(os.path.dirname(args.out) or ".")
+    # made before timing, so a bad --out fails first; removed if the command fails
+    with _out_dir_removed_on_failure(os.path.dirname(args.out or "") or "."):
+        results = []  # (BenchResult, flop_ratio_vs_ref, speedup_vs_ref)
+        for batch in batches:
+            res = time_forward(shape, batch=batch, reps=args.reps, seed=args.seed)
+            if ref_shape:
+                ref = time_forward(ref_shape, batch=batch, reps=args.reps, seed=args.seed)
+                results.append((ref, _fmt(1.0), _fmt(1.0)))
+                results.append((res, _fmt(ref.flops / res.flops), _fmt(res.speedup_vs(ref))))
+            else:
+                results.append((res, "", ""))
 
-    results = []  # (BenchResult, flop_ratio_vs_ref, speedup_vs_ref)
-    for batch in batches:
-        res = time_forward(shape, batch=batch, reps=args.reps, seed=args.seed)
-        if ref_shape:
-            ref = time_forward(ref_shape, batch=batch, reps=args.reps, seed=args.seed)
-            results.append((ref, _fmt(1.0), _fmt(1.0)))
-            results.append((res, _fmt(ref.flops / res.flops), _fmt(res.speedup_vs(ref))))
-        else:
-            results.append((res, "", ""))
-
-    rows = [
-        ["x".join(map(str, r.shape)), r.batch, r.reps, r.backend, _fmt(r.min_s),
-         _fmt(r.median_s), _fmt(r.p95_s), _fmt(r.throughput), r.flops, ratio, speedup]
-        for r, ratio, speedup in results
-    ]
-    csv.writer(sys.stdout).writerows([BENCH_CSV_HEADER, *rows])
-    for r, _, speedup in results:
-        note = f" speedup_vs_ref={speedup}" if speedup else ""
-        print(
-            f"# {'x'.join(map(str, r.shape))} batch={r.batch} [{r.backend}]"
-            f" median={r.median_s * 1e3:.3f}ms throughput={r.throughput:.1f}/s"
-            f" flops={r.flops}{note}",
-            file=sys.stderr,
-        )
-    if args.out:
-        _write_csv(args.out, BENCH_CSV_HEADER, rows)
-        write_manifest(
-            args.out + ".manifest.txt",
-            {
-                "command": "bench",
-                "shape": "x".join(map(str, shape)),
-                "ref_shape": "x".join(map(str, ref_shape)) if ref_shape else "",
-                "batch": "+".join(map(str, batches)),
-                "reps": args.reps,
-                "seed": args.seed,
-                "backends": kernels.backend_name(),
-            },
-        )
+        rows = [
+            ["x".join(map(str, r.shape)), r.batch, r.reps, r.backend, _fmt(r.min_s),
+             _fmt(r.median_s), _fmt(r.p95_s), _fmt(r.throughput), r.flops, ratio, speedup]
+            for r, ratio, speedup in results
+        ]
+        csv.writer(sys.stdout).writerows([BENCH_CSV_HEADER, *rows])
+        for r, _, speedup in results:
+            note = f" speedup_vs_ref={speedup}" if speedup else ""
+            print(
+                f"# {'x'.join(map(str, r.shape))} batch={r.batch} [{r.backend}]"
+                f" median={r.median_s * 1e3:.3f}ms throughput={r.throughput:.1f}/s"
+                f" flops={r.flops}{note}",
+                file=sys.stderr,
+            )
+        if args.out:
+            _write_csv(args.out, BENCH_CSV_HEADER, rows)
+            write_manifest(
+                args.out + ".manifest.txt",
+                {
+                    "command": "bench",
+                    "shape": "x".join(map(str, shape)),
+                    "ref_shape": "x".join(map(str, ref_shape)) if ref_shape else "",
+                    "batch": "+".join(map(str, batches)),
+                    "reps": args.reps,
+                    "seed": args.seed,
+                    "backends": kernels.backend_name(),
+                },
+            )
     return EXIT_OK
 
 

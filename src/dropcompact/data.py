@@ -8,12 +8,12 @@ fails as truncated without allocating what it declares.
 
 Pixels stay uint8, as the files hold them: ``load_mnist_dir`` reads the
 payloads of both image files into one buffer, which becomes the dataset's
-``features`` without a copy. ``as_float`` is the one conversion rule: it
-scales uint8 rows by 1/255 into float64 and passes float rows through, and
-the trainer applies it only to the rows it has just gathered (a minibatch,
-or a chunk of an evaluated split). A split of a Dataset is a row index into
-``features``, and every consumer gathers its rows through it, so no split is
-copied whole or held as float64.
+``features`` without a copy; the label files go through the same reader.
+``as_float`` is the one conversion rule: it scales uint8 rows by 1/255 into
+float64 and passes float rows through, and the trainer applies it only to
+the rows it has just gathered (a minibatch, or a chunk of an evaluated
+split). A split is a row index into ``features``, and every consumer
+gathers its rows through it, so no split is copied whole or held as float64.
 """
 
 from __future__ import annotations
@@ -112,53 +112,36 @@ def _read_payload(f, n: int, what: str, offset: int, buf: bytearray) -> bytearra
     return buf
 
 
-def _read_images(paths: dict[str, str]) -> tuple[np.ndarray, list[int]]:
-    """The uint8 pixels of IDX image files (by split tag), stacked in file
-    order as one (N, rows*cols) array, and each file's image count.
+def _read_idx(paths: dict[str, str], magic: int, kind: str) -> tuple[np.ndarray, list[int]]:
+    """The uint8 payloads of IDX files of one kind (by split tag), stacked in
+    file order as one (N, width) array, and each file's item count.
 
-    Every payload is read into one buffer, which the array wraps without a
-    copy. Each header's width is checked against the first's before its
-    payload is read."""
+    The magic's low byte is the dimension count, which sets the header size;
+    the width is the product of the dimensions after the item count (1 for
+    labels). Every payload is read into one buffer, which the array wraps
+    without a copy. Each header's width is checked against the first's
+    before its payload is read."""
+    fmt = f">{(magic & 0xFF) + 1}I"  # magic, item count, then the dimensions
+    head = struct.calcsize(fmt)
     buf, counts, width, first = bytearray(), [], 0, ""
     for tag, path in paths.items():
         with _open_maybe_gzip(path) as f:
-            magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header", 0))
-            if magic != IMAGE_MAGIC:
+            got, n, *dims = struct.unpack(fmt, _read_exact(f, head, f"{kind} header", 0))
+            if got != magic:
                 raise IdxParseError(
-                    f"magic mismatch at byte offset 0: got 0x{magic:08x},"
-                    f" expected 0x{IMAGE_MAGIC:08x} for images"
+                    f"magic mismatch at byte offset 0: got 0x{got:08x},"
+                    f" expected 0x{magic:08x} for {kind}s"
                 )
             if not counts:
-                width, first = rows * cols, tag
-            elif rows * cols != width:
+                width, first = math.prod(dims), tag
+            elif math.prod(dims) != width:
                 raise IdxParseError(
-                    f"width mismatch: {first} images have {width} pixels,"
-                    f" {tag} images {rows * cols}"
+                    f"width mismatch: {first} {kind}s have {width} bytes,"
+                    f" {tag} {kind}s {math.prod(dims)}"
                 )
-            _read_payload(f, n * width, "pixel data", 16, buf)
+            _read_payload(f, n * width, f"{kind} data", head, buf)
         counts.append(n)
     return np.frombuffer(buf, dtype=np.uint8).reshape(sum(counts), width), counts
-
-
-def load_idx_labels(path: str) -> np.ndarray:
-    """Read an IDX label file into a (N,) int64 array."""
-    with _open_maybe_gzip(path) as f:
-        magic, n = struct.unpack(">II", _read_exact(f, 8, "label header", 0))
-        if magic != LABEL_MAGIC:
-            raise IdxParseError(
-                f"magic mismatch at byte offset 0: got 0x{magic:08x},"
-                f" expected 0x{LABEL_MAGIC:08x} for labels"
-            )
-        labels = _read_payload(f, n, "label data", 8, bytearray())
-    return np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
-
-
-def _check_counts(n_images: int, n_labels: int) -> None:
-    if n_images != n_labels:
-        raise IdxParseError(
-            f"count mismatch: image file declares {n_images} items,"
-            f" label file declares {n_labels}"
-        )
 
 
 def _num_classes(labels: np.ndarray) -> int:
@@ -174,6 +157,15 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
+def _write_idx(path: str, magic: int, array: np.ndarray) -> None:
+    """Write an IDX file: the magic and array.shape as header, then array's bytes."""
+    if array.ndim != magic & 0xFF:
+        raise ValueError(f"IDX magic 0x{magic:08x} needs {magic & 0xFF} dimensions")
+    with _open_maybe_gzip(path, "wb") as f:
+        f.write(struct.pack(f">{array.ndim + 1}I", magic, *array.shape))
+        f.write(memoryview(np.ascontiguousarray(array)))
+
+
 def write_idx_images(path: str, images: np.ndarray) -> None:
     """Serialize uint8 images (N, rows, cols) or flat (N, D) with square D."""
     images = np.asarray(images)
@@ -184,19 +176,14 @@ def write_idx_images(path: str, images: np.ndarray) -> None:
         if side * side != images.shape[1]:
             raise ValueError("flat images must have a square pixel count")
         images = images.reshape(images.shape[0], side, side)
-    n, rows, cols = images.shape
-    with _open_maybe_gzip(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(memoryview(np.ascontiguousarray(images)))
+    _write_idx(path, IMAGE_MAGIC, images)
 
 
 def write_idx_labels(path: str, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() > 255):
         raise ValueError("IDX labels must fit in a byte")
-    with _open_maybe_gzip(path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.astype(np.uint8).tobytes())
+    _write_idx(path, LABEL_MAGIC, labels.astype(np.uint8))
 
 
 def quantize_pixels(inputs: np.ndarray) -> np.ndarray:
@@ -232,17 +219,21 @@ def load_mnist_dir(data_dir: str) -> Dataset:
     """Load the four standard MNIST IDX files into train + test tags.
 
     Both image payloads are read into one uint8 buffer that becomes the
-    dataset's features, so the load holds the file bytes once."""
+    dataset's features, so the load holds the file bytes once; both label
+    payloads are read the same way, through the same reader."""
     paths = {key: _resolve(data_dir, stem) for key, stem in MNIST_FILES.items()}
     # digests first, so their read buffers are freed before the pixels arrive
     digests = {os.path.basename(p): file_digest(p) for p in paths.values()}
-    features, (n_train, n_test) = _read_images(
-        {tag: paths[f"{tag}_images"] for tag in ("train", "test")}
-    )
-    train_lab, test_lab = (load_idx_labels(paths[f"{tag}_labels"]) for tag in ("train", "test"))
-    _check_counts(n_train, train_lab.shape[0])
-    _check_counts(n_test, test_lab.shape[0])
-    labels = np.concatenate([train_lab, test_lab])
+    tags = ("train", "test")
+    features, counts = _read_idx({t: paths[f"{t}_images"] for t in tags}, IMAGE_MAGIC, "image")
+    labels, label_counts = _read_idx({t: paths[f"{t}_labels"] for t in tags}, LABEL_MAGIC, "label")
+    if counts != label_counts:
+        raise IdxParseError(
+            f"count mismatch: image files declare {counts} items,"
+            f" label files declare {label_counts}"
+        )
+    labels = labels.ravel().astype(np.int64)
+    n_train, n_test = counts
     splits = {"train": np.arange(n_train), "test": np.arange(n_train, n_train + n_test)}
     return Dataset(features, labels, _num_classes(labels), splits, digests)
 

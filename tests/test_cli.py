@@ -5,6 +5,7 @@ import glob
 import gzip
 import io
 import hashlib
+import json
 import os
 import shutil
 import struct
@@ -288,6 +289,19 @@ class TestCompact:
         ck = load_checkpoint(str(out / "checkpoint_compacted.dckp"))
         assert ck.params.layer_dims == (49, 10, 2, 10, 10)
         assert sum(w.size for w in ck.params.weights) == 49 * 10 + 10 * 2 + 2 * 10 + 10 * 10
+
+    def test_svd_records_one_rank_per_matrix(self, tmp_path):
+        params = init_mlp((8, 6, 6, 6, 3), "relu", seed=3)
+        path = str(tmp_path / "parent.dckp")
+        save_checkpoint(path, Checkpoint(params=params, pi=RetentionParams.constant(params, 1.0),
+                                         config={}, seed=0, epoch=0))
+        for name, rank, ranks in (("given", ["--rank", "2"], [2, 2]), ("default", [], [1, 1])):
+            out = tmp_path / name
+            argv = ["compact", "--checkpoint", path, "--mode", "svd", *rank, "--out", str(out)]
+            assert main(argv) == 0
+            report = json.loads((out / "compaction_report.json").read_text())
+            history = load_checkpoint(str(out / "checkpoint_compacted.dckp")).compaction_history
+            assert report["ranks"] == history[-1]["ranks"] == ranks
 
     def test_prune_all_ones_noop(self, trained_deep, tmp_path):
         out = tmp_path / "prune"
@@ -762,6 +776,8 @@ class TestExitCodes:
                               "--out", "{tmp}/taken"], 2),
         "out-file-bench": (["bench", "--shape", "16,32,8", "--reps", "30",
                             "--out", "{tmp}/taken/bench.csv"], 2),
+        "bench-bad-shape-out": (["bench", "--shape", "16", "--reps", "30",
+                                 "--out", "{tmp}/o/b.csv"], 2),
         "out-file-report": (["report", "{tmp}/ok.csv", "--out", "{tmp}/taken"], 2),
     }
 

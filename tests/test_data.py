@@ -20,7 +20,6 @@ from dropcompact.data import (
     IMAGE_MAGIC,
     READ_CHUNK,
     IdxParseError,
-    load_idx_labels,
     load_mnist_dir,
     quantize_pixels,
     split_train_dev,
@@ -77,17 +76,33 @@ class TestIdxRoundTrip:
         assert np.array_equal(quantize_pixels(x).reshape(7, 4, 4), images)
 
     def test_zero_labels_roundtrip(self, tmp_path):
-        path = str(tmp_path / "labels")
-        write_idx_labels(path, np.zeros(0, dtype=np.int64))
-        assert (tmp_path / "labels").read_bytes() == struct.pack(">II", 0x801, 0)
-        loaded = load_idx_labels(path)
-        assert loaded.dtype == np.int64 and loaded.shape == (0,)
+        for stem in ("train", "t10k"):
+            write_idx_images(str(tmp_path / f"{stem}-images-idx3-ubyte"),
+                             np.zeros((0, 2, 2), dtype=np.uint8))
+            write_idx_labels(str(tmp_path / f"{stem}-labels-idx1-ubyte"),
+                             np.zeros(0, dtype=np.int64))
+        assert (tmp_path / TRAIN_LABELS).read_bytes() == struct.pack(">II", 0x801, 0)
+        loaded = load_mnist_dir(str(tmp_path))
+        assert loaded.labels.dtype == np.int64 and loaded.labels.shape == (0,)
+        assert loaded.features.shape == (0, 4) and loaded.num_classes == 0
 
-    def test_magic_mismatch_names_field(self, idx_files, tmp_path):
+    def test_magic_mismatch_names_field(self, idx_files):
         with pytest.raises(IdxParseError, match="magic mismatch"):
             load_with(idx_files, TRAIN_IMAGES, idx_files[TRAIN_LABELS])
         with pytest.raises(IdxParseError, match="magic mismatch"):
-            load_idx_labels(str(tmp_path / TRAIN_IMAGES))
+            load_with(idx_files, TRAIN_LABELS, idx_files[TRAIN_IMAGES])
+
+    @pytest.mark.parametrize("write, values", [
+        (write_idx_images, np.zeros((2, 2, 2))),  # float, not uint8
+        (write_idx_images, np.zeros((2, 5), dtype=np.uint8)),  # 5 pixels: not a square
+        (write_idx_labels, np.array([0, 256])),
+        (write_idx_labels, np.array([-1])),
+        (write_idx_images, np.zeros((1, 2, 2, 2), dtype=np.uint8)),  # 4 dimensions
+    ], ids=["float-images", "flat-width-5", "label-256", "label-minus-1", "images-4d"])
+    def test_writer_guards_write_nothing(self, tmp_path, write, values):
+        with pytest.raises(ValueError):
+            write(str(tmp_path / "out"), values)
+        assert list(tmp_path.iterdir()) == []
 
     # each test below damages one file of an otherwise valid set
 
