@@ -5,7 +5,10 @@ key=value text file with a fixed key set (unknown keys fail fast). Every
 training run writes checkpoints, a per-epoch metrics CSV, a retention
 histogram CSV and a manifest recording the config hash, code version, seed
 and data digests, so identical manifests imply identical metrics bytes. Every
-output file is written through ``checkpoint.atomic_open``.
+output file is written through ``checkpoint.atomic_open``. Every command
+makes its ``--out`` directory before it computes anything and prints its
+result only after its files are written; a failed command prints no
+result and removes the empty directories it made.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 structural error,
 5 numeric failure (a non-finite loss or parameter stopped training, and
@@ -204,38 +207,33 @@ def _data_digests(dataset: Dataset) -> dict[str, str]:
     return {f"data_{name}": digest for name, digest in dataset.source_digests.items()}
 
 
-def _load_dataset(data_dir: str, cfg: TrainConfig) -> Dataset:
+def _load_dataset(data_dir: str, cfg: TrainConfig, split: str) -> Dataset:
+    """The IDX data in data_dir, with cfg's dev split taken from train; a
+    ``split`` that is empty or missing there is a DataError."""
     try:
         ds = load_mnist_dir(data_dir)
     except (OSError, EOFError, zlib.error) as e:  # the last two from a damaged .gz
         raise DataError(str(e)) from e
-    if cfg.dev_size > 0 and ds.count("train") == 0:
-        raise DataError(f"train split is empty: no dev split of {cfg.dev_size} to take")
-    return split_train_dev(ds, cfg.dev_size, cfg.seed) if cfg.dev_size > 0 else ds
-
-
-def _make_out_dir(path: str) -> None:
-    """os.makedirs for an output directory; a path that cannot be one (an
-    existing file, or a file among its parents) is a ConfigError."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot create output directory {path}: {e}") from e
+    if cfg.dev_size > 0 and ds.count("train") > 0:
+        ds = split_train_dev(ds, cfg.dev_size, cfg.seed)
+    if ds.count(split) == 0:
+        raise DataError(f"split {split!r} is empty or missing")
+    return ds
 
 
 @contextmanager
-def _out_dir_removed_on_failure(path: str):
-    """_make_out_dir for a command that fills the directory afterwards: if
-    the command raises, the directories this call created are removed
-    again, innermost first, while they are still empty. A directory that
-    existed before stays as it was."""
+def _out_dir(path: str):
+    """os.makedirs for the output directory of a command, entered before the
+    command computes anything. If the command raises, the directories this
+    call created are removed again, innermost first, while they are still
+    empty. A directory that existed before stays as it was."""
     created = []
     missing = os.path.abspath(path)
     while not os.path.exists(missing):
         created.append(missing)
         missing = os.path.dirname(missing)
-    _make_out_dir(path)
     try:
+        os.makedirs(path, exist_ok=True)
         yield
     except BaseException:
         for d in created:
@@ -284,10 +282,8 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, layer_dims=ck.params.layer_dims)
 
     out = args.out or "."
-    with _out_dir_removed_on_failure(out):
-        dataset = _load_dataset(args.data_dir, cfg)
-        if dataset.count("train") == 0:
-            raise DataError("train split is empty")
+    with _out_dir(out):
+        dataset = _load_dataset(args.data_dir, cfg, "train")
         # a non-finite value stops the run with NonFiniteError, so numpy's
         # overflow warnings on the way there would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -336,93 +332,91 @@ def cmd_eval(args) -> int:
     # the split needs only these two keys; an older checkpoint's config may
     # also hold keys that TrainConfig no longer has
     split_keys = {k: ck.config[k] for k in ("dev_size", "seed") if k in ck.config}
-    dataset = _load_dataset(args.data_dir, TrainConfig.from_dict(split_keys))
-    if dataset.count(args.split) == 0:
-        raise DataError(f"split {args.split!r} is empty or missing")
-    check_data_fits(dataset, ck.params.layer_dims)
-    split = (dataset.features, dataset.labels)
-    err, loss = evaluate(ck.params, ck.pi, split, rows=dataset.splits[args.split])
-    n_weights = count_weights(ck.params)
-    print(
-        f"checkpoint={os.path.basename(args.checkpoint)} split={args.split}"
-        f" error_pct={_fmt(err)} avg_loss={_fmt(loss)} n_weights={n_weights}"
-    )
-    if args.out:
-        _make_out_dir(args.out)
-        row = [os.path.basename(args.checkpoint), args.split, _fmt(err), _fmt(loss), n_weights]
-        _write_csv(os.path.join(args.out, "eval.csv"), EVAL_CSV_HEADER, [row], append=True)
-        manifest = {
-            "command": "eval",
-            "checkpoint": file_digest(args.checkpoint),
-            "split": args.split,
-            "backend": kernels.backend_name(),
-            **_data_digests(dataset),
-        }
-        write_manifest(os.path.join(args.out, "eval_manifest.txt"), manifest)
+    with _out_dir(args.out or "."):
+        dataset = _load_dataset(args.data_dir, TrainConfig.from_dict(split_keys), args.split)
+        check_data_fits(dataset, ck.params.layer_dims)
+        split = (dataset.features, dataset.labels)
+        err, loss = evaluate(ck.params, ck.pi, split, rows=dataset.splits[args.split])
+        n_weights = count_weights(ck.params)
+        if args.out:
+            row = [os.path.basename(args.checkpoint), args.split, _fmt(err), _fmt(loss), n_weights]
+            _write_csv(os.path.join(args.out, "eval.csv"), EVAL_CSV_HEADER, [row], append=True)
+            manifest = {
+                "command": "eval",
+                "checkpoint": file_digest(args.checkpoint),
+                "split": args.split,
+                "backend": kernels.backend_name(),
+                **_data_digests(dataset),
+            }
+            write_manifest(os.path.join(args.out, "eval_manifest.txt"), manifest)
+        print(
+            f"checkpoint={os.path.basename(args.checkpoint)} split={args.split}"
+            f" error_pct={_fmt(err)} avg_loss={_fmt(loss)} n_weights={n_weights}"
+        )
     return EXIT_OK
 
 
 def cmd_compact(args) -> int:
     ck = _load_checkpoint_arg(args.checkpoint)
+    with _out_dir(args.out):
+        before = count_weights(ck.params)
+        if args.mode == "prune":
+            pruned, kept_pi, report = prune_units(ck.params, ck.pi, args.threshold)
+            params = absorb_retention(pruned, kept_pi)
+            history_entry = {
+                "mode": "prune",
+                "threshold": args.threshold,
+                "kept": report.kept,
+                "removed": report.removed,
+                "weights_before": report.weights_before,
+                "weights_after": report.weights_after,
+            }
+            summary = f"prune: {report.summary()}"
+        else:
+            # one rank per hidden-to-hidden matrix
+            ranks = [math.ceil(d / 8) if args.rank is None else args.rank
+                     for d in ck.params.layer_dims[1:-2]]
+            params = svd_compact(ck.params, ck.pi, ranks)
+            after = count_weights(params)
+            history_entry = {
+                "mode": "svd",
+                "ranks": ranks,
+                "weights_before": before,
+                "weights_after": after,
+            }
+            summary = (
+                f"svd: ranks {ranks}, weights {before} -> {after}"
+                f" ({before / after:.2f}x), dims {'x'.join(map(str, params.layer_dims))}"
+            )
 
-    before = count_weights(ck.params)
-    if args.mode == "prune":
-        pruned, kept_pi, report = prune_units(ck.params, ck.pi, args.threshold)
-        params = absorb_retention(pruned, kept_pi)
-        history_entry = {
-            "mode": "prune",
-            "threshold": args.threshold,
-            "kept": report.kept,
-            "removed": report.removed,
-            "weights_before": report.weights_before,
-            "weights_after": report.weights_after,
-        }
-        print(f"prune: {report.summary()}")
-    else:
-        # one rank per hidden-to-hidden matrix
-        ranks = [math.ceil(d / 8) if args.rank is None else args.rank
-                 for d in ck.params.layer_dims[1:-2]]
-        params = svd_compact(ck.params, ck.pi, ranks)
-        after = count_weights(params)
-        history_entry = {
-            "mode": "svd",
-            "ranks": ranks,
-            "weights_before": before,
-            "weights_after": after,
-        }
-        print(
-            f"svd: ranks {ranks}, weights {before} -> {after}"
-            f" ({before / after:.2f}x), dims {'x'.join(map(str, params.layer_dims))}"
+        pi = RetentionParams.constant(params, 1.0, 1.0)
+        config = dict(ck.config)
+        config["layer_dims"] = list(params.layer_dims)
+        out_ck = Checkpoint(
+            params=params,
+            pi=pi,
+            config=config,
+            seed=ck.seed,
+            epoch=ck.epoch,
+            best_metrics=ck.best_metrics,
+            compaction_history=list(ck.compaction_history) + [history_entry],
         )
-
-    pi = RetentionParams.constant(params, 1.0, 1.0)
-    config = dict(ck.config)
-    config["layer_dims"] = list(params.layer_dims)
-    out_ck = Checkpoint(
-        params=params,
-        pi=pi,
-        config=config,
-        seed=ck.seed,
-        epoch=ck.epoch,
-        best_metrics=ck.best_metrics,
-        compaction_history=list(ck.compaction_history) + [history_entry],
-    )
-    _make_out_dir(args.out)
-    path = os.path.join(args.out, "checkpoint_compacted.dckp")
-    save_checkpoint(path, out_ck)
-    with atomic_open(os.path.join(args.out, "compaction_report.json"), "w") as f:
-        json.dump(history_entry, f, sort_keys=True, indent=1)
-    write_manifest(
-        os.path.join(args.out, "compact_manifest.txt"),
-        {
-            "command": "compact",
-            "mode": args.mode,
-            "checkpoint": file_digest(args.checkpoint),
-            "threshold": args.threshold,
-            "rank": args.rank if args.rank is not None else "auto",
-        },
-    )
-    print(f"wrote {path}")
+        path = os.path.join(args.out, "checkpoint_compacted.dckp")
+        save_checkpoint(path, out_ck)
+        with atomic_open(os.path.join(args.out, "compaction_report.json"), "w") as f:
+            json.dump(history_entry, f, sort_keys=True, indent=1)
+        write_manifest(
+            os.path.join(args.out, "compact_manifest.txt"),
+            {
+                "command": "compact",
+                "mode": args.mode,
+                "checkpoint": file_digest(args.checkpoint),
+                "threshold": args.threshold,
+                "rank": args.rank if args.rank is not None else "auto",
+            },
+        )
+        print(summary)
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -441,8 +435,7 @@ def cmd_bench(args) -> int:
     batches = [int(b) for b in args.batch.split(",") if b.strip()]
     if not batches:
         raise ConfigError(f"bad --batch {args.batch!r}")
-    # made before timing, so a bad --out fails first; removed if the command fails
-    with _out_dir_removed_on_failure(os.path.dirname(args.out or "") or "."):
+    with _out_dir(os.path.dirname(args.out or "") or "."):
         results = []  # (BenchResult, flop_ratio_vs_ref, speedup_vs_ref)
         for batch in batches:
             res = time_forward(shape, batch=batch, reps=args.reps, seed=args.seed)
@@ -458,15 +451,6 @@ def cmd_bench(args) -> int:
              _fmt(r.median_s), _fmt(r.p95_s), _fmt(r.throughput), r.flops, ratio, speedup]
             for r, ratio, speedup in results
         ]
-        csv.writer(sys.stdout).writerows([BENCH_CSV_HEADER, *rows])
-        for r, _, speedup in results:
-            note = f" speedup_vs_ref={speedup}" if speedup else ""
-            print(
-                f"# {'x'.join(map(str, r.shape))} batch={r.batch} [{r.backend}]"
-                f" median={r.median_s * 1e3:.3f}ms throughput={r.throughput:.1f}/s"
-                f" flops={r.flops}{note}",
-                file=sys.stderr,
-            )
         if args.out:
             _write_csv(args.out, BENCH_CSV_HEADER, rows)
             write_manifest(
@@ -480,6 +464,15 @@ def cmd_bench(args) -> int:
                     "seed": args.seed,
                     "backends": kernels.backend_name(),
                 },
+            )
+        csv.writer(sys.stdout).writerows([BENCH_CSV_HEADER, *rows])
+        for r, _, speedup in results:
+            note = f" speedup_vs_ref={speedup}" if speedup else ""
+            print(
+                f"# {'x'.join(map(str, r.shape))} batch={r.batch} [{r.backend}]"
+                f" median={r.median_s * 1e3:.3f}ms throughput={r.throughput:.1f}/s"
+                f" flops={r.flops}{note}",
+                file=sys.stderr,
             )
     return EXIT_OK
 
@@ -504,43 +497,47 @@ def cmd_report(args) -> int:
     if not runs:
         raise DataError("no metrics rows found")
 
-    groups: dict[str, list[dict]] = {}
-    for rows in runs.values():
-        rows.sort(key=lambda r: r["epoch"])
-        best = rows[0]
-        for row in rows[1:]:
-            if beats_best((row["dev_err"], row["dev_loss"]), (best["dev_err"], best["dev_loss"])):
-                best = row
-        groups.setdefault(best["regime"], []).append(best)
+    with _out_dir(args.out or "."):
+        groups: dict[str, list[dict]] = {}
+        for rows in runs.values():
+            rows.sort(key=lambda r: r["epoch"])
+            best = rows[0]
+            for row in rows[1:]:
+                if beats_best((row["dev_err"], row["dev_loss"]),
+                              (best["dev_err"], best["dev_loss"])):
+                    best = row
+            groups.setdefault(best["regime"], []).append(best)
 
-    out_rows = []
-    print(f"{'regime':<12} {'runs':>4} {'#weights':>12} {'test err% ':>16} {'test loss':>18}")
-    for regime in sorted(groups):
-        rows = groups[regime]
-        weights = np.array([r["n_weights"] for r in rows])
-        err = np.array([r["test_err"] for r in rows])
-        loss = np.array([r["test_loss"] for r in rows])
-        ddof = 1 if len(rows) > 1 else 0
-        stats = (weights.mean(), err.mean(), err.std(ddof=ddof), loss.mean(), loss.std(ddof=ddof))
-        out_rows.append([regime, len(rows)] + [_fmt(v) for v in stats])
-        mean_w, mean_e, std_e, mean_l, std_l = stats
-        print(
-            f"{regime:<12} {len(rows):>4} {mean_w:>12.1f} {mean_e:>8.3f} ± {std_e:<6.3f}"
-            f" {mean_l:>9.4f} ± {std_l:<7.4f}"
-        )
+        out_rows = []
+        table = [f"{'regime':<12} {'runs':>4} {'#weights':>12} {'test err% ':>16}"
+                 f" {'test loss':>18}"]
+        for regime in sorted(groups):
+            rows = groups[regime]
+            weights = np.array([r["n_weights"] for r in rows])
+            err = np.array([r["test_err"] for r in rows])
+            loss = np.array([r["test_loss"] for r in rows])
+            ddof = 1 if len(rows) > 1 else 0
+            stats = (weights.mean(), err.mean(), err.std(ddof=ddof),
+                     loss.mean(), loss.std(ddof=ddof))
+            out_rows.append([regime, len(rows)] + [_fmt(v) for v in stats])
+            mean_w, mean_e, std_e, mean_l, std_l = stats
+            table.append(
+                f"{regime:<12} {len(rows):>4} {mean_w:>12.1f} {mean_e:>8.3f} ± {std_e:<6.3f}"
+                f" {mean_l:>9.4f} ± {std_l:<7.4f}"
+            )
 
-    if args.out:
-        _make_out_dir(args.out)
-        paths = [os.path.abspath(p) for p in args.metrics]
-        common = os.path.commonpath([os.path.dirname(p) for p in paths])
-        write_manifest(
-            os.path.join(args.out, "report_manifest.txt"),
-            {
-                "command": "report",
-                **{f"input_{os.path.relpath(p, common)}": file_digest(p) for p in paths},
-            },
-        )
-        _write_csv(os.path.join(args.out, "plot_data.csv"), PLOT_CSV_HEADER, out_rows)
+        if args.out:
+            paths = [os.path.abspath(p) for p in args.metrics]
+            common = os.path.commonpath([os.path.dirname(p) for p in paths])
+            write_manifest(
+                os.path.join(args.out, "report_manifest.txt"),
+                {
+                    "command": "report",
+                    **{f"input_{os.path.relpath(p, common)}": file_digest(p) for p in paths},
+                },
+            )
+            _write_csv(os.path.join(args.out, "plot_data.csv"), PLOT_CSV_HEADER, out_rows)
+        print("\n".join(table))
     return EXIT_OK
 
 
@@ -611,6 +608,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as e:  # e.g. layer_dims too large for this machine
         print(f"config error: out of memory: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:  # every read maps its own, so this is an output path
+        print(f"config error: cannot write output: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -138,9 +138,9 @@ def svd_compact(params: MlpParams, pi: RetentionParams, bottleneck) -> MlpParams
     """Fold ``pi`` into the weights as ``absorb_retention`` does, and
     replace each hidden-to-hidden matrix by a rank-k linear bottleneck.
 
-    ``bottleneck`` is one rank or a sequence with one rank per
-    hidden-to-hidden matrix. Each matrix W, scaled only now, so that at
-    most one scaled copy is alive, becomes the pair (sqrt(s) V^T, U sqrt(s)):
+    ``bottleneck`` is a sequence with one rank per hidden-to-hidden
+    matrix. Each matrix W, scaled only now, so that at most one scaled
+    copy is alive, becomes the pair (sqrt(s) V^T, U sqrt(s)):
     a new zero-bias linear layer of width k followed by a layer carrying
     the original bias and activation. The result approximates the
     expectation-scaled original and is meant to be fine-tuned.
@@ -155,12 +155,9 @@ def svd_compact(params: MlpParams, pi: RetentionParams, bottleneck) -> MlpParams
     targets = list(range(1, n - 1))  # matrices touching only hidden layers
     if not targets:
         raise ValueError("network has no hidden-to-hidden matrix to factorize")
-    if np.isscalar(bottleneck):
-        ranks = [int(bottleneck)] * len(targets)
-    else:
-        ranks = [int(k) for k in bottleneck]
-        if len(ranks) != len(targets):
-            raise ValueError(f"need {len(targets)} ranks, got {len(ranks)}")
+    ranks = [int(k) for k in bottleneck]
+    if len(ranks) != len(targets):
+        raise ValueError(f"need {len(targets)} ranks, got {len(ranks)}")
     for i, k in zip(targets, ranks):
         lo = min(params.weights[i].shape)
         if not 1 <= k <= lo:

@@ -127,8 +127,9 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.importance_clamp <= 0:
             raise ValueError("importance_clamp must be positive")
-        if self.dev_size < 0:
-            raise ValueError("dev_size must be >= 0")
+        for name in ("dev_size", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":

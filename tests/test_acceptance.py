@@ -36,7 +36,7 @@ def check(cid: str, desc: str, cond: bool):
 
 def svd_full_retention(net, k):
     """svd_compact of a net whose every retention is 1."""
-    return svd_compact(net, RetentionParams.constant(net, 1.0), k)
+    return svd_compact(net, RetentionParams.constant(net, 1.0), [k] * (net.n_layers - 2))
 
 
 def _mnist_dir():
@@ -130,7 +130,7 @@ class TestCriterion1Mnist:
 
     def test_svd_mnist(self, mnist):
         res = run_training(mnist, mnist_small_plain_cfg())
-        compacted = svd_compact(res.best_params, res.best_pi, 7)
+        compacted = svd_compact(res.best_params, res.best_pi, [7] * (res.best_params.n_layers - 2))
         check("1j", "SVD bottleneck k=7 counts exactly 40400 weights",
               count_weights(compacted) == 40400)
         ft_cfg = TrainConfig(

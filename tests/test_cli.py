@@ -779,6 +779,16 @@ class TestExitCodes:
         "bench-bad-shape-out": (["bench", "--shape", "16", "--reps", "30",
                                  "--out", "{tmp}/o/b.csv"], 2),
         "out-file-report": (["report", "{tmp}/ok.csv", "--out", "{tmp}/taken"], 2),
+        # an --out that exists, where an output file's path is a directory
+        "unwritable-train": (["train", "--config", "{tmp}/ok.ini", "--data-dir", "{data}",
+                              "--out", "{tmp}/busy"], 2),
+        "unwritable-eval": (["eval", "--checkpoint", "{deep}", "--data-dir", "{data}",
+                             "--out", "{tmp}/busy"], 2),
+        "unwritable-compact": (["compact", "--checkpoint", "{deep}", "--mode", "prune",
+                                "--out", "{tmp}/busy"], 2),
+        "unwritable-bench": (["bench", "--shape", "16,32,8", "--reps", "30",
+                              "--out", "{tmp}/busy/bench.csv"], 2),
+        "unwritable-report": (["report", "{tmp}/ok.csv", "--out", "{tmp}/busy"], 2),
     }
 
     @pytest.fixture
@@ -811,6 +821,9 @@ class TestExitCodes:
         write_idx_labels(str(tmp_path / "empty" / "train-labels-idx1-ubyte"), [])
         write_metrics(tmp_path / "ok.csv", "r", "plain", [(0, 5.0, 6.0, 0.3)])
         (tmp_path / "taken").write_text("a file, not a directory\n")
+        for name in ("checkpoint_final.dckp", "eval.csv", "checkpoint_compacted.dckp",
+                     "bench.csv", "report_manifest.txt"):
+            (tmp_path / "busy" / name).mkdir(parents=True)
         return dict(odd_checkpoints, tmp=str(tmp_path), data=data_dir,
                     deep=str(trained_deep / "checkpoint_best.dckp"))
 
@@ -818,9 +831,11 @@ class TestExitCodes:
     def test_exit_code(self, case, inputs, capsys):
         argv, code = self.CASES[case]
         assert main([a.format(**inputs) for a in argv]) == code
-        lines = capsys.readouterr().err.strip().splitlines()
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
         prefix = {2: "config error: ", 3: "data error: "}[code]
         assert len(lines) == 1 and lines[0].startswith(prefix), lines
+        assert out == ""  # a command prints its result only once its files are written
         # no case's --out existed before, and a failing command leaves none behind
         assert not os.path.exists(os.path.join(inputs["tmp"], "o"))
 

@@ -191,7 +191,7 @@ class TestAbsorb:
 class TestSvdCompact:
     def test_full_rank_identical_outputs(self):
         params = init_mlp((6, 8, 8, 4), "relu", seed=13)
-        compacted = svd_compact(params, ones_pi(params), 8)
+        compacted = svd_compact(params, ones_pi(params), [8] * (params.n_layers - 2))
         assert compacted.layer_dims == (6, 8, 8, 8, 4)
         assert compacted.hidden_activations == ("relu", "linear", "relu")
         xs = rng_stream(14, "s").normal(size=(50, 6))
@@ -202,19 +202,19 @@ class TestSvdCompact:
     def test_small_net_table_count(self):
         params = init_mlp((784, 50, 50, 10), "relu", seed=15)
         assert count_weights(params) == 42200
-        compacted = svd_compact(params, ones_pi(params), 7)
+        compacted = svd_compact(params, ones_pi(params), [7] * (params.n_layers - 2))
         assert compacted.layer_dims == (784, 50, 7, 50, 10)
         assert count_weights(compacted) == 40400
 
     def test_h100_table_count(self):
         params = init_mlp((784, 100, 100, 10), "relu", seed=16)
-        compacted = svd_compact(params, ones_pi(params), 13)
+        compacted = svd_compact(params, ones_pi(params), [13] * (params.n_layers - 2))
         assert count_weights(compacted) == 82000
 
     def test_large_net_table_count(self):
         params = init_mlp((784, 400, 400, 10), "relu", seed=17)
         assert count_weights(params) == 477600
-        compacted = svd_compact(params, ones_pi(params), 50)
+        compacted = svd_compact(params, ones_pi(params), [50] * (params.n_layers - 2))
         assert count_weights(compacted) == 357600
 
     def test_decreasing_rank_monotone(self, small_teacher_ds):
@@ -228,7 +228,7 @@ class TestSvdCompact:
         ds = small_teacher_ds
         counts, losses = [], []
         for k in (16, 8, 4, 2):
-            compacted = svd_compact(res.params, res.pi, k)
+            compacted = svd_compact(res.params, res.pi, [k] * (res.params.n_layers - 2))
             counts.append(count_weights(compacted))
             _, loss = evaluate(compacted, ones_pi(compacted), (ds.features, ds.labels),
                                rows=ds.splits["train"])
@@ -239,14 +239,14 @@ class TestSvdCompact:
     def test_rank_out_of_range(self):
         params = init_mlp((6, 8, 8, 4), "relu", seed=19)
         with pytest.raises(ValueError):
-            svd_compact(params, ones_pi(params), 9)
+            svd_compact(params, ones_pi(params), [9] * (params.n_layers - 2))
         with pytest.raises(ValueError):
-            svd_compact(params, ones_pi(params), 0)
+            svd_compact(params, ones_pi(params), [0] * (params.n_layers - 2))
 
     def test_no_hidden_to_hidden_matrix(self):
         params = init_mlp((6, 8, 4), "relu", seed=20)
         with pytest.raises(ValueError, match="no hidden-to-hidden"):
-            svd_compact(params, ones_pi(params), 2)
+            svd_compact(params, ones_pi(params), [2] * (params.n_layers - 2))
 
     def test_shares_what_it_does_not_factorize(self):
         params = init_mlp((6, 8, 8, 8, 4), "relu", seed=26)
@@ -284,7 +284,7 @@ class TestSvdCompact:
 
     def test_factorized_net_is_trainable(self):
         params = init_mlp((5, 6, 6, 3), "relu", seed=21)
-        compacted = svd_compact(params, ones_pi(params), 3)
+        compacted = svd_compact(params, ones_pi(params), [3] * (params.n_layers - 2))
         x = rng_stream(22, "t").normal(size=5)
         masks = [np.ones(d) for d in compacted.layer_dims[:-1]]
         losses, grads = backward_batch(compacted, x[None], np.array([1]), masks)

@@ -656,6 +656,7 @@ class TestConfig:
             pytest.param(dict(prior_beta=0.0), id="prior_beta"),
             pytest.param(dict(gamma=-1.0), id="gamma"),
             pytest.param(dict(retention_lr=-0.1), id="retention_lr"),
+            pytest.param(dict(seed=-1), id="seed"),
         ],
     )
     def test_validation_rejects(self, bad):
