@@ -10,12 +10,12 @@ variance.
 
 Units whose probability reaches the guard band around 0 or 1 are frozen
 (the score is singular at the boundary), by one rule for their masks and
-one for their values. ``_mask_block`` draws every mask of the weight pass
-and of the retention sweep; it snaps a frozen unit's probability to 0 or
-1, so its mask is deterministic. A layer whose every unit snaps to 1 draws
-no mask at all: its RNG stream is advanced past the draws instead, so
-every later draw is the one it would have been. ``retention_update`` holds
-a frozen unit's value: it takes no update.
+one for their values. The trainer calls ``sample_mask_block`` for the
+masks of both the weight pass and the retention sweep; it snaps a frozen
+unit's probability to 0 or 1, so its mask is deterministic. A layer whose
+every unit snaps to 1 draws no mask at all: its RNG stream is advanced
+past the draws instead, so every later draw is the one it would have
+been. ``retention_update`` draws nothing and holds a frozen unit's value.
 
 A ``RetentionParams`` is a value: it holds read-only copies of its
 vectors, so the gates it derives from them are computed once. To change
@@ -161,18 +161,18 @@ def retention_update(
     batch: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     prior_strength: float,
-    rng: Rng,
+    masks: list[np.ndarray | None],
     stats: RetentionStats,
 ) -> RetentionParams:
     """One clipped stochastic update of the retention probabilities.
 
     The prior derivative seeds the update once; each batch example then
-    adds (w - C) times the mask log-prob gradient under its own sampled
-    mask, where w compares the masked forward pass against the
-    expectation-scaled one. The result is clipped back into [0, 1].
-    Hidden layers 1..L-1 are updated; input retention and frozen units
-    keep their values. The clamped and floored importance weights are
-    added to ``stats``.
+    adds (w - C) times the mask log-prob gradient under its own row of
+    ``masks``, which the caller draws with ``sample_mask_block``, where w
+    compares the masked forward pass against the expectation-scaled one.
+    The result is clipped back into [0, 1]. Hidden layers 1..L-1 are
+    updated; input retention and frozen units keep their values. The
+    clamped and floored importance weights are added to ``stats``.
 
     The step size, control variate C, importance clamp and the prior's
     alpha and beta come from ``cfg``. ``prior_strength`` is the prior's
@@ -184,10 +184,9 @@ def retention_update(
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("retention_update needs a non-empty (B, D) batch")
 
-    mask_blocks = sample_mask_block(pi, x.shape[0], rng)
     scaled_gates = pi.scaled_gates()
 
-    if params.n_layers > 1 and mask_blocks[0] is None and scaled_gates[0] is None:
+    if params.n_layers > 1 and masks[0] is None and scaled_gates[0] is None:
         # Both passes start from the same ungated input, so layer 0 runs
         # once, as the one-matrix head net; the tail nets then do the same
         # operations as full passes.
@@ -195,10 +194,10 @@ def retention_update(
         z = forward_batch(head, x, [None], trace=False).logits
         h = kernels.gate_act(z, None, params.hidden_activations[0])
         tail = MlpParams(params.weights[1:], params.biases[1:], params.hidden_activations[1:])
-        p_masked = _label_probs(tail, mask_blocks[1:], h, ks)
+        p_masked = _label_probs(tail, masks[1:], h, ks)
         p_scaled = _label_probs(tail, scaled_gates[1:], h, ks)
     else:
-        p_masked = _label_probs(params, mask_blocks, x, ks)
+        p_masked = _label_probs(params, masks, x, ks)
         p_scaled = _label_probs(params, scaled_gates, x, ks)
     stats.floored += int((p_masked < PROB_FLOOR).sum() + (p_scaled < PROB_FLOOR).sum())
     w = np.maximum(p_masked, PROB_FLOOR) / np.maximum(p_scaled, PROB_FLOOR)
@@ -218,6 +217,6 @@ def retention_update(
         delta = prior_strength * (
             (cfg.prior_alpha - 1.0) / p_safe - (cfg.prior_beta - 1.0) / (1.0 - p_safe)
         )
-        delta = delta + payoff @ kernels.mask_score_kernel(mask_blocks[layer], p_safe)
+        delta = delta + payoff @ kernels.mask_score_kernel(masks[layer], p_safe)
         new_layers[layer] = np.where(act, np.clip(p + cfg.retention_lr * delta, 0.0, 1.0), p)
     return RetentionParams(new_layers)

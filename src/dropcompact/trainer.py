@@ -423,7 +423,8 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
         for batch in _minibatches(data, train_rows, rng_r, cfg.batch_size):
             if not _any_active(state.pi):
                 break
-            state.pi = retention_update(state.pi, state.params, batch, cfg, strength, rng_r, stats)
+            masks = sample_mask_block(state.pi, batch[1].size, rng_r)
+            state.pi = retention_update(state.pi, state.params, batch, cfg, strength, masks, stats)
         if stats.clamped:
             log.debug("epoch %d: clamped %d importance weights", epoch, stats.clamped)
 

@@ -149,17 +149,25 @@ def importance_weight(params, pi, x, k, masks, clamp=100.0) -> float:
     return float(min(num / den, clamp))
 
 
-def retention_update_oracle(pi, params, batch, cfg, prior_strength, rng, stats):
-    """retention_update with a Bernoulli draw for every layer and two full
-    forward passes; the package's version must match it bit for bit."""
+def mask_block_oracle(pi, n_rows, rng) -> list[np.ndarray]:
+    """A Bernoulli draw for every layer, all-ones layers included, from the
+    guard-band-snapped probabilities; sample_mask_block must draw the same
+    masks (None for an all-ones block) and leave rng in the same state."""
+    masks = []
+    for p in pi:
+        p_eff = np.where(p <= GUARD_EPS, 0.0, np.where(p >= 1.0 - GUARD_EPS, 1.0, p))
+        masks.append(bernoulli_matrix(p_eff, n_rows, rng))
+    return masks
+
+
+def retention_update_oracle(pi, params, batch, cfg, prior_strength, mask_blocks, stats):
+    """retention_update under dense masks for every layer (as
+    mask_block_oracle draws them) and two full forward passes; the
+    package's version must match it bit for bit."""
     x, ks = batch
     x = np.asarray(x, dtype=np.float64)
     ks = np.asarray(ks)
     rows = np.arange(x.shape[0])
-    mask_blocks = []
-    for p in pi:
-        p_eff = np.where(p <= GUARD_EPS, 0.0, np.where(p >= 1.0 - GUARD_EPS, 1.0, p))
-        mask_blocks.append(bernoulli_matrix(p_eff, x.shape[0], rng))
     p_masked = softmax(forward_batch(params, x, mask_blocks).logits)[rows, ks]
     p_scaled = softmax(forward_batch(params, x, list(pi)).logits)[rows, ks]
     stats.floored += int((p_masked < PROB_FLOOR).sum() + (p_scaled < PROB_FLOOR).sum())

@@ -325,6 +325,64 @@ class TestRetentionOutOfRange:
         assert not out.exists()
 
 
+def _poisoned(arrays, i, value):
+    """Copies of arrays with the first entry of arrays[i] set to value."""
+    out = [a.copy() for a in arrays]
+    out[i].flat[0] = value
+    return out
+
+
+def _with_params(ck, **fields):
+    return replace(ck, params=replace(ck.params, **fields))
+
+
+class TestMalformedContents:
+    """A file whose header and payload agree, but whose arrays no net can
+    use, is a config error: eval exits 2 with one line. So is a valid file
+    with a byte appended, and a path that does not exist."""
+
+    # damage to the valid 6-5-3 sigmoid checkpoint -> part of the message
+    CASES = {
+        "nan-weight": (lambda ck: _with_params(
+            ck, weights=_poisoned(ck.params.weights, 0, np.nan)), "non-finite parameter"),
+        "inf-bias": (lambda ck: _with_params(
+            ck, biases=_poisoned(ck.params.biases, 1, np.inf)), "non-finite parameter"),
+        "bias-length": (lambda ck: _with_params(
+            ck, biases=[np.zeros(4), ck.params.biases[1]]), "bias shape (4,)"),
+        "fan-in": (lambda ck: _with_params(
+            ck, weights=[ck.params.weights[0], np.zeros((3, 4))]), "fan-in"),
+        "extra-activation": (lambda ck: _with_params(
+            ck, hidden_activations=("sigmoid", "sigmoid")), "one activation per hidden layer"),
+        "tanh": (lambda ck: _with_params(ck, hidden_activations=("tanh",)), "'tanh'"),
+        "retention-2d": (lambda ck: replace(
+            ck, pi=RetentionParams([np.ones(6), np.full((1, 5), 0.25)])), "1-D"),
+        "retention-width": (lambda ck: replace(
+            ck, pi=RetentionParams([np.ones(6), np.full(4, 0.25)])), "vs width 5"),
+    }
+
+    @staticmethod
+    def _eval_error(path, src):
+        code, lines = run_main(["eval", "--checkpoint", str(path), "--data-dir", str(src)])
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), lines
+        return lines[0]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_eval_exits_2(self, case, eval_inputs):
+        damage, message = self.CASES[case]
+        path = eval_inputs / "bad.dckp"
+        save_checkpoint(str(path), damage(load_checkpoint(str(eval_inputs / "c.dckp"))))
+        assert message in self._eval_error(path, eval_inputs)
+
+    def test_appended_byte_exits_2(self, eval_inputs):
+        path = eval_inputs / "long.dckp"
+        path.write_bytes((eval_inputs / "c.dckp").read_bytes() + b"\0")
+        assert "trailing bytes" in self._eval_error(path, eval_inputs)
+
+    def test_missing_path_exits_2(self, eval_inputs):
+        path = eval_inputs / "absent.dckp"
+        assert "cannot read checkpoint" in self._eval_error(path, eval_inputs)
+
+
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     """A directory holding a small checkpoint (c.dckp) and data it can

@@ -358,6 +358,14 @@ class TestBench:
         want = (16 * 32 + 32 * 8) / (16 * 64 + 64 * 8)
         assert float(by_shape["16x64x8"]["flop_ratio_vs_ref"]) == pytest.approx(want)
 
+    def test_checkpoint_shape(self, trained_deep, capsys):
+        ckpt = str(trained_deep / "checkpoint_best.dckp")
+        assert main(["bench", "--checkpoint", ckpt, "--reps", "30", "--batch", "1,4"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        dims = load_checkpoint(ckpt).params.layer_dims
+        assert [r["shape"] for r in rows] == ["x".join(map(str, dims))] * 2
+        assert [r["batch"] for r in rows] == ["1", "4"]
+
     def test_low_reps_exit_2(self):
         assert main(["bench", "--shape", "16,32,8", "--reps", "10"]) == 2
 
@@ -751,6 +759,14 @@ class TestExitCodes:
         "eval-seed-float": (["eval", "--checkpoint", "{seed_float}", "--data-dir", "{data}"], 2),
         "report-epoch-word": (["report", "{tmp}/epoch_word.csv"], 3),
         "report-short-row": (["report", "{tmp}/short_row.csv"], 3),
+        "report-header-only": (["report", "{tmp}/header_only.csv"], 3),
+        "report-missing": (["report", "{tmp}/absent.csv"], 3),
+        "bench-no-shape": (["bench", "--reps", "30"], 2),
+        "bench-batch-comma": (["bench", "--shape", "16,32,8", "--reps", "30", "--batch", ","], 2),
+        "train-duplicate-key": (["train", "--config", "{tmp}/dup.ini",
+                                 "--data-dir", "{tmp}/none"], 2),
+        "train-missing-config": (["train", "--config", "{tmp}/absent.ini",
+                                  "--data-dir", "{data}"], 2),
         "train-lr-nan": (["train", "--config", "{tmp}/lr_nan.ini", "--data-dir", "{tmp}/none"], 2),
         "train-retention-batch": (["train", "--config", "{tmp}/rb.ini",
                                    "--data-dir", "{tmp}/none"], 2),
@@ -805,7 +821,10 @@ class TestExitCodes:
             gzip.compress(images.read_bytes())[:-100]
         )
         images.unlink()
+        write_metrics(tmp_path / "header_only.csv", "r", "plain", [])
         write_config(tmp_path / "lr_nan.ini", lr="nan")
+        with open(write_config(tmp_path / "dup.ini"), "a") as f:
+            f.write("lr = 0.05\n")
         write_config(tmp_path / "rb.ini", retention_batch_size=-5)  # a deleted key
         write_config(tmp_path / "dev.ini", dev_size=-1)
         write_config(tmp_path / "clamp.ini", importance_clamp=0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     FrozenUnitError,
     importance_weight,
+    mask_block_oracle,
     mask_score,
     prior_score,
     retention_update_oracle,
@@ -38,10 +39,10 @@ def estimator_fixture():
     return params, pi, x, 1
 
 
-def enumerate_exact_delta(params, pi, x, k, control):
-    """Exact expectation of the per-example data term over all hidden masks."""
+def hidden_masks(pi):
+    """Every (masks, probability) pair over the hidden units, with the
+    input mask all ones."""
     hidden_sizes = [pi[layer].size for layer in range(1, len(pi))]
-    acc = [np.zeros(s) for s in hidden_sizes]
     for bits in itertools.product([0.0, 1.0], repeat=sum(hidden_sizes)):
         masks = [np.ones(pi[0].size)]
         at = 0
@@ -51,6 +52,13 @@ def enumerate_exact_delta(params, pi, x, k, control):
             at += pi[layer].size
             masks.append(m)
             prob *= float(np.prod(np.where(m == 1.0, pi[layer], 1.0 - pi[layer])))
+        yield masks, prob
+
+
+def enumerate_exact_delta(params, pi, x, k, control):
+    """Exact expectation of the per-example data term over all hidden masks."""
+    acc = [np.zeros(pi[layer].size) for layer in range(1, len(pi))]
+    for masks, prob in hidden_masks(pi):
         w = importance_weight(params, pi, x, k, masks)
         scores = mask_score(masks, pi)
         for i, layer in enumerate(range(1, len(pi))):
@@ -176,9 +184,10 @@ class TestFrozenLayerDraws:
 
 
 class TestRetentionUpdateMatchesOracle:
-    """retention_update skips frozen layers' draws, frozen layers' score
-    kernel and, with input retention 1, the second layer-0 GEMM. Each must
-    leave the update, the stats and the generator bit-identical."""
+    """sample_mask_block skips frozen layers' draws, and retention_update
+    skips frozen layers' score kernel and, with input retention 1, the
+    second layer-0 GEMM. Each must leave the masks, the update, the stats
+    and the generator bit-identical."""
 
     HIDDEN = {
         "fractional": ([0.3, 0.6, 0.5, 0.8, 0.45], [0.5, 0.35, 0.7, 0.6]),
@@ -206,8 +215,11 @@ class TestRetentionUpdateMatchesOracle:
         for _ in range(4):
             x = data.normal(size=(9, 6))
             ks = data.integers(0, 3, size=9)
-            pi = retention_update(pi, params, (x, ks), cfg, 2.0, rng, stats)
-            ref_pi = retention_update_oracle(ref_pi, params, (x, ks), cfg, 2.0, ref_rng, ref_stats)
+            masks, ref_masks = sample_mask_block(pi, 9, rng), mask_block_oracle(ref_pi, 9, ref_rng)
+            pi = retention_update(pi, params, (x, ks), cfg, 2.0, masks, stats)
+            ref_pi = retention_update_oracle(
+                ref_pi, params, (x, ks), cfg, 2.0, ref_masks, ref_stats
+            )
             for got, want in zip(pi, ref_pi):
                 assert np.array_equal(got, want)
         assert stats == ref_stats
@@ -218,11 +230,23 @@ class TestRetentionUpdateMatchesOracle:
         pi = RetentionParams([np.ones(6)])
         x, ks = rng_stream(36, "x").normal(size=(5, 6)), np.arange(5) % 3
         cfg = TrainConfig(retention_lr=0.1)
-        rng, ref_rng = rng_stream(37, "ru"), rng_stream(37, "ru")
-        got = retention_update(pi, params, (x, ks), cfg, 1.0, rng, RetentionStats())
-        want = retention_update_oracle(pi, params, (x, ks), cfg, 1.0, ref_rng, RetentionStats())
+        masks = sample_mask_block(pi, 5, rng_stream(37, "ru"))
+        ref_masks = mask_block_oracle(pi, 5, rng_stream(37, "ru"))
+        got = retention_update(pi, params, (x, ks), cfg, 1.0, masks, RetentionStats())
+        want = retention_update_oracle(pi, params, (x, ks), cfg, 1.0, ref_masks, RetentionStats())
         assert np.array_equal(got[0], want[0])
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_oracle_draws_the_package_masks(self):
+        # the oracle's dense draw is sample_mask_block's, an all-ones block
+        # for each None, and leaves its generator in the same state
+        for input_retention in (1.0, 0.8):
+            for h1, h2 in self.HIDDEN.values():
+                pi = RetentionParams([np.full(6, input_retention), np.array(h1), np.array(h2)])
+                rng, ref_rng = rng_stream(34, "ru"), rng_stream(34, "ru")
+                got, want = sample_mask_block(pi, 9, rng), mask_block_oracle(pi, 9, ref_rng)
+                for m, ref in zip(got, want):
+                    assert np.array_equal(np.ones_like(ref) if m is None else m, ref)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMaskScore:
@@ -329,8 +353,9 @@ class TestRetentionUpdate:
         pi = RetentionParams([np.ones(2), np.full(4, 0.35)])
         cfg = TrainConfig(retention_lr=0.1, control_variate=1.0)
         x = rng_stream(4, "ru").normal(size=(8, 2))
+        masks = sample_mask_block(pi, 8, rng_stream(5, "ru"))
         new = retention_update(
-            pi, params, (x, np.zeros(8, dtype=int)), cfg, 0.0, rng_stream(5, "ru"), RetentionStats()
+            pi, params, (x, np.zeros(8, dtype=int)), cfg, 0.0, masks, RetentionStats()
         )
         assert np.array_equal(new[1], pi[1])
 
@@ -340,8 +365,9 @@ class TestRetentionUpdate:
         pi = RetentionParams([np.ones(2), np.full(4, 0.25)])
         cfg = TrainConfig(retention_lr=1e-3)
         x = rng_stream(6, "ru").normal(size=(4, 2))
+        masks = sample_mask_block(pi, 4, rng_stream(7, "ru"))
         new = retention_update(
-            pi, params, (x, np.zeros(4, dtype=int)), cfg, 5.0, rng_stream(7, "ru"), RetentionStats()
+            pi, params, (x, np.zeros(4, dtype=int)), cfg, 5.0, masks, RetentionStats()
         )
         assert np.all(new[1] < 0.25)
         # the payoff is exactly 0, so the step is the prior's derivative,
@@ -356,8 +382,27 @@ class TestRetentionUpdate:
         with pytest.raises(ValueError, match="non-empty"):
             retention_update(
                 pi, params, (np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                cfg, 1.0, rng_stream(8, "ru"), RetentionStats(),
+                cfg, 1.0, sample_mask_block(pi, 0, rng_stream(8, "ru")), RetentionStats(),
             )
+
+    @pytest.mark.parametrize("control", [0.0, 1.0])
+    def test_exact_expectation_matches_enumeration(self, estimator_fixture, control):
+        # the update is a function of its masks, so the package's step under
+        # each of the 64 hidden masks, weighted by that mask's probability,
+        # sums to the estimator's exact expectation
+        params, pi, x, k = estimator_fixture
+        cfg = TrainConfig(retention_lr=1e-6, control_variate=control)
+        exact = enumerate_exact_delta(params, pi, x, k, control)
+        got = [np.zeros(pi[layer].size) for layer in (1, 2)]
+        for masks, prob in hidden_masks(pi):
+            row_masks = [None] + [m[None, :] for m in masks[1:]]  # pi[0] is all ones
+            new = retention_update(
+                pi, params, (x[None, :], np.array([k])), cfg, 0.0, row_masks, RetentionStats()
+            )
+            for i, layer in enumerate((1, 2)):
+                got[i] += prob * (new[layer] - pi[layer]) / cfg.retention_lr
+        for g, e in zip(got, exact):
+            np.testing.assert_allclose(g, e, rtol=1e-7)
 
     def test_monte_carlo_matches_enumeration(self, estimator_fixture):
         params, pi, x, k = estimator_fixture
@@ -388,7 +433,7 @@ class TestRetentionUpdate:
             x, ks = data.normal(size=(10, 4)), data.integers(0, 3, size=10)
             p = softmax(forward_batch(params, x, [None, None]).logits)[np.arange(10), ks]
             floored += 2 * int((p < PROB_FLOOR).sum())  # the masked and the scaled pass
-            retention_update(pi, params, (x, ks), cfg, 1.0, rng_stream(13, "ru"), stats)
+            retention_update(pi, params, (x, ks), cfg, 1.0, [None, None], stats)
         assert 0 < floored < 40
         assert stats == RetentionStats(clamped=20, floored=floored)
 
@@ -397,8 +442,9 @@ class TestRetentionUpdate:
         frozen = RetentionParams([np.ones(2), np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0, 1.0])])
         cfg = TrainConfig(retention_lr=0.5)
         xs = np.tile(x, (8, 1))
+        masks = sample_mask_block(frozen, 8, rng_stream(11, "ru"))
         new = retention_update(
-            frozen, params, (xs, np.full(8, k)), cfg, 10.0, rng_stream(11, "ru"), RetentionStats()
+            frozen, params, (xs, np.full(8, k)), cfg, 10.0, masks, RetentionStats()
         )
         assert new[1][0] == 0.0 and new[1][1] == 1.0
         assert np.array_equal(new[2], np.ones(3))
@@ -413,9 +459,8 @@ class TestRetentionUpdate:
         x = rng_stream(5, "x").normal(size=2)
         cfg = TrainConfig(retention_lr=lr)
         xs = np.tile(x, (4, 1))
-        new = retention_update(
-            pi, params, (xs, np.full(4, 1)), cfg, 100.0, rng_stream(seed, "clip"), RetentionStats()
-        )
+        masks = sample_mask_block(pi, 4, rng_stream(seed, "clip"))
+        new = retention_update(pi, params, (xs, np.full(4, 1)), cfg, 100.0, masks, RetentionStats())
         for layer in range(len(new)):
             assert new[layer].min() >= 0.0 and new[layer].max() <= 1.0
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import logging
 import tracemalloc
 from unittest import mock
 
@@ -521,6 +522,30 @@ class TestFrozenSweepSkip:
         assert 0 in pruned
         assert type(stats[0]) is RetentionStats
         assert not any(res.pi.active(layer).any() for layer in (1, 2))
+
+
+class TestImportanceClamp:
+    """A sweep whose importance weights exceed ``importance_clamp`` counts
+    each clamp in the stats it passes to retention_update, and logs the
+    epoch's count at DEBUG."""
+
+    BASE = dict(TestFrozenSweepSkip.BASE, layer_dims=(64, 20, 20, 10), seed=5, retention_lr=1e-4)
+
+    @pytest.mark.parametrize("clamp", [1.0, 100.0])
+    def test_clamps_counted_and_logged(self, small_teacher_ds, monkeypatch, caplog, clamp):
+        _, _, stats = TestFrozenSweepSkip._count_calls(monkeypatch)
+        cfg = TrainConfig(epochs=2, importance_clamp=clamp, **self.BASE)
+        with caplog.at_level(logging.DEBUG, logger="dropcompact"):
+            run_training(small_teacher_ds, cfg)
+        logged = [r.getMessage() for r in caplog.records if "importance weights" in r.getMessage()]
+        counts = [stats[epoch].clamped for epoch in (0, 1)]
+        if clamp == 1.0:  # a weight above 1 is a mask that raised p(k): common
+            assert all(n > 0 for n in counts)
+        else:
+            assert counts == [0, 0]
+        assert logged == [
+            f"epoch {epoch}: clamped {n} importance weights" for epoch, n in enumerate(counts) if n
+        ]
 
 
 class TestRegimeDegeneracy:
