@@ -135,41 +135,45 @@ def _parse_header(blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; malformed content of any kind raises CheckpointError."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+    """Read a checkpoint; a path that cannot be opened or read, and malformed
+    content of any kind, raise CheckpointError."""
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
 
-        def check_left(n: int, what: str) -> None:
-            # checked before reading so a corrupt length never sizes a buffer
-            if n > size - f.tell():
-                raise CheckpointError(f"truncated {what}")
+            def check_left(n: int, what: str) -> None:
+                # checked before reading so a corrupt length never sizes a buffer
+                if n > size - f.tell():
+                    raise CheckpointError(f"truncated {what}")
 
-        def take(n: int, what: str) -> bytes:
-            check_left(n, what)
-            return f.read(n)
+            def take(n: int, what: str) -> bytes:
+                check_left(n, what)
+                return f.read(n)
 
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        version, hlen = struct.unpack("<II", take(8, "container header"))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {version} unsupported (expected {FORMAT_VERSION})"
-            )
-        header, manifest = _parse_header(take(hlen, "checkpoint header"))
-        arrays = {}
-        for name, shape in manifest:
-            what = f"payload for array {name}"
-            check_left(8 * math.prod(shape), what)
-            try:
-                a = np.empty(shape, dtype="<f8")
-            except ValueError as e:  # e.g. a zero dimension beside a huge one
-                raise CheckpointError(f"bad shape {list(shape)} for array {name}: {e}") from e
-            if f.readinto(a) != a.nbytes:
-                raise CheckpointError(f"truncated {what}")
-            arrays[name] = a
-        if f.read(1):
-            raise CheckpointError("trailing bytes after checkpoint payload")
+            magic = f.read(4)
+            if magic != MAGIC:
+                raise CheckpointError(f"bad checkpoint magic {magic!r}")
+            version, hlen = struct.unpack("<II", take(8, "container header"))
+            if version != FORMAT_VERSION:
+                raise CheckpointError(
+                    f"checkpoint version {version} unsupported (expected {FORMAT_VERSION})"
+                )
+            header, manifest = _parse_header(take(hlen, "checkpoint header"))
+            arrays = {}
+            for name, shape in manifest:
+                what = f"payload for array {name}"
+                check_left(8 * math.prod(shape), what)
+                try:
+                    a = np.empty(shape, dtype="<f8")
+                except ValueError as e:  # e.g. a zero dimension beside a huge one
+                    raise CheckpointError(f"bad shape {list(shape)} for array {name}: {e}") from e
+                if f.readinto(a) != a.nbytes:
+                    raise CheckpointError(f"truncated {what}")
+                arrays[name] = a
+            if f.read(1):
+                raise CheckpointError("trailing bytes after checkpoint payload")
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
 
     try:
         n_layers = len(header["layer_dims"]) - 1

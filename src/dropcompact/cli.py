@@ -13,7 +13,10 @@ result and removes the empty directories it made.
 Exit codes: 0 success, 2 config error, 3 data error, 4 structural error,
 5 numeric failure (a non-finite loss or parameter stopped training, and
 no checkpoint was written); ``main`` is the one place that maps
-exceptions to them.
+exceptions to them. Each reader raises its own input's error:
+``load_mnist_dir`` a ``DataError`` (exit 3) for any fault of a data file,
+``load_checkpoint`` a ``CheckpointError`` (exit 2) for a checkpoint that
+cannot be read or is malformed, so the commands catch neither.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import logging
 import math
 import os
 import sys
-import zlib
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -42,7 +44,7 @@ from .compaction import (
     prune_units,
     svd_compact,
 )
-from .data import Dataset, IdxParseError, file_digest, load_mnist_dir, split_train_dev
+from .data import DataError, Dataset, file_digest, load_mnist_dir, split_train_dev
 from .retention import RetentionParams
 from .trainer import (
     EpochReport,
@@ -111,10 +113,6 @@ PLOT_CSV_HEADER = (
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class DataError(ValueError):
     pass
 
 
@@ -210,10 +208,7 @@ def _data_digests(dataset: Dataset) -> dict[str, str]:
 def _load_dataset(data_dir: str, cfg: TrainConfig, split: str) -> Dataset:
     """The IDX data in data_dir, with cfg's dev split taken from train; a
     ``split`` that is empty or missing there is a DataError."""
-    try:
-        ds = load_mnist_dir(data_dir)
-    except (OSError, EOFError, zlib.error) as e:  # the last two from a damaged .gz
-        raise DataError(str(e)) from e
+    ds = load_mnist_dir(data_dir)
     if cfg.dev_size > 0 and ds.count("train") > 0:
         ds = split_train_dev(ds, cfg.dev_size, cfg.seed)
     if ds.count(split) == 0:
@@ -244,14 +239,6 @@ def _out_dir(path: str):
         raise
 
 
-def _load_checkpoint_arg(path: str) -> Checkpoint:
-    """load_checkpoint for a path given on the command line."""
-    try:
-        return load_checkpoint(path)
-    except OSError as e:
-        raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
-
-
 def _checkpoint_from_state(cfg: TrainConfig, state, epoch: int, best: bool) -> Checkpoint:
     params = state.best_params if best else state.params
     pi = state.best_pi if best else state.pi
@@ -277,7 +264,7 @@ def cmd_train(args) -> int:
 
     init_params = init_pi = None
     if args.resume:
-        ck = _load_checkpoint_arg(args.resume)
+        ck = load_checkpoint(args.resume)
         init_params, init_pi = ck.params, ck.pi
         cfg = replace(cfg, layer_dims=ck.params.layer_dims)
 
@@ -328,7 +315,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ck = _load_checkpoint_arg(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint)
     # the split needs only these two keys; an older checkpoint's config may
     # also hold keys that TrainConfig no longer has
     split_keys = {k: ck.config[k] for k in ("dev_size", "seed") if k in ck.config}
@@ -357,7 +344,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compact(args) -> int:
-    ck = _load_checkpoint_arg(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint)
     with _out_dir(args.out):
         before = count_weights(ck.params)
         if args.mode == "prune":
@@ -426,7 +413,7 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 def cmd_bench(args) -> int:
     if args.checkpoint:
-        shape = _load_checkpoint_arg(args.checkpoint).params.layer_dims
+        shape = load_checkpoint(args.checkpoint).params.layer_dims
     elif args.shape:
         shape = _parse_shape(args.shape)
     else:
@@ -594,7 +581,7 @@ def main(argv=None) -> int:
     # ValueErrors, so anything not classified as data or structure is config
     try:
         return args.func(args)
-    except (DataError, IdxParseError) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except EmptyLayerError as e:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import truncated_svd
 from .network import MlpParams
 from .retention import RetentionParams
 
@@ -147,7 +146,9 @@ def svd_compact(params: MlpParams, pi: RetentionParams, bottleneck) -> MlpParams
 
     The factors and the zero biases are new C-order arrays; every other
     matrix and bias is what ``absorb_retention`` would return. Copy the
-    result before training it in place (``run_training`` does).
+    result before training it in place (``run_training`` does). The full
+    u and vt of each SVD are deleted once its factors are built, so they
+    do not stay alive beside the next scaled matrix and its SVD.
     """
     pi.validate(params)
     gates = pi.scaled_gates()
@@ -170,13 +171,15 @@ def svd_compact(params: MlpParams, pi: RetentionParams, bottleneck) -> MlpParams
     for i in range(n):
         act = params.hidden_activations[i] if i < n - 1 else None
         if i in rank_of:
-            u, s, v = truncated_svd(_absorbed(params.weights[i], gates[i]), rank_of[i])
-            root = np.sqrt(s)
+            k = rank_of[i]
+            u, s, vt = np.linalg.svd(_absorbed(params.weights[i], gates[i]), full_matrices=False)
+            root = np.sqrt(s[:k])
             # (k, D_in) zero-bias linear factor; keep C-order for the trainer
-            weights.append(np.ascontiguousarray(root[:, None] * v.T))
-            biases.append(np.zeros(rank_of[i]))
+            weights.append(np.ascontiguousarray(root[:, None] * vt[:k]))
+            biases.append(np.zeros(k))
             produced_acts.append("linear")
-            weights.append(np.ascontiguousarray(u * root[None, :]))  # (D_out, k)
+            weights.append(np.ascontiguousarray(u[:, :k] * root[None, :]))  # (D_out, k)
+            del u, vt  # the full factors go before the next matrix is scaled
             biases.append(_shared(params.biases[i]))
             produced_acts.append(act)
         else:

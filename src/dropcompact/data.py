@@ -4,7 +4,9 @@ IDX files (the MNIST container format) are parsed strictly: big-endian
 magics, declared counts and payload sizes are all validated, and parse
 errors name the offending field and byte offset. Payloads are read in
 bounded chunks, so a header that declares more bytes than its file holds
-fails as truncated without allocating what it declares.
+fails as truncated without allocating what it declares. ``load_mnist_dir``
+raises ``DataError`` for every fault of its files: a missing file, a read
+that fails, a damaged ``.gz`` and a format violation alike.
 
 Pixels stay uint8, as the files hold them: ``load_mnist_dir`` reads the
 payloads of both image files into one buffer, which becomes the dataset's
@@ -23,6 +25,7 @@ import hashlib
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +37,9 @@ LABEL_MAGIC = 0x00000801
 READ_CHUNK = 1 << 20  # bytes per read of an IDX payload
 
 
-class IdxParseError(ValueError):
-    """IDX container violated the format; message carries field and offset."""
+class DataError(ValueError):
+    """A data file is missing, unreadable or malformed; a format violation's
+    message names the field and byte offset."""
 
 
 def as_float(x: np.ndarray) -> np.ndarray:
@@ -83,18 +87,8 @@ def _open_maybe_gzip(path: str, mode: str = "rb"):
     return open(path, mode)
 
 
-def _read_exact(f, n: int, what: str, offset: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise IdxParseError(
-            f"truncated file while reading {what} at byte offset {offset}:"
-            f" wanted {n} bytes, got {len(data)}"
-        )
-    return data
-
-
 def _read_payload(f, n: int, what: str, offset: int, buf: bytearray) -> bytearray:
-    """Append the n payload bytes after a header to buf, then check the file ends.
+    """Append the next n bytes of f, which start at byte offset, to buf.
 
     Read in chunks of at most READ_CHUNK bytes, so what is allocated never
     exceeds what the file holds."""
@@ -102,13 +96,11 @@ def _read_payload(f, n: int, what: str, offset: int, buf: bytearray) -> bytearra
     while len(buf) - start < n:
         chunk = f.read(min(n - (len(buf) - start), READ_CHUNK))
         if not chunk:
-            raise IdxParseError(
+            raise DataError(
                 f"truncated file while reading {what} at byte offset {offset}:"
                 f" wanted {n} bytes, got {len(buf) - start}"
             )
         buf += chunk
-    if f.read(1):
-        raise IdxParseError(f"trailing bytes after {what} at offset {offset + n}")
     return buf
 
 
@@ -126,20 +118,23 @@ def _read_idx(paths: dict[str, str], magic: int, kind: str) -> tuple[np.ndarray,
     buf, counts, width, first = bytearray(), [], 0, ""
     for tag, path in paths.items():
         with _open_maybe_gzip(path) as f:
-            got, n, *dims = struct.unpack(fmt, _read_exact(f, head, f"{kind} header", 0))
+            header = _read_payload(f, head, f"{kind} header", 0, bytearray())
+            got, n, *dims = struct.unpack(fmt, header)
             if got != magic:
-                raise IdxParseError(
+                raise DataError(
                     f"magic mismatch at byte offset 0: got 0x{got:08x},"
                     f" expected 0x{magic:08x} for {kind}s"
                 )
             if not counts:
                 width, first = math.prod(dims), tag
             elif math.prod(dims) != width:
-                raise IdxParseError(
+                raise DataError(
                     f"width mismatch: {first} {kind}s have {width} bytes,"
                     f" {tag} {kind}s {math.prod(dims)}"
                 )
             _read_payload(f, n * width, f"{kind} data", head, buf)
+            if f.read(1):
+                raise DataError(f"trailing bytes after {kind} data at offset {head + n * width}")
         counts.append(n)
     return np.frombuffer(buf, dtype=np.uint8).reshape(sum(counts), width), counts
 
@@ -212,7 +207,7 @@ def _resolve(data_dir: str, stem: str) -> str:
         p = os.path.join(data_dir, cand)
         if os.path.exists(p):
             return p
-    raise FileNotFoundError(f"missing {stem}[.gz] under {data_dir}")
+    raise DataError(f"missing {stem}[.gz] under {data_dir}")
 
 
 def load_mnist_dir(data_dir: str) -> Dataset:
@@ -220,15 +215,21 @@ def load_mnist_dir(data_dir: str) -> Dataset:
 
     Both image payloads are read into one uint8 buffer that becomes the
     dataset's features, so the load holds the file bytes once; both label
-    payloads are read the same way, through the same reader."""
+    payloads are read the same way, through the same reader. Any fault of
+    the files raises DataError."""
     paths = {key: _resolve(data_dir, stem) for key, stem in MNIST_FILES.items()}
-    # digests first, so their read buffers are freed before the pixels arrive
-    digests = {os.path.basename(p): file_digest(p) for p in paths.values()}
     tags = ("train", "test")
-    features, counts = _read_idx({t: paths[f"{t}_images"] for t in tags}, IMAGE_MAGIC, "image")
-    labels, label_counts = _read_idx({t: paths[f"{t}_labels"] for t in tags}, LABEL_MAGIC, "label")
+    try:
+        # digests first, so their read buffers are freed before the pixels arrive
+        digests = {os.path.basename(p): file_digest(p) for p in paths.values()}
+        features, counts = _read_idx({t: paths[f"{t}_images"] for t in tags}, IMAGE_MAGIC, "image")
+        labels, label_counts = _read_idx(
+            {t: paths[f"{t}_labels"] for t in tags}, LABEL_MAGIC, "label"
+        )
+    except (OSError, EOFError, zlib.error) as e:  # the last two from a damaged .gz
+        raise DataError(str(e)) from e
     if counts != label_counts:
-        raise IdxParseError(
+        raise DataError(
             f"count mismatch: image files declare {counts} items,"
             f" label files declare {label_counts}"
         )

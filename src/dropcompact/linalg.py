@@ -1,5 +1,5 @@
-"""Dense numeric substrate: seeded RNG streams, Glorot init, Bernoulli
-sampling and truncated SVD.
+"""Dense numeric substrate: seeded RNG streams, Glorot init and Bernoulli
+sampling.
 
 Matrices are plain float64 numpy arrays, row-major, weights shaped
 (fan_out, fan_in). All randomness flows through ``rng_stream`` so that any
@@ -51,20 +51,3 @@ def bernoulli_matrix(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray:
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("bernoulli probabilities must lie in [0, 1]")
     return (rng.random((n_rows, p.shape[0])) < p).astype(np.float64)
-
-
-def truncated_svd(w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best rank-k factorization of w.
-
-    Returns (u, s, v) with u: (m, k), s: (k,) non-increasing and
-    non-negative, v: (n, k); u @ diag(s) @ v.T is the rank-k Frobenius
-    optimum. Columns of u and v are orthonormal.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError("truncated_svd expects a 2-D matrix")
-    m, n = w.shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"rank k={k} out of range for {m}x{n} matrix")
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    return u[:, :k].copy(), s[:k].copy(), vt[:k, :].T.copy()

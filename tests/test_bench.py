@@ -74,6 +74,10 @@ class TestTimeForward:
         with pytest.raises(ValueError):
             time_forward((8, 8, 2), reps=10)
 
+    def test_batch_floor_enforced(self):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            time_forward((8, 8, 2), batch=0, reps=MIN_REPS)
+
 
 def _recording(calls, real):
     """network.forward_batch that records (layer dims, input shape, gates, keywords)."""

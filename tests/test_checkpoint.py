@@ -89,6 +89,17 @@ class TestRoundTrip:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_rejected(self, tmp_path, kind):
+        # the loader reports the OSError of a path it cannot read as its own error
+        path = tmp_path / "c.dckp"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+        assert str(info.value).startswith(f"cannot read checkpoint {path}: ")
+        assert isinstance(info.value.__cause__, OSError)
+
 
 def _edit_header(blob: bytes, edit) -> bytes:
     """Rewrite the JSON header of a saved container through edit(header)."""
@@ -129,6 +140,13 @@ class TestMalformed:
         path = tmp_path / "c.dckp"
         path.write_bytes(_edit_header(blob, lambda h: h.pop(key)))
         with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(str(path))
+
+    def test_header_not_an_object_rejected(self, blob, tmp_path):
+        hlen = struct.unpack("<I", blob[8:12])[0]
+        path = tmp_path / "c.dckp"
+        path.write_bytes(blob[:8] + struct.pack("<I", 2) + b"[]" + blob[12 + hlen :])
+        with pytest.raises(CheckpointError, match="not a JSON object"):
             load_checkpoint(str(path))
 
     def test_inconsistent_layer_dims_rejected(self, blob, tmp_path):

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_teacher_dataset
+from dropcompact import cli
 from dropcompact.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from dropcompact.cli import config_hash, main, parse_config_file, write_metrics_csv
 from dropcompact.data import quantize_pixels, write_idx_images, write_idx_labels
@@ -130,6 +131,22 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--data-dir", str(tmp_path / "nowhere"),
                      "--out", str(out)]) == 3
         assert sorted(os.listdir(out)) == contents
+
+    def test_failed_run_keeps_the_dirs_it_made_and_filled(self, data_dir, tmp_path, monkeypatch,
+                                                          capsys):
+        def disk_full(path, entries):
+            raise OSError("disk full")
+
+        # the manifest is written after the checkpoints, so both new
+        # directories are no longer empty when the run fails
+        monkeypatch.setattr(cli, "write_manifest", disk_full)
+        cfg = write_config(tmp_path / "c.ini", epochs=1)
+        out = tmp_path / "new" / "run"
+        assert main(["train", "--config", cfg, "--data-dir", data_dir, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: cannot write output: disk full\n"
+        assert sorted(os.listdir(out)) == ["checkpoint_best.dckp", "checkpoint_final.dckp",
+                                           "metrics.csv", "retention_hist.csv"]
+        load_checkpoint(str(out / "checkpoint_final.dckp"))
 
     def test_zero_epochs_untrained_checkpoint(self, data_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", epochs=0, dev_size=0)

@@ -242,6 +242,23 @@ class TestSvdCompact:
             svd_compact(params, ones_pi(params), [9] * (params.n_layers - 2))
         with pytest.raises(ValueError):
             svd_compact(params, ones_pi(params), [0] * (params.n_layers - 2))
+        with pytest.raises(ValueError, match="need 1 ranks, got 2"):
+            svd_compact(params, ones_pi(params), [2, 2])
+
+    def test_frobenius_error_is_tail_energy(self):
+        # the two factors of matrix 1 multiply to the rank-k truncation of
+        # the absorbed matrix, so what they miss is its tail energy
+        params = init_mlp((5, 12, 8, 3), "relu", seed=6)
+        rng = rng_stream(6, "s")
+        pi = RetentionParams([np.ones(5), rng.uniform(0.1, 1.0, 12), np.ones(8)])
+        absorbed = params.weights[1] * pi[1][None, :]
+        u, s, vt = np.linalg.svd(absorbed, full_matrices=False)
+        for k in (1, 3, 6):
+            compacted = svd_compact(params, pi, [k])
+            product = compacted.weights[2] @ compacted.weights[1]
+            assert np.abs(product - (u[:, :k] * s[:k]) @ vt[:k]).max() < 1e-10
+            err = np.linalg.norm(absorbed - product)
+            assert err == pytest.approx(np.sqrt((s[k:] ** 2).sum()), abs=1e-8)
 
     def test_no_hidden_to_hidden_matrix(self):
         params = init_mlp((6, 8, 4), "relu", seed=20)

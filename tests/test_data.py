@@ -19,7 +19,7 @@ from dropcompact.cli import main
 from dropcompact.data import (
     IMAGE_MAGIC,
     READ_CHUNK,
-    IdxParseError,
+    DataError,
     load_mnist_dir,
     quantize_pixels,
     split_train_dev,
@@ -87,9 +87,9 @@ class TestIdxRoundTrip:
         assert loaded.features.shape == (0, 4) and loaded.num_classes == 0
 
     def test_magic_mismatch_names_field(self, idx_files):
-        with pytest.raises(IdxParseError, match="magic mismatch"):
+        with pytest.raises(DataError, match="magic mismatch"):
             load_with(idx_files, TRAIN_IMAGES, idx_files[TRAIN_LABELS])
-        with pytest.raises(IdxParseError, match="magic mismatch"):
+        with pytest.raises(DataError, match="magic mismatch"):
             load_with(idx_files, TRAIN_LABELS, idx_files[TRAIN_IMAGES])
 
     @pytest.mark.parametrize("write, values", [
@@ -108,24 +108,24 @@ class TestIdxRoundTrip:
 
     def test_truncated_file_names_offset(self, idx_files):
         blob = struct.pack(">IIII", 0x803, 10, 5, 5) + b"\x00" * 30  # should be 250 bytes
-        with pytest.raises(IdxParseError, match="offset 16"):
+        with pytest.raises(DataError, match="offset 16"):
             load_with(idx_files, TRAIN_IMAGES, blob)
 
     def test_oversized_header_is_truncation(self, idx_files):
         # 1.5 TiB declared over a 24-byte payload fails as truncated,
         # without allocating what the header declares
         blob = struct.pack(">IIII", 0x803, 6, 1 << 16, 1 << 22) + b"\x00" * 24
-        with pytest.raises(IdxParseError, match="wanted 1649267441664 bytes, got 24"):
+        with pytest.raises(DataError, match="wanted 1649267441664 bytes, got 24"):
             load_with(idx_files, TRAIN_IMAGES, blob)
 
     def test_count_mismatch_rejected(self, idx_files, tmp_path):
         lp2 = tmp_path / "short_labels"
         write_idx_labels(str(lp2), np.arange(10, dtype=np.uint8))
-        with pytest.raises(IdxParseError, match="count mismatch"):
+        with pytest.raises(DataError, match="count mismatch"):
             load_with(idx_files, TRAIN_LABELS, lp2.read_bytes())
 
     def test_trailing_bytes_rejected(self, idx_files):
-        with pytest.raises(IdxParseError, match="trailing"):
+        with pytest.raises(DataError, match="trailing"):
             load_with(idx_files, TRAIN_IMAGES, idx_files[TRAIN_IMAGES] + b"\x00")
 
 
@@ -179,7 +179,25 @@ class TestMnistDir:
         assert len(ds.source_digests) == 4
 
     def test_missing_file_reported(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="train-images"):
+        with pytest.raises(DataError, match="train-images"):
+            load_mnist_dir(str(tmp_path))
+
+    def test_truncated_gzip_is_data_error(self, tmp_path):
+        # a .gz cut short fails inside gzip (EOFError), which the loader
+        # reports as its own DataError
+        write_mnist_dir(tmp_path, 30, 12, side=3, seed=2, suffix=".gz")
+        path = tmp_path / f"{TRAIN_IMAGES}.gz"
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(DataError) as info:
+            load_mnist_dir(str(tmp_path))
+        assert isinstance(info.value.__cause__, EOFError)
+
+    def test_unreadable_file_is_data_error(self, tmp_path):
+        # a directory where a file should be: opening it for reading fails
+        write_mnist_dir(tmp_path, 30, 12, side=3, seed=2)
+        (tmp_path / TRAIN_LABELS).unlink()
+        (tmp_path / TRAIN_LABELS).mkdir()
+        with pytest.raises(DataError, match=TRAIN_LABELS):
             load_mnist_dir(str(tmp_path))
 
     @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["plain", "gz"])
@@ -210,7 +228,7 @@ class TestMnistDir:
 
     def test_width_mismatch_rejected(self, tmp_path):
         write_mnist_dir(tmp_path, 5, 4, side=3, seed=6, test_side=4)
-        with pytest.raises(IdxParseError, match="width mismatch"):
+        with pytest.raises(DataError, match="width mismatch"):
             load_mnist_dir(str(tmp_path))
 
 
@@ -239,12 +257,12 @@ def mnist_dir_with(files, name, blob):
 
 
 def load_or_none(files, name, blob):
-    """load_mnist_dir of the files with one replaced; None on IdxParseError.
+    """load_mnist_dir of the files with one replaced; None on DataError.
     Any other exception fails the calling test."""
     with mnist_dir_with(files, name, blob) as d:
         try:
             return load_mnist_dir(d)
-        except IdxParseError:
+        except DataError:
             return None
 
 
@@ -253,7 +271,7 @@ FILE_NAMES = sorted(f"{p}-{k}-idx{i}-ubyte" for p in ("train", "t10k")
 
 
 class TestIdxFuzz:
-    """Damaged IDX files give IdxParseError (exit 3 through main) and
+    """Damaged IDX files give DataError (exit 3 through main) and
     nothing else: no other exception, no allocation of what a damaged
     header declares."""
 

@@ -5,7 +5,6 @@ from dropcompact.linalg import (
     bernoulli_matrix,
     glorot_uniform,
     rng_stream,
-    truncated_svd,
 )
 
 
@@ -31,60 +30,6 @@ class TestGlorot:
     def test_zero_fan_rejected(self):
         with pytest.raises(ValueError):
             glorot_uniform(0, 3, rng_stream(0, "g"))
-
-
-class TestTruncatedSvd:
-    def test_discarded_singular_value(self):
-        u, s, v = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
-        assert np.allclose(s, [3.0, 2.0])
-        recon = u @ np.diag(s) @ v.T
-        err = np.linalg.norm(np.diag([3.0, 2.0, 1.0]) - recon)
-        assert err == pytest.approx(1.0, abs=1e-10)
-
-    def test_rank_one_exact(self):
-        rng = rng_stream(3, "s")
-        w = np.outer(rng.normal(size=6), rng.normal(size=4))
-        u, s, v = truncated_svd(w, 1)
-        assert np.linalg.norm(w - u @ np.diag(s) @ v.T) < 1e-10
-
-    def test_squared_values_match_eigensolver(self):
-        rng = rng_stream(4, "s")
-        w = rng.normal(size=(10, 10))
-        _, s, _ = truncated_svd(w, 4)
-        eig = np.sort(np.linalg.eigvalsh(w.T @ w))[::-1][:4]
-        assert np.abs(s**2 - eig).max() < 1e-8
-
-    def test_orthonormal_columns(self):
-        rng = rng_stream(5, "s")
-        w = rng.normal(size=(9, 6))
-        u, s, v = truncated_svd(w, 4)
-        assert np.abs(u.T @ u - np.eye(4)).max() < 1e-8
-        assert np.abs(v.T @ v - np.eye(4)).max() < 1e-8
-        assert np.all(np.diff(s) <= 1e-12) and s.min() >= 0
-
-    def test_full_rank_reconstructs(self):
-        for seed in range(4):
-            rng = rng_stream(seed, "fr")
-            m, n = rng.integers(2, 17, size=2)
-            w = rng.normal(size=(m, n))
-            k = min(m, n)
-            u, s, v = truncated_svd(w, k)
-            assert np.linalg.norm(w - u @ np.diag(s) @ v.T) < 1e-8
-
-    def test_frobenius_error_is_tail_energy(self):
-        rng = rng_stream(6, "s")
-        w = rng.normal(size=(8, 12))
-        full_s = np.linalg.svd(w, compute_uv=False)
-        for k in (1, 3, 6):
-            u, s, v = truncated_svd(w, k)
-            err = np.linalg.norm(w - u @ np.diag(s) @ v.T)
-            assert err == pytest.approx(np.sqrt((full_s[k:] ** 2).sum()), abs=1e-8)
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ValueError):
-            truncated_svd(np.eye(3), 4)
-        with pytest.raises(ValueError):
-            truncated_svd(np.eye(3), 0)
 
 
 class TestBernoulli:

@@ -75,6 +75,11 @@ class TestForward:
             rows = np.tile(rng.uniform(-1e3, 1e3, size=10), (10, 1))
             assert abs(np.exp(log_softmax_pick(rows, np.arange(10))).sum() - 1.0) < 1e-12
 
+    def test_layer_count_mismatch_rejected(self, fixture_net_232):
+        net = fixture_net_232
+        with pytest.raises(ValueError, match="layer counts differ"):
+            MlpParams(net.weights, net.biases[:1], net.hidden_activations).validate()
+
     def test_shape_mismatch_rejected(self, fixture_net_232):
         net = fixture_net_232
         with pytest.raises(ValueError, match=r"input shape \(1, 3\) vs input width 2"):

@@ -19,6 +19,9 @@
 - No module but ``data.py`` reads an attribute named ``inputs``: for a
   pixel dataset ``Dataset.inputs`` builds a float64 copy of every row, so
   the package gathers rows from ``Dataset.features`` and converts only those.
+- No module but ``data.py`` imports ``gzip`` or ``zlib``: ``load_mnist_dir``
+  reports the faults of its gzip reads as its own ``DataError``, so no other
+  module has a gzip error to catch.
 - Every name in ``__init__.py``'s ``__all__`` is bound by an import there:
   a stale name breaks only ``from dropcompact import *``, which no other
   test runs.
@@ -226,6 +229,26 @@ def test_only_data_reads_inputs():
         if isinstance(node, ast.Attribute) and node.attr == "inputs"
     ]
     assert reads == []
+
+
+def _imported_modules(tree: ast.Module):
+    """The top-level package name of every absolute import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_data_imports_gzip_or_zlib():
+    imports = [
+        f"{os.path.relpath(path, REPO_ROOT)}:{module}"
+        for path in PACKAGE_FILES
+        if path.name != "data.py"
+        for module in _imported_modules(_tree(path))
+        if module in ("gzip", "zlib")
+    ]
+    assert imports == []
 
 
 def test_readme_config_table_names_every_field():

@@ -78,6 +78,11 @@ class TestValueSemantics:
             pi.layers[0][:] = 0.0
         assert np.array_equal(pi[1], np.full(3, 0.5))
 
+    def test_vector_count_mismatch_rejected(self):
+        params = init_mlp((2, 3, 4), "relu", seed=1)
+        with pytest.raises(ValueError, match="need 2 retention vectors, got 1"):
+            RetentionParams([np.ones(2)]).validate(params)
+
     def test_caller_array_is_copied(self):
         v = np.full(3, 0.5)
         pi = RetentionParams([np.ones(2), v])

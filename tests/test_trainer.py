@@ -126,6 +126,10 @@ class TestSchedules:
         assert anneal_retention(4, cfg) == 1.0
         assert anneal_retention(9, cfg) == 1.0
 
+    def test_anneal_negative_epoch_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            anneal_retention(-1, TrainConfig())
+
 
 
 class TestEvaluate:
@@ -270,8 +274,26 @@ class TestTrainEpoch:
             assert np.array_equal(wa, wb)
         assert [repr(r) for r in a.reports] == [repr(r) for r in b.reports]
 
+    def test_empty_rows_rejected(self):
+        ds = synth_blobs(10, 2, 4, separation=3.0, seed=1)
+        params = init_mlp((4, 6, 2), "relu", seed=1)
+        cfg = TrainConfig(layer_dims=(4, 6, 2))
+        with pytest.raises(ValueError, match="empty training data"):
+            train_weights_epoch(
+                params, initial_retention(params, cfg), (ds.features, ds.labels), cfg,
+                rng_stream(1, "weights", 0), velocity=Gradients.zeros_like(params),
+                rows=np.arange(0),
+            )
+
 
 class TestRunTraining:
+    def test_no_train_rows_rejected(self):
+        ds = synth_blobs(10, 2, 4, separation=3.0, seed=3)
+        ds.splits = {"train": np.arange(0), "test": ds.splits["train"]}
+        cfg = TrainConfig(regime="plain", layer_dims=(4, 6, 2), epochs=1, dev_size=0)
+        with pytest.raises(ValueError, match="no train split"):
+            run_training(ds, cfg)
+
     def test_compaction_requires_dev(self):
         ds = synth_blobs(40, 2, 4, separation=3.0, seed=3)
         cfg = TrainConfig(regime="compaction", layer_dims=(4, 6, 2), epochs=1)
@@ -682,6 +704,8 @@ class TestConfig:
             pytest.param(dict(gamma=-1.0), id="gamma"),
             pytest.param(dict(retention_lr=-0.1), id="retention_lr"),
             pytest.param(dict(seed=-1), id="seed"),
+            pytest.param(dict(l2=-1e-4), id="l2"),
+            pytest.param(dict(gamma_mode="x"), id="gamma_mode"),
         ],
     )
     def test_validation_rejects(self, bad):
