@@ -9,13 +9,14 @@ payoff weight; it leaves the expected update unchanged and shrinks its
 variance.
 
 Units whose probability reaches the guard band around 0 or 1 are frozen
-(the score is singular at the boundary), by one rule for their masks and
-one for their values. The trainer calls ``sample_mask_block`` for the
-masks of both the weight pass and the retention sweep; it snaps a frozen
-unit's probability to 0 or 1, so its mask is deterministic. A layer whose
-every unit snaps to 1 draws no mask at all: its RNG stream is advanced
-past the draws instead, so every later draw is the one it would have
-been. ``retention_update`` draws nothing and holds a frozen unit's value.
+(the score is singular at the boundary). ``RetentionParams.active`` is
+the one rule that says which units are; masks and values both read it.
+The trainer calls ``sample_mask_block`` for the masks of both the weight
+pass and the retention sweep; it snaps a frozen unit's probability to the
+nearer of 0 and 1, so its mask is deterministic. A layer whose every
+unit snaps to 1 draws no mask at all: its RNG stream is advanced past the
+draws instead, so every later draw is the one it would have been.
+``retention_update`` draws nothing and holds a frozen unit's value.
 
 A ``RetentionParams`` is a value: it holds read-only copies of its
 vectors, so the gates it derives from them are computed once. To change
@@ -93,9 +94,13 @@ class RetentionParams:
         return self._gates
 
     def active(self, layer: int) -> np.ndarray:
-        """Units still inside the open interval (eps, 1-eps)."""
+        """Units still inside the open interval (eps, 1-eps); the rest are frozen."""
         v = self.layers[layer]
         return (v > GUARD_EPS) & (v < 1.0 - GUARD_EPS)
+
+    def any_active(self) -> bool:
+        """Whether any hidden unit (layer 1 on) is still active."""
+        return any(self.active(layer).any() for layer in range(1, len(self.layers)))
 
     @classmethod
     def constant(cls, params: MlpParams, hidden: float, input_value: float = 1.0):
@@ -114,10 +119,11 @@ class RetentionStats:
     floored: int = 0
 
 
-def _mask_block(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray | None:
-    """bernoulli_matrix(p, n_rows, rng) with the guard band snapped (p <=
-    GUARD_EPS to 0, p >= 1 - GUARD_EPS to 1), or None (an all-ones gate)
-    when every snapped probability is 1.
+def sample_mask_block(pi: RetentionParams, n_rows: int, rng: Rng) -> list[np.ndarray | None]:
+    """n_rows independent mask sets as one (n_rows, D_l) block per layer,
+    drawn by bernoulli_matrix with each frozen unit's probability snapped to
+    the nearer of 0 and 1; None (an all-ones gate) for a layer whose every
+    snapped probability is 1.
 
     For an all-ones layer the PCG64 stream is advanced by the n_rows * D
     doubles the draw would have used (one 64-bit output each), so it ends
@@ -128,23 +134,21 @@ def _mask_block(p: np.ndarray, n_rows: int, rng: Rng) -> np.ndarray | None:
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise ValueError(f"mask draws need a PCG64 stream, got {type(bits).__name__}")
-    p = np.where(p <= GUARD_EPS, 0.0, np.where(p >= 1.0 - GUARD_EPS, 1.0, p))
-    if not _all_ones(p):
-        return bernoulli_matrix(p, n_rows, rng)
-    before = bits.state
-    bits.advance(n_rows * p.size)
-    if before["has_uint32"] or before["uinteger"]:
-        # advance() clears the buffered half-word; put it back
-        after = bits.state
-        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
-        bits.state = after
-    return None
-
-
-def sample_mask_block(pi: RetentionParams, n_rows: int, rng: Rng) -> list[np.ndarray | None]:
-    """n_rows independent mask sets as one (n_rows, D_l) block per layer;
-    None for a layer whose every unit is frozen at 1."""
-    return [_mask_block(v, n_rows, rng) for v in pi]
+    blocks = []
+    for layer, v in enumerate(pi):
+        p = np.where(pi.active(layer), v, v >= 0.5)
+        if not _all_ones(p):
+            blocks.append(bernoulli_matrix(p, n_rows, rng))
+            continue
+        before = bits.state
+        bits.advance(n_rows * p.size)
+        if before["has_uint32"] or before["uinteger"]:
+            # advance() clears the buffered half-word; put it back
+            after = bits.state
+            after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+            bits.state = after
+        blocks.append(None)
+    return blocks
 
 
 def _label_probs(params, gates, x, ks) -> np.ndarray:
@@ -211,7 +215,7 @@ def retention_update(
         act = pi.active(layer)
         if not act.any():
             continue  # a fully frozen layer keeps its vector
-        p_safe = np.clip(p, GUARD_EPS, 1.0 - GUARD_EPS)
+        p_safe = np.where(act, p, 0.5)  # frozen lanes' results are discarded below
         # d/dp of the log-prior, density proportional to
         # (p^(alpha-1) (1-p)^(beta-1))^gamma and never normalized
         delta = prior_strength * (

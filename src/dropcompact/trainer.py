@@ -356,11 +356,6 @@ def retention_histogram(pi: RetentionParams) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-def _any_active(pi: RetentionParams) -> bool:
-    """Whether any hidden unit's retention is still inside (eps, 1 - eps)."""
-    return any(pi.active(layer).any() for layer in range(1, len(pi)))
-
-
 def _check_finite(epoch: int, phase: str, **values) -> None:
     """Raise NonFiniteError unless every value (a float, or a list of
     arrays) is finite."""
@@ -421,7 +416,7 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
         stats = RetentionStats()
         rng_r = rng_stream(cfg.seed, "retention", epoch)
         for batch in _minibatches(data, train_rows, rng_r, cfg.batch_size):
-            if not _any_active(state.pi):
+            if not state.pi.any_active():
                 break
             masks = sample_mask_block(state.pi, batch[1].size, rng_r)
             state.pi = retention_update(state.pi, state.params, batch, cfg, strength, masks, stats)

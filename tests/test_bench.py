@@ -53,8 +53,14 @@ class TestTimeForward:
         # per-pass time must dwarf timer/scheduler jitter for the 20% bound.
         # The two runs are built as time_forward builds them and timed call
         # by call in turn, so a drift of the machine's speed, which exceeded
-        # 20% within a second, reaches both alike.
-        shape = (544, 768, 768, 768, 768, 2500)
+        # 20% within a second, reaches both alike. The layers are narrow
+        # enough that OpenBLAS runs each batch-1 product on the calling
+        # thread alone (its worker thread took no CPU time). On a 2-core box
+        # its second thread made the 544-768x4-2500 child fail 10 of 20 runs
+        # beside two memory-copy loops (gaps up to 68%); this shape passed
+        # 100 of 100 runs alone and 100 of 100 under that load (gaps up to
+        # 6.2%).
+        shape = (90,) + (100, 90) * 5 + (10,)
         x = rng_stream(1, "bench-x").random((1, shape[0]))
         runs = [_make_runner(network.init_mlp(shape, "relu", 1), x.copy()) for _ in range(2)]
         for run in runs:

@@ -188,6 +188,46 @@ class TestFrozenLayerDraws:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+class TestGuardBandBoundary:
+    """RetentionParams.active is the one frozen-unit rule: each edge of the
+    guard band is frozen, the next double inside it is active, and the mask
+    draw and the update both follow it."""
+
+    EDGES = np.array([
+        0.0, GUARD_EPS, np.nextafter(GUARD_EPS, 1.0), 0.5,
+        np.nextafter(1.0 - GUARD_EPS, 0.0), 1.0 - GUARD_EPS, 1.0,
+    ])
+    ACTIVE = [False, False, True, True, True, False, False]
+
+    def test_active(self):
+        pi = RetentionParams([np.ones(3), self.EDGES])
+        assert pi.active(1).tolist() == self.ACTIVE
+        assert pi.any_active()
+        frozen = RetentionParams([np.ones(3), self.EDGES[~np.array(self.ACTIVE)]])
+        assert not frozen.any_active()
+
+    def test_frozen_columns_constant_and_oracle_equal(self):
+        pi = RetentionParams([np.ones(3), self.EDGES])
+        rng, ref_rng = rng_stream(41, "edge"), rng_stream(41, "edge")
+        got, want = sample_mask_block(pi, 50, rng), mask_block_oracle(pi, 50, ref_rng)
+        assert got[0] is None and np.array_equal(want[0], np.ones((50, 3)))
+        assert np.array_equal(got[1], want[1])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert not got[1][:, :2].any() and got[1][:, 5:].all()
+
+    def test_update_holds_frozen_and_moves_active(self):
+        params = init_mlp((3, 7, 2), "sigmoid", seed=42)
+        pi = RetentionParams([np.ones(3), self.EDGES])
+        data = rng_stream(43, "edge")
+        x, ks = data.normal(size=(6, 3)), data.integers(0, 2, size=6)
+        cfg = TrainConfig(retention_lr=0.01, control_variate=1.0)
+        masks = sample_mask_block(pi, 6, rng_stream(44, "edge"))
+        new = retention_update(pi, params, (x, ks), cfg, 2.0, masks, RetentionStats())
+        active = np.array(self.ACTIVE)
+        assert np.array_equal(new[1][~active], self.EDGES[~active])
+        assert (new[1][active] != self.EDGES[active]).all()
+
+
 class TestRetentionUpdateMatchesOracle:
     """sample_mask_block skips frozen layers' draws, and retention_update
     skips frozen layers' score kernel and, with input retention 1, the
@@ -441,6 +481,20 @@ class TestRetentionUpdate:
             retention_update(pi, params, (x, ks), cfg, 1.0, [None, None], stats)
         assert 0 < floored < 40
         assert stats == RetentionStats(clamped=20, floored=floored)
+
+    def test_weight_at_the_clamp_is_not_clamped(self):
+        # with every retention exactly 1 both passes run the same gates, so
+        # every w is exactly 1.0: at a clamp of 1.0 none counts as clamped
+        params = init_mlp((4, 6, 5, 3), "relu", seed=45)
+        pi = RetentionParams([np.ones(4), np.ones(6), np.ones(5)])
+        cfg = TrainConfig(retention_lr=0.1, importance_clamp=1.0)
+        x, ks = rng_stream(45, "x").normal(size=(8, 4)), np.arange(8) % 3
+        masks = sample_mask_block(pi, 8, rng_stream(46, "ru"))
+        assert masks == [None, None, None]
+        stats = RetentionStats()
+        new = retention_update(pi, params, (x, ks), cfg, 1.0, masks, stats)
+        assert stats == RetentionStats(clamped=0, floored=0)
+        assert all(np.array_equal(got, want) for got, want in zip(new, pi))
 
     def test_frozen_units_stay_frozen(self, estimator_fixture):
         params, pi, x, k = estimator_fixture
