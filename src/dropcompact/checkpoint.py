@@ -3,8 +3,14 @@
 Layout: 4-byte magic, little-endian uint32 version and header length, a
 canonical JSON header (sorted keys, no whitespace) describing config,
 bookkeeping and the array manifest, then each array as raw little-endian
-float64 bytes in manifest order. Canonical encoding makes
-save -> load -> save byte-identical.
+float64 bytes in manifest order, which ``_array_names`` fixes: each
+layer's weight matrix and bias in turn, then every retention vector.
+Canonical encoding makes save -> load -> save byte-identical, and the
+loader refuses a header that save would not write: a ``format_version``
+other than FORMAT_VERSION, a missing field or one of another JSON type
+(true and false are not integers), array names or an order other than
+those of ``len(layer_dims) - 1`` layers, and a ``layer_dims`` other than
+the arrays' widths.
 
 Payloads move between file and array without a copy of their bytes:
 ``save_checkpoint`` writes each array's own buffer, and ``load_checkpoint``
@@ -20,7 +26,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +43,7 @@ class CheckpointError(ValueError):
 
 # header fields and their JSON types
 _HEADER_FIELDS = {
+    "format_version": int,
     "layer_dims": list,
     "hidden_activations": list,
     "config": dict,
@@ -76,22 +83,20 @@ class Checkpoint:
     compaction_history: list = field(default_factory=list)
 
 
-def _manifest(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    arrays = []
-    for i, (w, b) in enumerate(zip(ckpt.params.weights, ckpt.params.biases)):
-        arrays.append((f"weight_{i}", w))
-        arrays.append((f"bias_{i}", b))
-    for layer, v in enumerate(ckpt.pi.layers):
-        arrays.append((f"retention_{layer}", v))
-    return arrays
+def _array_names(n_layers: int) -> list[str]:
+    """Names of a net's arrays in payload order."""
+    pairs = [name for i in range(n_layers) for name in (f"weight_{i}", f"bias_{i}")]
+    return pairs + [f"retention_{i}" for i in range(n_layers)]
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    arrays = _manifest(ckpt)
+    params = ckpt.params
+    payloads = [a for pair in zip(params.weights, params.biases) for a in pair]
+    arrays = list(zip(_array_names(params.n_layers), payloads + ckpt.pi.layers, strict=True))
     header = {
         "format_version": FORMAT_VERSION,
-        "layer_dims": list(ckpt.params.layer_dims),
-        "hidden_activations": list(ckpt.params.hidden_activations),
+        "layer_dims": list(params.layer_dims),
+        "hidden_activations": list(params.hidden_activations),
         "config": ckpt.config,
         "seed": int(ckpt.seed),
         "epoch": int(ckpt.epoch),
@@ -108,29 +113,40 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             f.write(memoryview(np.ascontiguousarray(a, dtype="<f8")))
 
 
+def _is_dims(v) -> bool:
+    """Whether v is a JSON list of non-negative integers (not true or false)."""
+    return type(v) is list and all(type(d) is int and d >= 0 for d in v)
+
+
 def _parse_header(blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]:
-    """Decode and type-check the JSON header; returns it and the array manifest."""
+    """Decode the JSON header and check it against the schema that
+    save_checkpoint writes; returns it and the array manifest."""
     try:
         header = json.loads(blob.decode("utf-8"))
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
         raise CheckpointError(f"corrupt checkpoint header: {e}") from e
-    if not isinstance(header, dict):
+    if type(header) is not dict:
         raise CheckpointError("checkpoint header is not a JSON object")
     for key, kind in _HEADER_FIELDS.items():
-        if not isinstance(header.get(key), kind):
+        if type(header.get(key)) is not kind:
             raise CheckpointError(
                 f"checkpoint header field {key!r} missing or not a {kind.__name__}"
             )
+    if header["format_version"] != FORMAT_VERSION:
+        raise CheckpointError(f"checkpoint header format_version"
+                              f" {header['format_version']} is not {FORMAT_VERSION}")
+    dims = header["layer_dims"]
+    if not _is_dims(dims):
+        raise CheckpointError(f"checkpoint layer_dims {dims!r} are not widths")
     manifest = []
     for entry in header["arrays"]:
-        shape = entry.get("shape") if isinstance(entry, dict) else None
-        if not (
-            isinstance(shape, list)
-            and all(isinstance(d, int) and d >= 0 for d in shape)
-            and isinstance(entry.get("name"), str)
-        ):
+        shape = entry.get("shape") if type(entry) is dict else None
+        if not _is_dims(shape):
             raise CheckpointError(f"bad array entry {entry!r} in checkpoint header")
-        manifest.append((entry["name"], tuple(shape)))
+        manifest.append((entry.get("name"), tuple(shape)))
+    got, names = [name for name, _ in manifest], _array_names(len(dims) - 1)
+    if got != names:
+        raise CheckpointError(f"checkpoint arrays {got} are not {names} of layer_dims {dims}")
     return header, manifest
 
 
@@ -159,7 +175,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                     f"checkpoint version {version} unsupported (expected {FORMAT_VERSION})"
                 )
             header, manifest = _parse_header(take(hlen, "checkpoint header"))
-            arrays = {}
+            arrays = []
             for name, shape in manifest:
                 what = f"payload for array {name}"
                 check_left(8 * math.prod(shape), what)
@@ -169,30 +185,24 @@ def load_checkpoint(path: str) -> Checkpoint:
                     raise CheckpointError(f"bad shape {list(shape)} for array {name}: {e}") from e
                 if f.readinto(a) != a.nbytes:
                     raise CheckpointError(f"truncated {what}")
-                arrays[name] = a
+                arrays.append(a)
             if f.read(1):
                 raise CheckpointError("trailing bytes after checkpoint payload")
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
 
+    # the names are _array_names(n): n weight and bias pairs, then n retentions
+    dims = header["layer_dims"]
+    n = len(dims) - 1
     try:
-        n_layers = len(header["layer_dims"]) - 1
-        params = MlpParams(
-            [arrays[f"weight_{i}"] for i in range(n_layers)],
-            [arrays[f"bias_{i}"] for i in range(n_layers)],
-            tuple(header["hidden_activations"]),
-        )
+        params = MlpParams(arrays[0:2 * n:2], arrays[1:2 * n:2],
+                           tuple(header["hidden_activations"]))
         params.validate()
-        pi = RetentionParams([arrays[f"retention_{layer}"] for layer in range(n_layers)])
+        if dims != list(params.layer_dims):
+            raise ValueError(f"layer_dims {dims} vs array widths {list(params.layer_dims)}")
+        pi = RetentionParams(arrays[2 * n:])
         pi.validate(params)
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         raise CheckpointError(f"inconsistent checkpoint contents: {e}") from e
-    return Checkpoint(
-        params=params,
-        pi=pi,
-        config=header["config"],
-        seed=header["seed"],
-        epoch=header["epoch"],
-        best_metrics=header["best_metrics"],
-        compaction_history=header["compaction_history"],
-    )
+    own = {f.name for f in fields(Checkpoint)}
+    return Checkpoint(params, pi, **{k: header[k] for k in _HEADER_FIELDS if k in own})

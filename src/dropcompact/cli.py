@@ -239,24 +239,6 @@ def _out_dir(path: str):
         raise
 
 
-def _checkpoint_from_state(cfg: TrainConfig, state, epoch: int, best: bool) -> Checkpoint:
-    params = state.best_params if best else state.params
-    pi = state.best_pi if best else state.pi
-    rep = state.best
-    best_metrics = (
-        {"epoch": rep.epoch, "dev_err": rep.dev_err, "dev_loss": rep.dev_loss} if rep else {}
-    )
-    return Checkpoint(
-        params=params,
-        pi=pi,
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        epoch=epoch,
-        best_metrics=best_metrics,
-        compaction_history=[],
-    )
-
-
 def cmd_train(args) -> int:
     cfg = TrainConfig.from_dict(parse_config_file(args.config))
     if args.seed is not None:
@@ -278,14 +260,19 @@ def cmd_train(args) -> int:
 
         run_id = f"{cfg.regime}-s{cfg.seed}-{config_hash(cfg)[:8]}"
         last_epoch = state.reports[-1].epoch if state.reports else -1
-        save_checkpoint(
-            os.path.join(out, "checkpoint_final.dckp"),
-            _checkpoint_from_state(cfg, state, last_epoch, best=False),
+        best = state.best
+        best_metrics = (
+            {"epoch": best.epoch, "dev_err": best.dev_err, "dev_loss": best.dev_loss}
+            if best else {}
         )
-        save_checkpoint(
-            os.path.join(out, "checkpoint_best.dckp"),
-            _checkpoint_from_state(cfg, state, state.best_epoch, best=True),
-        )
+        for name, params, pi, epoch in (
+            ("final", state.params, state.pi, last_epoch),
+            ("best", state.best_params, state.best_pi, state.best_epoch),
+        ):
+            save_checkpoint(
+                os.path.join(out, f"checkpoint_{name}.dckp"),
+                Checkpoint(params, pi, cfg.to_dict(), cfg.seed, epoch, best_metrics),
+            )
         write_metrics_csv(os.path.join(out, "metrics.csv"), run_id, cfg.regime, state.reports)
         write_histogram_csv(os.path.join(out, "retention_hist.csv"), state.reports)
         manifest = {
@@ -301,7 +288,6 @@ def cmd_train(args) -> int:
         manifest.update(_data_digests(dataset))
         write_manifest(os.path.join(out, "manifest.txt"), manifest)
 
-        best = state.best
         if not best:
             print(f"run {run_id}: 0 epochs (checkpoint holds the initialized model)")
         else:
@@ -376,20 +362,14 @@ def cmd_compact(args) -> int:
                 f" ({before / after:.2f}x), dims {'x'.join(map(str, params.layer_dims))}"
             )
 
-        pi = RetentionParams.constant(params, 1.0, 1.0)
-        config = dict(ck.config)
-        config["layer_dims"] = list(params.layer_dims)
-        out_ck = Checkpoint(
-            params=params,
-            pi=pi,
-            config=config,
-            seed=ck.seed,
-            epoch=ck.epoch,
-            best_metrics=ck.best_metrics,
-            compaction_history=list(ck.compaction_history) + [history_entry],
-        )
         path = os.path.join(args.out, "checkpoint_compacted.dckp")
-        save_checkpoint(path, out_ck)
+        save_checkpoint(path, replace(
+            ck,
+            params=params,
+            pi=RetentionParams.constant(params, 1.0, 1.0),
+            config={**ck.config, "layer_dims": list(params.layer_dims)},
+            compaction_history=[*ck.compaction_history, history_entry],
+        ))
         with atomic_open(os.path.join(args.out, "compaction_report.json"), "w") as f:
             json.dump(history_entry, f, sort_keys=True, indent=1)
         write_manifest(

@@ -155,6 +155,66 @@ class TestMalformed:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
+    @staticmethod
+    def _refused(tmp_path, data, match):
+        path = tmp_path / "c.dckp"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("dims", [[6, 4, 3], [7, 5, 3], [6, 5, 2], [6.0, 5, 3],
+                                      [6, True, 3], [6, 5, False]],
+                             ids=lambda dims: json.dumps(dims, separators=(",", ":")))
+    def test_layer_dims_other_than_widths_rejected(self, blob, tmp_path, dims):
+        # the arrays are those of a 6-5-3 net
+        self._refused(tmp_path, _edit_header(blob, lambda h: h.update(layer_dims=dims)),
+                      "layer_dims")
+
+    # edit of the 6-5-3 net's array list -> float64 payloads appended to match it
+    ARRAY_EDITS = {
+        "extra-entry": (lambda a: a.append({"name": "retention_2", "shape": [3]}), 3),
+        "weight_0-twice": (lambda a: a.append({"name": "weight_0", "shape": [5, 6]}), 30),
+        "weight_0-bias_0-swapped": (lambda a: a.insert(0, a.pop(1)), 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ARRAY_EDITS))
+    def test_arrays_other_than_saved_rejected(self, blob, tmp_path, case):
+        edit, extra = self.ARRAY_EDITS[case]
+        bad = _edit_header(blob, lambda h: edit(h["arrays"])) + bytes(8 * extra)
+        self._refused(tmp_path, bad, "checkpoint arrays")
+
+    def test_arrays_other_than_saved_eval_exits_2(self, eval_inputs):
+        edit, extra = self.ARRAY_EDITS["weight_0-twice"]
+        path = eval_inputs / "twice.dckp"
+        blob = (eval_inputs / "c.dckp").read_bytes()
+        path.write_bytes(_edit_header(blob, lambda h: edit(h["arrays"])) + bytes(8 * extra))
+        code, lines = run_main(["eval", "--checkpoint", str(path), "--data-dir", str(eval_inputs)])
+        assert code == 2 and len(lines) == 1, (code, lines)
+        assert lines[0].startswith("config error: checkpoint arrays "), lines
+
+    @pytest.mark.parametrize("key", ["seed", "epoch"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_integer_field_rejected(self, blob, tmp_path, key, value):
+        self._refused(tmp_path, _edit_header(blob, lambda h: h.update({key: value})), key)
+
+    def test_bool_shape_dimension_rejected(self, tmp_path):
+        # a 6-1-3 net, whose bias_0 has shape [1]: true stands for the 1
+        params = init_mlp((6, 1, 3), "sigmoid", seed=4)
+        path = tmp_path / "narrow.dckp"
+        save_checkpoint(str(path), Checkpoint(
+            params=params, pi=RetentionParams.constant(params, 1.0), config={}, seed=0, epoch=0))
+
+        def edit(header):
+            assert header["arrays"][1] == {"name": "bias_0", "shape": [1]}
+            header["arrays"][1]["shape"] = [True]
+
+        self._refused(tmp_path, _edit_header(path.read_bytes(), edit), "bad array entry")
+
+    @pytest.mark.parametrize("version", [7, 0, 2, 1.0, True, "1"])
+    def test_format_version_other_than_saved_rejected(self, blob, tmp_path, version):
+        self._refused(tmp_path, _edit_header(blob, lambda h: h.update(format_version=version)),
+                      "format_version")
+
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
     def test_compact_exits_2(self, blob, tmp_path, damage, capsys):
         path = tmp_path / "c.dckp"
@@ -421,6 +481,26 @@ def test_eval_of_header_without_bookkeeping_exits_2(fuzz_inputs, key):
     assert lines[0].startswith("config error: ") and key in lines[0], lines
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _json_edits(value):
+    """JSON values to put in place of value: any value, and ones Python
+    finds equal to it, or to one element of it (an int as a float or a
+    bool, a list with one element so edited)."""
+    edits = _JSON
+    if type(value) is int:
+        edits |= st.sampled_from([float(value)] + [bool(value)] * (value in (0, 1)))
+    if type(value) is list and value:
+        edits |= st.integers(0, len(value) - 1).flatmap(
+            lambda i: _json_edits(value[i]).map(lambda v: value[:i] + [v] + value[i + 1 :]))
+    return edits
+
+
 class TestCheckpointFuzz:
     """A damaged checkpoint either still evaluates (exit 0) or is a config
     error (exit 2, one line); no exception gets out of main."""
@@ -451,6 +531,41 @@ class TestCheckpointFuzz:
             if code != 2 or len(lines) != 1 or not lines[0].startswith("config error: "):
                 wrong[size] = (code, lines)
         assert wrong == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_load_accepts_only_what_save_writes(self, fuzz_inputs, data):
+        # one header field, or one array entry's name or shape, replaced by
+        # a drawn JSON value
+        src, blob = fuzz_inputs
+        hlen = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12 : 12 + hlen])
+        where = data.draw(st.sampled_from(
+            [(key,) for key in sorted(header)]
+            + [("arrays", i, key) for i in range(len(header["arrays"])) for key in ("name", "shape")]
+        ))
+        *parents, last = where
+
+        def parent(h):
+            for key in parents:
+                h = h[key]
+            return h
+
+        value = data.draw(_json_edits(parent(header)[last]))
+        edited = _edit_header(blob, lambda h: parent(h).__setitem__(last, value))
+        path = src / "edited.dckp"
+        path.write_bytes(edited)
+        code, lines = run_main(["eval", "--checkpoint", str(path), "--data-dir", str(src)])
+        assert code in (0, 2), (code, lines)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        try:
+            loaded = load_checkpoint(str(path))
+        except CheckpointError:
+            return
+        resaved = src / "resaved.dckp"
+        save_checkpoint(str(resaved), loaded)
+        assert resaved.read_bytes() == edited, (where, value)
 
     @settings(max_examples=60, deadline=None)
     @given(
