@@ -8,7 +8,8 @@ layer's weight matrix and bias in turn, then every retention vector.
 Canonical encoding makes save -> load -> save byte-identical, and the
 loader refuses a header that save would not write: a ``format_version``
 other than FORMAT_VERSION, a missing field or one of another JSON type
-(true and false are not integers), array names or an order other than
+(true and false are not integers), a key that save does not write, in
+the header or in an array entry, array names or an order other than
 those of ``len(layer_dims) - 1`` layers, and a ``layer_dims`` other than
 the arrays' widths.
 
@@ -127,6 +128,9 @@ def _parse_header(blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]
         raise CheckpointError(f"corrupt checkpoint header: {e}") from e
     if type(header) is not dict:
         raise CheckpointError("checkpoint header is not a JSON object")
+    unknown = sorted(header.keys() - _HEADER_FIELDS.keys())
+    if unknown:
+        raise CheckpointError(f"unknown checkpoint header fields {unknown}")
     for key, kind in _HEADER_FIELDS.items():
         if type(header.get(key)) is not kind:
             raise CheckpointError(
@@ -140,10 +144,10 @@ def _parse_header(blob: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]
         raise CheckpointError(f"checkpoint layer_dims {dims!r} are not widths")
     manifest = []
     for entry in header["arrays"]:
-        shape = entry.get("shape") if type(entry) is dict else None
-        if not _is_dims(shape):
+        if not (type(entry) is dict and entry.keys() == {"name", "shape"}
+                and _is_dims(entry["shape"])):
             raise CheckpointError(f"bad array entry {entry!r} in checkpoint header")
-        manifest.append((entry.get("name"), tuple(shape)))
+        manifest.append((entry["name"], tuple(entry["shape"])))
     got, names = [name for name, _ in manifest], _array_names(len(dims) - 1)
     if got != names:
         raise CheckpointError(f"checkpoint arrays {got} are not {names} of layer_dims {dims}")

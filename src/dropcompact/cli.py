@@ -112,10 +112,6 @@ PLOT_CSV_HEADER = (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; '#' and ';' start comments; no sections."""
     raw: dict[str, str] = {}
@@ -123,17 +119,17 @@ def parse_config_file(path: str) -> dict[str, str]:
         with open(path, "r", encoding="utf-8-sig") as f:  # a leading BOM is dropped
             lines = f.readlines()
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise ValueError(f"cannot read config {path}: {e}") from e
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].split(";", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
         key, value = text.split("=", 1)
         key = key.strip()
         if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
     return raw
 
@@ -397,11 +393,11 @@ def cmd_bench(args) -> int:
     elif args.shape:
         shape = _parse_shape(args.shape)
     else:
-        raise ConfigError("bench needs --shape or --checkpoint")
+        raise ValueError("bench needs --shape or --checkpoint")
     ref_shape = _parse_shape(args.ref_shape) if args.ref_shape else None
     batches = [int(b) for b in args.batch.split(",") if b.strip()]
     if not batches:
-        raise ConfigError(f"bad --batch {args.batch!r}")
+        raise ValueError(f"bad --batch {args.batch!r}")
     with _out_dir(os.path.dirname(args.out or "") or "."):
         results = []  # (BenchResult, flop_ratio_vs_ref, speedup_vs_ref)
         for batch in batches:
@@ -557,8 +553,8 @@ def main(argv=None) -> int:
         level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s"
     )
     args = build_parser().parse_args(argv)
-    # ConfigError, CheckpointError and the library's range checks are all
-    # ValueErrors, so anything not classified as data or structure is config
+    # config-file errors, CheckpointError and the library's range checks are
+    # all ValueErrors, so anything not classified as data or structure is config
     try:
         return args.func(args)
     except DataError as e:

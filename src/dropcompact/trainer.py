@@ -206,7 +206,6 @@ class TrainState:
     best: EpochReport | None  # None until an epoch has run
     best_params: MlpParams
     best_pi: RetentionParams
-    since_best: int  # epochs since the best one
     reports: list[EpochReport]
 
     @property
@@ -382,7 +381,7 @@ def check_data_fits(dataset: Dataset, layer_dims) -> None:
 def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig) -> EpochReport:
     """Epoch ``epoch`` of ``cfg``'s regime on ``dataset``: a weight pass, for
     compaction a retention sweep and the removal of dead units, the dev and
-    test scores, and the best-epoch and patience bookkeeping.
+    test scores, and the best-epoch bookkeeping.
     Advances ``state`` in place and returns the epoch's report."""
     # every split is gathered from the full features through its row index;
     # the prior's scale and the sweep's permutation are over the train count
@@ -468,9 +467,6 @@ def run_epoch(state: TrainState, epoch: int, dataset: Dataset, cfg: TrainConfig)
     best = state.best
     if beats_best((dev_err, dev_loss), (best.dev_err, best.dev_loss) if best else NO_SCORE):
         state.best, state.best_params, state.best_pi = report, params.copy(), pi
-        state.since_best = 0
-    else:
-        state.since_best += 1
     return report
 
 
@@ -495,9 +491,9 @@ def run_training(
     pi.validate(params)
     # best_params starts as params itself: the first epoch always beats
     # NO_SCORE and replaces it with a copy
-    state = TrainState(params, pi, Gradients.zeros_like(params), None, params, pi, 0, [])
+    state = TrainState(params, pi, Gradients.zeros_like(params), None, params, pi, [])
     for epoch in range(cfg.epochs):
         run_epoch(state, epoch, dataset, cfg)
-        if state.since_best >= cfg.patience:
+        if epoch - state.best_epoch >= cfg.patience:
             break
     return state

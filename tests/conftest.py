@@ -8,6 +8,7 @@ evaluation that the package's versions must match bit for bit.
 """
 
 import gzip
+import importlib.util
 import math
 import os
 import struct
@@ -288,18 +289,18 @@ def traced_peak(fn, *args) -> int:
 # synthetic data: inputs labelled by a frozen teacher net, and Gaussian blobs
 # ---------------------------------------------------------------------------
 
-def make_teacher_dataset(n, dim=784, classes=10, seed=0, quantize=True):
-    rng = rng_stream(seed, "teacher-x")
-    basis = rng.normal(size=(40, dim))
-    coef = rng.normal(size=(n, 40)) / 6.0
-    x = coef @ basis + 0.5 + 0.05 * rng.normal(size=(n, dim))
-    np.clip(x, 0.0, 1.0, out=x)
-    if quantize:
-        x = np.rint(x * 255.0) / 255.0
-    teacher = init_mlp((dim, 100, 100, classes), "relu", seed=777)
-    logits = forward_batch(teacher, x, [None] * 3).logits
-    z = (logits - logits.mean(axis=0)) / logits.std(axis=0)
-    return Dataset(x, z.argmax(axis=1).astype(np.int64), classes)
+def _load_surrogate():
+    """perfbench/surrogate.py, loaded by its path: the tests and the benchmark
+    share one generator, and perfbench/ stays off sys.path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "surrogate.py")
+    spec = importlib.util.spec_from_file_location("perfbench_surrogate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+make_teacher_dataset = _load_surrogate().make_teacher_dataset
 
 
 def synth_blobs(n_per_class, classes, dim, separation, seed) -> Dataset:

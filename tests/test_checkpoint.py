@@ -5,6 +5,7 @@ import json
 import os
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ class TestRoundTrip:
         path.write_bytes(blob[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
+
+    def test_file_shrunk_after_fstat_rejected(self, ckpt, tmp_path, monkeypatch):
+        # every length check passes against the stale size, so only the short
+        # read of the last payload shows that its bytes are gone
+        path = tmp_path / "c.dckp"
+        save_checkpoint(str(path), ckpt)
+        path.write_bytes(path.read_bytes()[:-8])
+        fstat = os.fstat
+        with monkeypatch.context() as m:
+            m.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8))
+            with pytest.raises(CheckpointError, match="truncated payload"):
+                load_checkpoint(str(path))
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_path_rejected(self, tmp_path, kind):
@@ -209,6 +222,14 @@ class TestMalformed:
             header["arrays"][1]["shape"] = [True]
 
         self._refused(tmp_path, _edit_header(path.read_bytes(), edit), "bad array entry")
+
+    # a dtype would be ignored: every payload is read as float64
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h.update(extra=1), r"unknown checkpoint header fields \['extra'\]"),
+        (lambda h: h["arrays"][0].update(dtype="<f4"), "bad array entry"),
+    ], ids=["header", "array-entry"])
+    def test_key_save_does_not_write_rejected(self, blob, tmp_path, edit, match):
+        self._refused(tmp_path, _edit_header(blob, edit), match)
 
     @pytest.mark.parametrize("version", [7, 0, 2, 1.0, True, "1"])
     def test_format_version_other_than_saved_rejected(self, blob, tmp_path, version):
@@ -536,13 +557,14 @@ class TestCheckpointFuzz:
     @given(data=st.data())
     def test_load_accepts_only_what_save_writes(self, fuzz_inputs, data):
         # one header field, or one array entry's name or shape, replaced by
-        # a drawn JSON value
+        # a drawn JSON value; or a drawn key (None below) added with one
         src, blob = fuzz_inputs
         hlen = struct.unpack("<I", blob[8:12])[0]
         header = json.loads(blob[12 : 12 + hlen])
         where = data.draw(st.sampled_from(
-            [(key,) for key in sorted(header)]
-            + [("arrays", i, key) for i in range(len(header["arrays"])) for key in ("name", "shape")]
+            [(key,) for key in [*sorted(header), None]]
+            + [("arrays", i, key) for i in range(len(header["arrays"]))
+               for key in ("name", "shape", None)]
         ))
         *parents, last = where
 
@@ -551,7 +573,11 @@ class TestCheckpointFuzz:
                 h = h[key]
             return h
 
-        value = data.draw(_json_edits(parent(header)[last]))
+        if last is None:
+            last = data.draw(st.text().filter(lambda k: k not in parent(header)))
+            value = data.draw(_JSON)
+        else:
+            value = data.draw(_json_edits(parent(header)[last]))
         edited = _edit_header(blob, lambda h: parent(h).__setitem__(last, value))
         path = src / "edited.dckp"
         path.write_bytes(edited)

@@ -9,6 +9,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -388,6 +390,21 @@ class TestBench:
 
     def test_bad_shape_exit_2(self):
         assert main(["bench", "--shape", "16", "--reps", "30"]) == 2
+
+    @pytest.mark.parametrize("reps, code", [("30", 0), ("3", 2)])
+    def test_module_entry_point(self, reps, code):
+        # README's `python -m dropcompact.cli`, in a child that imports only src/
+        run = subprocess.run(
+            [sys.executable, "-m", "dropcompact.cli", "bench", "--shape", "16,8,4",
+             "--reps", reps],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
+        )
+        assert run.returncode == code, run.stderr
+        if code == 0:
+            assert run.stdout.splitlines()[0] == ",".join(cli.BENCH_CSV_HEADER)
+        else:
+            assert run.stderr.startswith("config error:"), run.stderr
 
 
 class TestReport:

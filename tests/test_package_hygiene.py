@@ -1,7 +1,6 @@
 """Static checks on the package source, read with ``ast`` (nothing is imported).
 
-- Every module-level import in ``src/dropcompact`` is used in its module
-  (a name listed in ``__all__`` counts as used).
+- Every module-level import in ``src/dropcompact`` is used in its module.
 - Every top-level function and class in ``src/dropcompact`` is referenced
   somewhere in ``src/`` or ``perfbench/`` outside its own definition, so
   code that lost its last caller is deleted rather than left behind.
@@ -22,9 +21,6 @@
 - No module but ``data.py`` imports ``gzip`` or ``zlib``: ``load_mnist_dir``
   reports the faults of its gzip reads as its own ``DataError``, so no other
   module has a gzip error to catch.
-- Every name in ``__init__.py``'s ``__all__`` is bound by an import there:
-  a stale name breaks only ``from dropcompact import *``, which no other
-  test runs.
 - README's "Config keys" table names exactly the fields of ``TrainConfig``,
   so a key cannot be added or deleted without its row.
 - ``tests/conftest.py`` imports only ``GUARD_EPS``, ``PROB_FLOOR`` and
@@ -66,21 +62,9 @@ def _names_in(node: ast.AST) -> set[str]:
     return found
 
 
-def _dunder_all(tree: ast.Module) -> set[str]:
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-        ):
-            return {elt.value for elt in stmt.value.elts}
-    return set()
-
-
 def _unused_imports(path: Path) -> list[str]:
     tree = _tree(path)
-    used = _dunder_all(tree)
-    for sub in ast.walk(tree):
-        if isinstance(sub, ast.Name):
-            used.add(sub.id)
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
     unused = []
     for stmt in tree.body:
         if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
@@ -96,17 +80,6 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
-
-
-def test_every_exported_name_is_imported():
-    tree = _tree(PACKAGE / "__init__.py")
-    bound = {
-        alias.asname or alias.name.split(".")[0]
-        for stmt in tree.body
-        if isinstance(stmt, (ast.Import, ast.ImportFrom))
-        for alias in stmt.names
-    }
-    assert sorted(_dunder_all(tree) - bound) == []
 
 
 def test_every_top_level_definition_has_a_caller():

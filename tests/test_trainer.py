@@ -464,7 +464,7 @@ class TestRunEpoch:
         cfg = TrainConfig(**self.BASE, **extra)
         params = init_mlp(cfg.layer_dims, cfg.hidden_activation, cfg.seed)
         pi = initial_retention(params, cfg)
-        state = TrainState(params, pi, Gradients.zeros_like(params), None, params, pi, 0, [])
+        state = TrainState(params, pi, Gradients.zeros_like(params), None, params, pi, [])
         for epoch in range(k + 1):
             run_epoch(state, epoch, small_teacher_ds, cfg)
         resumed = copy.deepcopy(state)
